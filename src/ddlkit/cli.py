@@ -149,6 +149,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ModelError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

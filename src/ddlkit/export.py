@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 from . import hol
 from .hol import (EQ_NAME, NOT_NAME, OR_NAME, PI_NAME, Abs, App, Arrow,
-                  BaseType, Bound, Const, Free, HolTerm, HolType, embed, vld)
+                  BaseType, Bound, Const, Free, HolTerm, HolType, embed,
+                  match_and, match_exists, vld)
 from .syntax import Formula, atoms
 
 RESERVED_SYMBOLS = frozenset({"av", "pv", "ob"})
@@ -49,47 +50,18 @@ def thf_type(ty: HolType) -> str:
     return f"{left} > {thf_type(ty.res)}"
 
 
-def _match_exists(t: HolTerm):
-    if (isinstance(t, App) and isinstance(t.fn, Const)
-            and t.fn.name == NOT_NAME and isinstance(t.arg, App)
-            and isinstance(t.arg.fn, Const) and t.arg.fn.name == PI_NAME
-            and isinstance(t.arg.arg, Abs)
-            and isinstance(t.arg.arg.body, App)
-            and isinstance(t.arg.arg.body.fn, Const)
-            and t.arg.arg.body.fn.name == NOT_NAME):
-        inner = t.arg.arg
-        return inner.var_ty, inner.body.arg
-    return None
-
-
-def _match_and(t: HolTerm):
-    if not (isinstance(t, App) and isinstance(t.fn, Const)
-            and t.fn.name == NOT_NAME):
-        return None
-    u = t.arg
-    if (isinstance(u, App) and isinstance(u.fn, App)
-            and isinstance(u.fn.fn, Const) and u.fn.fn.name == OR_NAME):
-        left, right = u.fn.arg, u.arg
-        if (isinstance(left, App) and isinstance(left.fn, Const)
-                and left.fn.name == NOT_NAME
-                and isinstance(right, App) and isinstance(right.fn, Const)
-                and right.fn.name == NOT_NAME):
-            return left.arg, right.arg
-    return None
-
-
 def _render(t: HolTerm, names: tuple[str, ...]) -> str:
-    ex = _match_exists(t)
-    if ex is not None:
-        var_ty, body = ex
-        name = f"V{len(names)}"
-        return f"?[{name}:{thf_type(var_ty)}]: " + _render(body, names + (name,))
-    both = _match_and(t)
-    if both is not None:
-        a, b = both
-        return f"({_render(a, names)} & {_render(b, names)})"
     if isinstance(t, App) and isinstance(t.fn, Const):
         if t.fn.name == NOT_NAME:
+            ex = match_exists(t)
+            if ex is not None:
+                name = f"V{len(names)}"
+                return (f"?[{name}:{thf_type(ex.var_ty)}]: "
+                        + _render(ex.body.arg, names + (name,)))
+            both = match_and(t)
+            if both is not None:
+                a, b = both
+                return f"({_render(a, names)} & {_render(b, names)})"
             return "~" + _delimited(t.arg, names)
         if t.fn.name == PI_NAME:
             name = f"V{len(names)}"

@@ -6,6 +6,13 @@ each arrow type by the full set of function tables between the domains.
 Full function spaces keep quantification decidable by enumeration, at
 the price of a domain budget (see `enumerate_domain`).
 
+Every value is a plain integer.  A truth value is 0 or 1 and a world is
+its index.  A function f in D(a>b) is the mixed-radix number
+sum(f(x) * |D(b)|**x for x in D(a)), so D(a>b) is range(|D(b)|**|D(a)|)
+and a world predicate (type i>o) is the bitmask of the worlds where it
+holds.  Application reads one digit, and abstraction writes the digits
+of its body.
+
 `build_henkin` turns a valid finite model into such an interpretation
 (characteristic-function tables for each atom, av, pv, and ob), and
 `extract_model` inverts it for any interpretation satisfying the eight
@@ -17,20 +24,22 @@ always agree.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping
 
 from .checker import eval_formula, valid_in_model
 from .hol import (EQ_NAME, I, LOGICAL_NAMES, NOT_NAME, OR_NAME, PI_NAME, TAU,
                   Abs, App, Arrow, Bound, Const, Free, HolTerm, HolType,
                   O as O_TYPE, axioms, embed, type_str, vld)
-from .model import (CJModel, canonicalize, full_mask, model_json, ob_member,
-                    random_model, validate)
+from .model import (CJModel, canonicalize, model_json, ob_member, random_model,
+                    validate)
 from .syntax import Formula, pretty, random_formula
 
 DOMAIN_BUDGET = 1 << 20
+
+TRUE, FALSE = 1, 0
+VWorld = int
 
 
 class EvalError(Exception):
@@ -53,93 +62,28 @@ class ExtractionError(EvalError):
     pass
 
 
-@dataclass(frozen=True)
-class VBool:
-    value: bool
-
-
-@dataclass(frozen=True)
-class VWorld:
-    index: int
-
-
-@dataclass(frozen=True)
-class VFn:
-    """A total function as a canonically sorted, immutable table."""
-
-    table: tuple[tuple["Value", "Value"], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_map", dict(self.table))
-
-    def apply(self, v: "Value") -> "Value":
-        try:
-            return self._map[v]  # type: ignore[attr-defined]
-        except KeyError:
-            raise EvalError(f"value {v!r} outside the function's domain")
-
-
-Value = Union[VBool, VWorld, VFn]
-
-TRUE = VBool(True)
-FALSE = VBool(False)
-
-
-def _sort_key(v: Value):
-    if isinstance(v, VBool):
-        return (0, v.value)
-    if isinstance(v, VWorld):
-        return (1, v.index)
-    return (2, tuple((_sort_key(k), _sort_key(w)) for k, w in v.table))
-
-
-def make_fn(pairs: Iterable[tuple[Value, Value]]) -> VFn:
-    """Canonical function value: table sorted by key."""
-    return VFn(tuple(sorted(pairs, key=lambda kv: _sort_key(kv[0]))))
-
-
-_DOMAIN_CACHE: dict[tuple[int, HolType], tuple[Value, ...]] = {}
-
-
 def domain_size(n: int, ty: HolType) -> int:
+    if isinstance(ty, Arrow):
+        return domain_size(n, ty.res) ** domain_size(n, ty.arg)
     if ty == O_TYPE:
         return 2
     if ty == I:
         return n
-    if isinstance(ty, Arrow):
-        return domain_size(n, ty.res) ** domain_size(n, ty.arg)
     raise EvalError(f"type {ty!r} has no finite domain")
 
 
-def enumerate_domain(n: int, ty: HolType) -> tuple[Value, ...]:
-    """All elements of the domain for `ty`, canonically ordered.
+def enumerate_domain(n: int, ty: HolType) -> range:
+    """All elements of the domain for `ty`: the integers below its size.
 
-    Cached per (n, type).  Refuses to enumerate more than DOMAIN_BUDGET
-    elements, naming the offending type in the error.
+    Refuses to enumerate more than DOMAIN_BUDGET elements, naming the
+    offending type in the error.
     """
-    cached = _DOMAIN_CACHE.get((n, ty))
-    if cached is not None:
-        return cached
-    if ty == O_TYPE:
-        out: tuple[Value, ...] = (FALSE, TRUE)
-    elif ty == I:
-        out = tuple(VWorld(k) for k in range(n))
-    elif isinstance(ty, Arrow):
-        size = domain_size(n, ty)
-        if size > DOMAIN_BUDGET:
-            raise DomainBudgetError(
-                f"domain for type {type_str(ty)} has {size} elements, "
-                f"exceeding the budget of {DOMAIN_BUDGET}")
-        dom = enumerate_domain(n, ty.arg)
-        cod = enumerate_domain(n, ty.res)
-        out = tuple(sorted(
-            (make_fn(zip(dom, combo))
-             for combo in itertools.product(cod, repeat=len(dom))),
-            key=_sort_key))
-    else:
-        raise EvalError(f"not a type: {ty!r}")
-    _DOMAIN_CACHE[(n, ty)] = out
-    return out
+    size = domain_size(n, ty)
+    if size > DOMAIN_BUDGET:
+        raise DomainBudgetError(
+            f"domain for type {type_str(ty)} has {size} elements, "
+            f"exceeding the budget of {DOMAIN_BUDGET}")
+    return range(size)
 
 
 @dataclass(frozen=True)
@@ -151,169 +95,168 @@ class HenkinModel:
     """
 
     n: int
-    interp: Mapping[str, Value]
+    interp: Mapping[str, int]
 
-    def domain(self, ty: HolType) -> tuple[Value, ...]:
+    def domain(self, ty: HolType) -> range:
         return enumerate_domain(self.n, ty)
 
 
-class Assignment:
-    """Environment for evaluation: a binder stack plus free-variable map."""
+# A compiled term: reads the binder stack (innermost binder last).
+Code = Callable[[list], int]
 
-    def __init__(self, free: Mapping[str, Value] | None = None):
-        self.stack: list[Value] = []
-        self.free: dict[str, Value] = dict(free or {})
-
-    def lookup_bound(self, index: int) -> Value:
-        if index >= len(self.stack):
-            raise EvalError(f"dangling bound variable index {index}")
-        return self.stack[-1 - index]
-
-    def lookup_free(self, name: str, ty: HolType) -> Value:
-        try:
-            return self.free[name]
-        except KeyError:
-            raise EvalError(
-                f"unassigned free variable {name}:{type_str(ty)}") from None
-
-
-_LOGICAL_CACHE: dict[tuple[int, Const], Value] = {}
-
-
-def _logical_value(n: int, c: Const) -> Value:
-    """Materialized table for a logical constant (rare slow path; the
-    evaluator normally applies these constants without building tables)."""
-    cached = _LOGICAL_CACHE.get((n, c))
-    if cached is not None:
-        return cached
-    if c.name == NOT_NAME:
-        out: Value = make_fn(((FALSE, TRUE), (TRUE, FALSE)))
-    elif c.name == OR_NAME:
-        out = make_fn((a, make_fn((b, VBool(a == TRUE or b == TRUE))
-                                  for b in (FALSE, TRUE)))
-                      for a in (FALSE, TRUE))
-    elif c.name == EQ_NAME:
-        alpha = c.ty.arg
-        dom = enumerate_domain(n, alpha)
-        out = make_fn((a, make_fn((b, VBool(a == b)) for b in dom))
-                      for a in dom)
-    elif c.name == PI_NAME:
-        pred_ty = c.ty.arg
-        dom = enumerate_domain(n, pred_ty)
-        out = make_fn((f, VBool(all(v == TRUE for _, v in f.table)))
-                      for f in dom)
-    else:
-        raise EvalError(f"constant {c.name} has no interpretation")
-    _LOGICAL_CACHE[(n, c)] = out
-    return out
+_ARITY = {NOT_NAME: 1, OR_NAME: 2, EQ_NAME: 2, PI_NAME: 1}
 
 
 def eval_term(h: HenkinModel, t: HolTerm,
-              free: Mapping[str, Value] | None = None) -> Value:
+              free: Mapping[str, int] | None = None) -> int:
     """Denotation of a term: constants via the interpretation, variables
-    via the assignment, application by table lookup, abstraction by
-    building the table over the argument domain.
+    via the assignment, application by reading a digit, abstraction by
+    tabulating the body over the argument domain.
 
-    Quantifiers and the boolean connectives are applied without
-    materializing their tables, enumerating lazily with early exit; the
-    resulting value is the same, only cheaper.
+    The term is first compiled once, so types and radices are worked
+    out per node rather than per application.  Quantifiers and the
+    boolean connectives are applied without materializing their tables,
+    enumerating lazily with early exit; the resulting value is the same,
+    only cheaper.
     """
-    return _eval(h, t, Assignment(free))
+    code, _ = _compile(h, t, (), free or {})
+    return code([])
 
 
-def _eval(h: HenkinModel, t: HolTerm, g: Assignment) -> Value:
+def _compile(h: HenkinModel, t: HolTerm, binders: tuple[HolType, ...],
+             free: Mapping[str, int]) -> tuple[Code, HolType]:
+    """Code computing `t` under binders of the given types (innermost
+    first), together with the type of `t`."""
     if isinstance(t, Bound):
-        return g.lookup_bound(t.index)
+        if t.index >= len(binders):
+            raise EvalError(f"dangling bound variable index {t.index}")
+        k = -1 - t.index
+        return (lambda env: env[k]), binders[t.index]
     if isinstance(t, Free):
-        return g.lookup_free(t.name, t.ty)
+        if t.name not in free:
+            raise EvalError(f"unassigned free variable {t.name}:"
+                            f"{type_str(t.ty)}")
+        v = free[t.name]
+        if not 0 <= v < domain_size(h.n, t.ty):
+            raise EvalError(f"value {v} of {t.name} is outside the domain "
+                            f"of type {type_str(t.ty)}")
+        return (lambda env: v), t.ty
     if isinstance(t, Const):
         if t.name in LOGICAL_NAMES:
-            return _logical_value(h.n, t)
-        try:
-            return h.interp[t.name]
-        except KeyError:
-            raise EvalError(f"constant {t.name} has no interpretation") from None
+            return _compile(h, _eta_expand(t), binders, free)
+        if t.name not in h.interp:
+            raise EvalError(f"constant {t.name} has no interpretation")
+        v = h.interp[t.name]
+        return (lambda env: v), t.ty
     if isinstance(t, Abs):
-        pairs = []
-        for d in enumerate_domain(h.n, t.var_ty):
-            g.stack.append(d)
-            try:
-                pairs.append((d, _eval(h, t.body, g)))
-            finally:
-                g.stack.pop()
-        return make_fn(pairs)
+        body, res = _compile(h, t.body, (t.var_ty,) + binders, free)
+        return _tabulate(h.n, t.var_ty, body, res), Arrow(t.var_ty, res)
     # application: flatten the spine so logical heads can short-circuit
     head, args = t, []
     while isinstance(head, App):
         args.append(head.arg)
         head = head.fn
     args.reverse()
-    if isinstance(head, Const):
-        if head.name == NOT_NAME and len(args) == 1:
-            return FALSE if _eval(h, args[0], g) == TRUE else TRUE
-        if head.name == OR_NAME and len(args) == 2:
-            if _eval(h, args[0], g) == TRUE:
-                return TRUE
-            return _eval(h, args[1], g)
-        if head.name == EQ_NAME and len(args) == 2:
-            return VBool(_eval(h, args[0], g) == _eval(h, args[1], g))
-        if head.name == PI_NAME and len(args) == 1:
-            alpha = head.ty.arg.arg
-            u = args[0]
-            if isinstance(u, Abs):
-                for d in enumerate_domain(h.n, alpha):
-                    g.stack.append(d)
-                    try:
-                        v = _eval(h, u.body, g)
-                    finally:
-                        g.stack.pop()
-                    if v != TRUE:
-                        return FALSE
-                return TRUE
-            fv = _eval(h, u, g)
-            return VBool(all(v == TRUE for _, v in fv.table))
+    if isinstance(head, Const) and head.name in LOGICAL_NAMES:
+        if len(args) == _ARITY[head.name]:
+            return _compile_logical(h, head, args, binders, free), O_TYPE
+        head = _eta_expand(head)
+    argcode = [_compile(h, a, binders, free) for a in args]
     if isinstance(head, Abs):
         # apply syntactic lambdas by extending the environment rather
         # than building their tables; arguments are evaluated in the
         # current environment first
-        argvals = [_eval(h, a, g) for a in args]
-        term: HolTerm = head
-        consumed = 0
-        while isinstance(term, Abs) and consumed < len(argvals):
-            g.stack.append(argvals[consumed])
-            consumed += 1
-            term = term.body
-        try:
-            out = _eval(h, term, g)
-        finally:
-            for _ in range(consumed):
-                g.stack.pop()
-        for v in argvals[consumed:]:
-            out = _apply(out, v)
+        k = 0
+        while isinstance(head, Abs) and k < len(args):
+            binders = (head.var_ty,) + binders
+            head = head.body
+            k += 1
+        body, ty = _compile(h, head, binders, free)
+        pushed = [a for a, _ in argcode[:k]]
+        argcode = argcode[k:]
+
+        def code(env: list) -> int:
+            env.extend([a(env) for a in pushed])
+            out = body(env)
+            del env[-k:]
+            return out
+    else:
+        code, ty = _compile(h, head, binders, free)
+    for a, arg_ty in argcode:
+        if not isinstance(ty, Arrow) or ty.arg != arg_ty:
+            raise EvalError(f"cannot apply a value of type {type_str(ty)} "
+                            f"to one of type {type_str(arg_ty)}")
+        ty = ty.res
+        code = _digit(code, a, domain_size(h.n, ty))
+    return code, ty
+
+
+def _digit(fn: Code, arg: Code, base: int) -> Code:
+    """Code applying a function to an argument: digit `arg` of `fn` in
+    the given base."""
+    width = base.bit_length() - 1
+    if base == 1 << width:
+        mask = base - 1
+        return lambda env: fn(env) >> width * arg(env) & mask
+    return lambda env: fn(env) // base ** arg(env) % base
+
+
+def _tabulate(n: int, var_ty: HolType, body: Code, res: HolType) -> Code:
+    """Code building a function's number from its body's values."""
+    base = domain_size(n, res)
+
+    def code(env: list) -> int:
+        out = 0
+        for d in reversed(enumerate_domain(n, var_ty)):
+            env.append(d)
+            out = out * base + body(env)
+            env.pop()
         return out
-    out = _eval(h, head, g)
-    for a in args:
-        out = _apply(out, _eval(h, a, g))
-    return out
+    return code
 
 
-def _apply(f: Value, v: Value) -> Value:
-    if not isinstance(f, VFn):
-        raise EvalError(f"cannot apply non-function value {f!r}")
-    return f.apply(v)
+def _eta_expand(c: Const) -> HolTerm:
+    """A logical constant applied to fresh bound variables under
+    lambdas, so that the applied clauses below evaluate it."""
+    arg_types = []
+    ty = c.ty
+    while isinstance(ty, Arrow):
+        arg_types.append(ty.arg)
+        ty = ty.res
+    term: HolTerm = c
+    for k in range(len(arg_types)):
+        term = App(term, Bound(len(arg_types) - 1 - k))
+    for arg_ty in reversed(arg_types):
+        term = Abs(arg_ty, term)
+    return term
 
 
-def prop_value(n: int, mask: int) -> VFn:
-    """Characteristic-function table of a proposition bitmask."""
-    return make_fn((VWorld(s), VBool(bool(mask >> s & 1))) for s in range(n))
+def _compile_logical(h: HenkinModel, head: Const, args: list[HolTerm],
+                     binders: tuple[HolType, ...],
+                     free: Mapping[str, int]) -> Code:
+    if head.name == PI_NAME and isinstance(args[0], Abs):
+        n, alpha = h.n, head.ty.arg.arg
+        body, _ = _compile(h, args[0].body, (alpha,) + binders, free)
 
-
-def prop_mask(v: VFn) -> int:
-    mask = 0
-    for key, out in v.table:
-        if out == TRUE:
-            mask |= 1 << key.index
-    return mask
+        def forall(env: list) -> int:
+            for d in enumerate_domain(n, alpha):
+                env.append(d)
+                v = body(env)
+                env.pop()
+                if not v:
+                    return FALSE
+            return TRUE
+        return forall
+    a, *rest = [_compile(h, u, binders, free)[0] for u in args]
+    if head.name == NOT_NAME:
+        return lambda env: 1 - a(env)
+    if head.name == PI_NAME:
+        full = (1 << domain_size(h.n, head.ty.arg.arg)) - 1
+        return lambda env: int(a(env) == full)
+    b = rest[0]
+    if head.name == OR_NAME:
+        return lambda env: a(env) or b(env)
+    return lambda env: int(a(env) == b(env))
 
 
 def build_henkin(m: CJModel) -> HenkinModel:
@@ -324,18 +267,12 @@ def build_henkin(m: CJModel) -> HenkinModel:
     verdict, over all pairs from the full proposition domain.
     """
     n = m.n
-    interp: dict[str, Value] = {}
-    for atom, mask in m.val.items():
-        interp[atom] = prop_value(n, mask)
-    interp["av"] = make_fn((VWorld(s), prop_value(n, m.av[s]))
-                           for s in range(n))
-    interp["pv"] = make_fn((VWorld(s), prop_value(n, m.pv[s]))
-                           for s in range(n))
+    interp = dict(m.val)
+    interp["av"] = sum(mask << n * s for s, mask in enumerate(m.av))
+    interp["pv"] = sum(mask << n * s for s, mask in enumerate(m.pv))
     dom_tau = enumerate_domain(n, TAU)
-    interp["ob"] = make_fn(
-        (x, make_fn((y, VBool(ob_member(m, prop_mask(x), prop_mask(y))))
-                    for y in dom_tau))
-        for x in dom_tau)
+    interp["ob"] = sum(ob_member(m, x, y) << (x << n) + y
+                       for x in dom_tau for y in dom_tau)
     return HenkinModel(n, interp)
 
 
@@ -362,20 +299,19 @@ def extract_model(h: HenkinModel, atoms: Iterable[str]) -> CJModel:
     n = h.n
     try:
         av_t, pv_t, ob_t = h.interp["av"], h.interp["pv"], h.interp["ob"]
-        atom_tables = {a: h.interp[a] for a in sorted(set(atoms))}
+        val = {a: h.interp[a] for a in sorted(set(atoms))}
     except KeyError as e:
         raise ExtractionError(f"interpretation missing constant {e}") from e
-    av = tuple(prop_mask(av_t.apply(VWorld(s))) for s in range(n))
-    pv = tuple(prop_mask(pv_t.apply(VWorld(s))) for s in range(n))
+    full = (1 << n) - 1
+    av = tuple(av_t >> n * s & full for s in range(n))
+    pv = tuple(pv_t >> n * s & full for s in range(n))
     dom_tau = enumerate_domain(n, TAU)
     raw_ob: dict[int, set[int]] = {}
     for x in dom_tau:
-        row = ob_t.apply(x)
-        members = {prop_mask(y) for y in dom_tau if row.apply(y) == TRUE}
+        members = {y for y in dom_tau if ob_t >> (x << n) + y & 1}
         if members:
-            raw_ob[prop_mask(x)] = members
+            raw_ob[x] = members
     ob, _ = canonicalize(raw_ob, n)
-    val = {a: prop_mask(table) for a, table in atom_tables.items()}
     m = CJModel(n, av, pv, ob, val)
     report = validate(m)
     if not report.ok:
@@ -392,13 +328,11 @@ def frame_condition_failures(h: HenkinModel) -> list[str]:
     interpretation built from a valid model this is empty.
     """
     n = h.n
-    full = full_mask(n)
-    av = [prop_mask(h.interp["av"].apply(VWorld(s))) for s in range(n)]
-    pv = [prop_mask(h.interp["pv"].apply(VWorld(s))) for s in range(n)]
-    member: dict[tuple[int, int], bool] = {}
-    for x, row in h.interp["ob"].table:
-        for y, out in row.table:
-            member[(prop_mask(x), prop_mask(y))] = out == TRUE
+    full = (1 << n) - 1
+    av = [h.interp["av"] >> n * s & full for s in range(n)]
+    pv = [h.interp["pv"] >> n * s & full for s in range(n)]
+    member = {(x, y): h.interp["ob"] >> (x << n) + y & 1
+              for x in range(full + 1) for y in range(full + 1)}
     failures: list[str] = []
     if any(av[s] == 0 for s in range(n)):
         failures.append("av")
@@ -512,4 +446,4 @@ def check_faithfulness(n_max: int = 2, samples: int = 1000,
 def _eval_at_world(h: HenkinModel, t: HolTerm, s: int) -> bool:
     """Truth of a world predicate at one world of the interpretation."""
     term = App(t, Free("S", I))
-    return eval_term(h, term, {"S": VWorld(s)}) == TRUE
+    return eval_term(h, term, {"S": s}) == TRUE

@@ -444,18 +444,16 @@ def pretty_term(t: HolTerm, names: tuple[str, ...] = ()) -> str:
     """Readable named-variable rendering, with the conjunction and
     existential patterns folded back into their usual notation."""
     if isinstance(t, App) and t.fn == NOT:
-        inner = t.arg
-        ex = _match_exists(inner)
+        ex = match_exists(t)
         if ex is not None:
-            alpha, abs_body = ex
-            name = _fresh(abs_body.hint, set(names))
-            return (f"∃{name}:{type_str(alpha)}. "
-                    f"{pretty_term(abs_body.body, (name,) + names)}")
-        both = _match_nor(inner)
+            name = _fresh(ex.hint, set(names))
+            return (f"∃{name}:{type_str(ex.var_ty)}. "
+                    f"{pretty_term(ex.body.arg, (name,) + names)}")
+        both = match_and(t)
         if both is not None:
             a, b = both
-            return (f"({pretty_term(a, names)} ∧ {pretty_term(b, names)})")
-        return f"¬{_pretty_atomish(inner, names)}"
+            return f"({pretty_term(a, names)} ∧ {pretty_term(b, names)})"
+        return f"¬{_pretty_atomish(t.arg, names)}"
     if isinstance(t, App) and isinstance(t.fn, App) and t.fn.fn == OR:
         return (f"({pretty_term(t.fn.arg, names)} ∨ "
                 f"{pretty_term(t.arg, names)})")
@@ -496,17 +494,25 @@ def _pretty_atomish(t: HolTerm, names: tuple[str, ...]) -> str:
     return f"({s})"
 
 
-def _match_exists(t: HolTerm):
-    if (isinstance(t, App) and isinstance(t.fn, Const)
-            and t.fn.name == PI_NAME and isinstance(t.arg, Abs)
-            and isinstance(t.arg.body, App) and t.arg.body.fn == NOT):
-        return t.arg.var_ty, Abs(t.arg.var_ty, t.arg.body.arg, t.arg.hint)
+def match_exists(t: HolTerm) -> Abs | None:
+    """The binder λx. ¬s of an existential ¬Pi (λx. ¬s), or None."""
+    if (_applies(t, NOT_NAME) and _applies(t.arg, PI_NAME)
+            and isinstance(t.arg.arg, Abs)
+            and _applies(t.arg.arg.body, NOT_NAME)):
+        return t.arg.arg
     return None
 
 
-def _match_nor(t: HolTerm):
-    if (isinstance(t, App) and isinstance(t.fn, App) and t.fn.fn == OR
-            and isinstance(t.fn.arg, App) and t.fn.arg.fn == NOT
-            and isinstance(t.arg, App) and t.arg.fn == NOT):
-        return t.fn.arg.arg, t.arg.arg
+def match_and(t: HolTerm) -> tuple[HolTerm, HolTerm] | None:
+    """The conjuncts (a, b) of a conjunction ¬(¬a ∨ ¬b), or None."""
+    if (_applies(t, NOT_NAME) and isinstance(t.arg, App)
+            and _applies(t.arg.fn, OR_NAME)
+            and _applies(t.arg.fn.arg, NOT_NAME)
+            and _applies(t.arg.arg, NOT_NAME)):
+        return t.arg.fn.arg.arg, t.arg.arg.arg
     return None
+
+
+def _applies(t: HolTerm, name: str) -> bool:
+    """Whether t applies the constant of that name to an argument."""
+    return isinstance(t, App) and isinstance(t.fn, Const) and t.fn.name == name

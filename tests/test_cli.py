@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import ddlkit
 from ddlkit.cli import main
 from ddlkit.export import to_thf_problem
 from ddlkit.model import save_model
@@ -133,3 +140,16 @@ def test_missing_file_exit_one(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["valid", "--formula", "~" * 2000 + "p"],
+    ["embed", "--thf", "-", "--formula", "~" * 600 + "p"],
+], ids=["valid", "embed-thf"])
+def test_deep_nesting_is_a_one_line_error(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(ddlkit.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "ddlkit.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: formula nested too deeply"]

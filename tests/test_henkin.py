@@ -4,14 +4,13 @@ import pytest
 
 from ddlkit.checker import eval_formula, valid_in_model
 from ddlkit.henkin import (FALSE, TRUE, AxiomCheckError, DomainBudgetError,
-                           HenkinModel, Mismatch, VBool, VWorld,
-                           build_henkin, check_axioms, check_faithfulness,
-                           domain_size, enumerate_domain, eval_term,
-                           extract_model, frame_condition_failures, make_fn,
-                           prop_value)
-from ddlkit.hol import (I, TAU, App, Arrow, Bound, Free, O, atom_const,
-                        embed, equals, exists, false_term, forall, land,
-                        leibniz_eq, liff, limp, lor, neg, true_term, vld)
+                           HenkinModel, Mismatch, build_henkin, check_axioms,
+                           check_faithfulness, domain_size, enumerate_domain,
+                           eval_term, extract_model, frame_condition_failures)
+from ddlkit.hol import (I, NOT, OR, TAU, Abs, App, Arrow, Bound, Free, O,
+                        atom_const, embed, eq_const, equals, exists,
+                        false_term, forall, land, leibniz_eq, liff, limp, lor,
+                        neg, pi_const, true_term, vld)
 from ddlkit.model import random_model, validate
 from ddlkit.syntax import parse, pretty, random_formula
 from helpers import mk_model
@@ -46,8 +45,8 @@ def test_universal_over_worlds_fails_on_partial_atom():
 def test_build_henkin_minimal_av_table():
     h = build_henkin(MINIMAL)
     assert h.n == 1
-    assert h.interp["av"].apply(VWorld(0)).apply(VWorld(0)) == TRUE
-    assert h.interp["p"].apply(VWorld(0)) == TRUE
+    assert h.interp["av"] & 1 == TRUE
+    assert h.interp["p"] & 1 == TRUE
 
 
 def test_axioms_hold_on_built_interpretations():
@@ -67,7 +66,7 @@ def test_per_world_agreement_with_direct_semantics():
         h = build_henkin(m)
         t = App(embed(f), Free("S", I))
         for s in range(m.n):
-            got = eval_term(h, t, {"S": VWorld(s)}) == TRUE
+            got = eval_term(h, t, {"S": s}) == TRUE
             assert got == eval_formula(m, s, f), (pretty(f), s)
 
 
@@ -86,9 +85,7 @@ def test_extract_round_trips_build():
 
 def test_extract_rejects_av_violation():
     h = build_henkin(MINIMAL)
-    empty_row = prop_value(1, 0)
-    broken = HenkinModel(1, {**h.interp, "av": make_fn([(VWorld(0),
-                                                         empty_row)])})
+    broken = HenkinModel(1, {**h.interp, "av": 0})
     with pytest.raises(AxiomCheckError) as e:
         extract_model(broken, ["p"])
     assert e.value.axiom == "AV"
@@ -106,8 +103,8 @@ def test_leibniz_equality_in_standard_models():
     h = build_henkin(m)
     w0 = Free("a", I)
     w1 = Free("b", I)
-    same = {"a": VWorld(1), "b": VWorld(1)}
-    diff = {"a": VWorld(0), "b": VWorld(1)}
+    same = {"a": 1, "b": 1}
+    diff = {"a": 0, "b": 1}
     t = leibniz_eq(w0, w1)
     assert eval_term(h, t, same) == TRUE
     # the full function space contains the discriminating predicate
@@ -126,12 +123,6 @@ def test_standardness_domain_sizes():
             assert domain_size(n, ab) == expected
 
 
-def test_function_values_are_canonical():
-    pairs = [(TRUE, FALSE), (FALSE, TRUE)]
-    assert make_fn(pairs) == make_fn(reversed(pairs))
-    assert make_fn(pairs).table[0][0] == FALSE
-
-
 def test_domain_budget_error_names_type_and_size():
     with pytest.raises(DomainBudgetError) as e:
         enumerate_domain(4, Arrow(TAU, TAU))
@@ -147,19 +138,60 @@ def test_eval_unassigned_free_variable():
         eval_term(h, Free("nope", I))
 
 
+def test_eval_free_variable_outside_its_domain():
+    from ddlkit.henkin import EvalError
+
+    h = build_henkin(MINIMAL)
+    for name, ty, value in (("S", I, 5), ("S", I, 1), ("S", I, -1),
+                            ("a", O, 2), ("P", TAU, 2)):
+        with pytest.raises(EvalError):
+            eval_term(h, Free(name, ty), {name: value})
+
+
+def test_unapplied_logical_constants_match_applied_clauses():
+    # a table is the number sum(f(x) * |D(res)|**x for x in D(arg)); the
+    # applied clauses fix every digit
+    a, b = Free("a", O), Free("b", O)
+    for m in random_models(6, seed=48):
+        h = build_henkin(m)
+        n, worlds = m.n, range(m.n)
+        assert eval_term(h, NOT) == 1
+        assert eval_term(h, OR) == 14
+        for va in (FALSE, TRUE):
+            assert eval_term(h, App(OR, a), {"a": va}) == \
+                sum(eval_term(h, lor(a, b), {"a": va, "b": vb}) << vb
+                    for vb in (FALSE, TRUE))
+        eq_table = eval_term(h, eq_const(I))
+        x, y = Free("x", I), Free("y", I)
+        assert eq_table == sum(
+            eval_term(h, equals(I, x, y), {"x": vx, "y": vy}) << (vx * n + vy)
+            for vx in worlds for vy in worlds)
+        pi_table = eval_term(h, pi_const(I))
+        p = Free("P", TAU)
+        assert pi_table == sum(
+            eval_term(h, forall(I, App(p, Bound(0))), {"P": vp}) << vp
+            for vp in enumerate_domain(n, TAU))
+        # the tables apply like any other function value
+        f = Free("f", Arrow(I, TAU))
+        assert eval_term(h, App(App(f, x), y), {"f": eq_table, "x": 0,
+                                                "y": 0}) == TRUE
+        assert eval_term(h, Abs(TAU, App(pi_const(I), Bound(0)))) == \
+            pi_table
+
+
 def test_connective_clauses_on_random_values():
     rng = random.Random(44)
     a, b = Free("a", O), Free("b", O)
     for m in random_models(10, seed=45):
         h = build_henkin(m)
         for _ in range(10):
-            va, vb = VBool(rng.random() < 0.5), VBool(rng.random() < 0.5)
+            va, vb = int(rng.random() < 0.5), int(rng.random() < 0.5)
             g = {"a": va, "b": vb}
-            assert eval_term(h, neg(a), g) == VBool(va != TRUE)
-            assert eval_term(h, lor(a, b), g) == VBool(va == TRUE or vb == TRUE)
-            assert eval_term(h, land(a, b), g) == VBool(va == TRUE and vb == TRUE)
-            assert eval_term(h, limp(a, b), g) == VBool(va != TRUE or vb == TRUE)
-            assert eval_term(h, liff(a, b), g) == VBool(va == vb)
+            assert eval_term(h, neg(a), g) == int(va != TRUE)
+            assert eval_term(h, lor(a, b), g) == int(va == TRUE or vb == TRUE)
+            assert eval_term(h, land(a, b), g) == int(va == TRUE and vb == TRUE)
+            assert eval_term(h, limp(a, b), g) == int(va != TRUE or vb == TRUE)
+            assert eval_term(h, liff(a, b), g) == int(va == vb)
 
 
 def test_quantifier_clauses_against_tables():
@@ -170,12 +202,12 @@ def test_quantifier_clauses_against_tables():
         dom = enumerate_domain(m.n, TAU)
         table = rng.choice(dom)
         g = {"P": table}
-        all_true = all(v == TRUE for _, v in table.table)
-        some_true = any(v == TRUE for _, v in table.table)
+        all_true = all(table >> s & 1 for s in range(m.n))
+        some_true = any(table >> s & 1 for s in range(m.n))
         assert eval_term(h, forall(I, App(pred, Bound(0))),
-                         g) == VBool(all_true)
+                         g) == int(all_true)
         assert eval_term(h, exists(I, App(pred, Bound(0))),
-                         g) == VBool(some_true)
+                         g) == int(some_true)
 
 
 def test_check_faithfulness_clean_and_deterministic():

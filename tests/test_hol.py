@@ -179,3 +179,26 @@ def test_pretty_term_readable():
     assert pretty_term(dict(axioms())["AV"]) == "∀W:i. ∃V:i. av W V"
     assert pretty_term(beta_eta_normalize(embed(parse("O(p/q)")))) \
         == "λX:i. ob q p"
+
+
+AXIOM_TEXT = {
+    "AV": "∀W:i. ∃V:i. av W V",
+    "PV1": "∀W:i. ∀V:i. (¬(av W V) ∨ pv W V)",
+    "PV2": "∀W:i. pv W W",
+    "OB1": "∀X:i>o. ¬(ob X (λW:i. ¬((λX2:i. X2) = (λX2:i. X2))))",
+    "OB2": "∀X:i>o. ∀Y:i>o. ∀Z:i>o. (∃W:i. (((Y W ∧ X W) ∧ (¬(Z W) ∨ "
+           "¬(X W))) ∨ ((Z W ∧ X W) ∧ (¬(Y W) ∨ ¬(X W)))) ∨ ((¬(ob X Y) ∨ "
+           "ob X Z) ∧ (¬(ob X Z) ∨ ob X Y)))",
+    "OB3": "∀B:(i>o)>o. ∀X:i>o. (¬(∀Z:i>o. (¬(B Z) ∨ ob X Z) ∧ ∃Z:i>o. "
+           "B Z) ∨ (¬(∃Y:i. (∀Z:i>o. (¬(B Z) ∨ Z Y) ∧ X Y)) ∨ ob X "
+           "(λW:i. ∀Z:i>o. (¬(B Z) ∨ Z W))))",
+    "OB4": "∀X:i>o. ∀Y:i>o. ∀Z:i>o. (¬((∀W:i. (¬(Y W) ∨ X W) ∧ ob X Y) "
+           "∧ ∀W:i. (¬(X W) ∨ Z W)) ∨ ob Z (λW:i. ((Z W ∧ ¬(X W)) ∨ "
+           "Y W)))",
+    "OB5": "∀X:i>o. ∀Y:i>o. ∀Z:i>o. (¬((∀W:i. (¬(Y W) ∨ X W) ∧ ob X Z) "
+           "∧ ∃W:i. (Y W ∧ Z W)) ∨ ob Y Z)",
+}
+
+
+def test_pretty_term_of_every_axiom():
+    assert {name: pretty_term(t) for name, t in axioms()} == AXIOM_TEXT
