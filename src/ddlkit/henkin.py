@@ -32,8 +32,8 @@ from .checker import eval_formula, valid_in_model
 from .hol import (EQ_NAME, I, LOGICAL_NAMES, NOT_NAME, OR_NAME, PI_NAME, TAU,
                   Abs, App, Arrow, Bound, Const, Free, HolTerm, HolType,
                   O as O_TYPE, axioms, embed, type_str, vld)
-from .model import (CJModel, canonicalize, model_json, ob_member, random_model,
-                    validate)
+from .model import (DENSITIES, CJModel, canonicalize, model_json, ob_member,
+                    random_model, validate)
 from .syntax import Formula, pretty, random_formula
 
 DOMAIN_BUDGET = 1 << 20
@@ -426,7 +426,7 @@ def check_faithfulness(n_max: int = 2, samples: int = 1000,
     mismatches: list[Mismatch] = []
     for _ in range(samples):
         n = rng.randint(1, n_max)
-        density = rng.choice((0.0, 0.15, 0.3, 0.5))
+        density = rng.choice(DENSITIES)
         m = random_model(n, atom_pool, rng.getrandbits(63), density)
         f = random_formula(rng, 6, atom_pool)
         s = rng.randrange(n)

@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass
 
 from .checker import truth_set
-from .model import (CJModel, enumerate_models, full_mask, random_model,
-                    validate)
+from .model import (DENSITIES, CJModel, enumerate_models, full_mask,
+                    random_model, validate)
 from .syntax import Formula, atoms
 
 
@@ -53,7 +53,7 @@ def find_countermodel(f: Formula, n_max: int = 3, samples: int = 1000,
     rng = random.Random(seed)
     for n in range(3, n_max + 1):
         for _ in range(samples):
-            density = rng.choice((0.0, 0.15, 0.3, 0.5))
+            density = rng.choice(DENSITIES)
             m = random_model(n, names, rng.getrandbits(63), density)
             hit = _falsifying_world(m, f)
             if hit is not None:

@@ -2,8 +2,9 @@
 
 The oracles here deliberately do not reuse the package's internal
 machinery: the lambda oracle works on named terms with explicit
-renaming, and the ob-condition oracle quantifies over every proposition
-triple and every member family, straight from the definitions.
+renaming, the ob-condition oracle quantifies over every proposition
+triple and every member family, straight from the definitions, and the
+ob-closure oracle grows a table rule by rule to a fixpoint.
 """
 
 from __future__ import annotations
@@ -291,6 +292,45 @@ def all_candidate_ob_tables(n: int):
                             for pick in range(1 << len(traces))])
     for combo in itertools.product(*per_context):
         yield {c: ts for c, ts in zip(contexts, combo) if ts}
+
+
+def repair_ob(ob: dict[int, set[int]], n: int) -> None:
+    """Grow a raw trace table until the last three ob conditions hold.
+
+    Members only get added, and the table lives in a finite lattice, so
+    the sweep reaches a fixpoint.  Order of sweeps is fixed (pairwise
+    closure, then the condition-4 demands, then condition-5) to keep the
+    construction deterministic.
+    """
+    full = full_mask(n)
+    changed = True
+    while changed:
+        changed = False
+        for context in sorted(ob):
+            traces = ob[context]
+            grew = True
+            while grew:
+                grew = False
+                for t1, t2 in itertools.combinations(sorted(traces), 2):
+                    both = t1 & t2
+                    if both and both not in traces:
+                        traces.add(both)
+                        grew = changed = True
+        for context in sorted(ob):
+            for y in sorted(ob[context]):
+                for extra in subsets(full & ~context):
+                    z = context | extra
+                    demanded = (z & ~context) | y
+                    if demanded not in ob.setdefault(z, set()):
+                        ob[z].add(demanded)
+                        changed = True
+        for context in sorted(ob):
+            for w in sorted(ob[context]):
+                for y in subsets(context):
+                    t = w & y
+                    if y and t and t not in ob.setdefault(y, set()):
+                        ob[y].add(t)
+                        changed = True
 
 
 # ---------------------------------------------------------------------------

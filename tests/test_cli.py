@@ -119,6 +119,21 @@ def test_axioms_thf(tmp_path):
     assert text.count("thf(") == 11  # 3 declarations + 8 axioms
 
 
+@pytest.mark.parametrize("command", ["validate-model", "check"])
+def test_model_above_world_cap_is_a_one_line_error(tmp_path, capsys, command):
+    # one ob entry on 26 worlds once kept validation running for minutes
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({
+        "worlds": 26, "av": [[s] for s in range(26)],
+        "pv": [[s] for s in range(26)],
+        "ob": [{"context": [0], "members": [[0]]}], "val": {}}))
+    argv = ([command, str(big)] if command == "validate-model"
+            else [command, "--model", str(big), "--formula", "p"])
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: worlds:")
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["nonsense"]) == 1

@@ -3,12 +3,14 @@ import random
 
 import pytest
 
-from ddlkit.model import (CJModel, InvalidModelError, ModelFormatError,
-                          ModelStructureError, ModelWarning, canonicalize,
-                          enumerate_models, full_mask, load_model, model_json,
-                          ob_member, random_model, save_model, validate)
+from ddlkit.model import (MAX_WORLDS, CJModel, InvalidModelError,
+                          ModelFormatError, ModelStructureError, ModelWarning,
+                          _ob_violations, _valid_ob_tables, canonicalize,
+                          close_ob, enumerate_models, full_mask, ideal_ob,
+                          load_model, model_json, ob_member, random_model,
+                          save_model, subsets, validate)
 from helpers import (all_candidate_ob_tables, brute_force_ob3_ok,
-                     brute_force_ob_ok, mk_model)
+                     brute_force_ob_ok, mk_model, repair_ob)
 
 MINIMAL = mk_model(1, av=[[0]], pv=[[0]], ob=[], val={})
 
@@ -180,6 +182,20 @@ def test_load_format_errors_name_the_path():
     assert "val" in str(e.value)
 
 
+def test_load_enforces_world_cap():
+    doc = json.dumps({"worlds": MAX_WORLDS + 1,
+                      "av": [[s] for s in range(MAX_WORLDS + 1)],
+                      "pv": [[s] for s in range(MAX_WORLDS + 1)],
+                      "ob": [], "val": {}})
+    with pytest.raises(ModelFormatError) as e:
+        load_model(doc)
+    assert str(e.value).startswith("worlds:")
+    # the full ob table at the cap still loads
+    full = tuple(1 << s for s in range(MAX_WORLDS))
+    m = CJModel(MAX_WORLDS, full, full, ideal_ob(MAX_WORLDS, 0), {})
+    assert load_model(save_model(m)) == m
+
+
 def test_random_model_deterministic():
     a = random_model(3, {"p", "q"}, 42, 0.3)
     b = random_model(3, {"p", "q"}, 42, 0.3)
@@ -196,7 +212,7 @@ def test_random_model_always_valid():
         assert validate(m).ok, m
 
 
-def test_random_model_example_from_repair_loop():
+def test_random_model_example_is_valid():
     assert validate(random_model(3, {"p", "q"}, 42, 0.3)).ok
 
 
@@ -276,3 +292,50 @@ def test_validate_agrees_with_brute_force_on_candidates():
             m = CJModel(n, tuple(1 << s for s in range(n)),
                         tuple(1 << s for s in range(n)), table, {})
             assert validate(m).ok == brute_force_ob_ok(dict(table), n), table
+
+
+def test_close_ob_matches_repair_oracle():
+    # dense draws as in random_model, and sparse ones that leave a
+    # nonempty set of ideal worlds
+    rng = random.Random(17)
+    for n in range(1, 6):
+        full = full_mask(n)
+        for i in range(120):
+            raw: dict[int, set[int]] = {}
+            if i % 2:
+                density = rng.choice((0.05, 0.15, 0.3, 0.5))
+                for context in range(1, full + 1):
+                    for trace in subsets(context):
+                        if trace and rng.random() < density:
+                            raw.setdefault(context, set()).add(trace)
+            else:
+                for _ in range(rng.randint(0, 3)):
+                    context = rng.randint(1, full)
+                    trace = rng.choice([t for t in subsets(context) if t])
+                    raw.setdefault(context, set()).add(trace)
+            grown = {c: set(ts) for c, ts in raw.items()}
+            repair_ob(grown, n)
+            expected = {c: frozenset(ts) for c, ts in grown.items() if ts}
+            assert close_ob(raw, n) == expected, (n, raw)
+
+
+def test_valid_ob_tables_match_filtered_candidates():
+    for n in (1, 2):
+        assert _valid_ob_tables(n) == [
+            t for t in all_candidate_ob_tables(n) if brute_force_ob_ok(t, n)]
+
+
+def test_valid_ob_table_count_order_and_validity():
+    for n in range(1, 7):
+        tables = _valid_ob_tables(n)
+        assert len(tables) == (2 if n == 1 else 2 ** n + 1)
+        # strictly in product order: per-context member bitmaps, with
+        # bit i for the i-th subset of the context
+        keys = [[sum(1 << i for i, u in enumerate(subsets(c))
+                     if u in table.get(c, ()))
+                 for c in range(1, full_mask(n) + 1)] for table in tables]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        for table in tables:
+            assert next(_ob_violations(table, n), None) is None
+            if n == 3:
+                assert brute_force_ob_ok(table, n)

@@ -56,7 +56,7 @@ def test_search_deterministic():
     assert model_json(a[0]) == model_json(b[0])
 
 
-def test_caps():
+def test_search_rejects_out_of_range_budgets():
     with pytest.raises(ValueError):
         find_countermodel(parse("p"), n_max=5)
     with pytest.raises(ValueError):
