@@ -36,10 +36,13 @@ def truth_set(m: CJModel, f: Formula) -> int:
     formulas over fresh atoms evaluable while flagging likely typos.
     """
     full = full_mask(m.n)
-    cache: dict[Formula, int] = {}
+    # keyed by identity, because hashing a frozen node rehashes its whole
+    # subtree; every node stays reachable from f, so ids stay unique, and
+    # the operands the parser repeats when desugaring are shared objects
+    cache: dict[int, int] = {}
 
     def go(g: Formula) -> int:
-        got = cache.get(g)
+        got = cache.get(id(g))
         if got is not None:
             return got
         if isinstance(g, Atom):
@@ -78,7 +81,7 @@ def truth_set(m: CJModel, f: Formula) -> int:
                            and m.pv[s] & ~sub)
         else:
             raise TypeError(f"not a formula: {g!r}")
-        cache[g] = v
+        cache[id(g)] = v
         return v
 
     return go(f)

@@ -97,9 +97,6 @@ class HenkinModel:
     n: int
     interp: Mapping[str, int]
 
-    def domain(self, ty: HolType) -> range:
-        return enumerate_domain(self.n, ty)
-
 
 # A compiled term: reads the binder stack (innermost binder last).
 Code = Callable[[list], int]

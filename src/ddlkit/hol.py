@@ -24,6 +24,7 @@ characterize exactly the interpretations arising from valid models.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -240,14 +241,9 @@ def _eta_nf(t: HolTerm) -> HolTerm:
 
 def beta_eta_normalize(t: HolTerm) -> HolTerm:
     """The beta-eta normal form (unique for well-typed terms)."""
-    t = _eta_nf(_beta_nf(t))
-    # eta steps on a beta-normal typed term cannot uncover new beta
-    # redexes, but iterate defensively until stable
-    while True:
-        t2 = _eta_nf(_beta_nf(t))
-        if t2 == t:
-            return t
-        t = t2
+    # eta steps on a beta-normal typed term create no beta redex, and
+    # _eta_nf works bottom-up, so one pass of each is enough
+    return _eta_nf(_beta_nf(t))
 
 
 def beta_eta_normalize_innermost(t: HolTerm) -> HolTerm:
@@ -385,10 +381,11 @@ def _ob3_member_lambda(beta_index: int) -> HolTerm:
                                    App(Bound(0), Bound(1))), "Z"), "W")
 
 
-def axioms() -> list[tuple[str, HolTerm]]:
+@functools.cache
+def axioms() -> tuple[tuple[str, HolTerm], ...]:
     """The eight closed sentences satisfied exactly by the standard
     interpretations built from valid models; beta-eta normal, in the
-    fixed order AV, PV1, PV2, OB1..OB5."""
+    fixed order AV, PV1, PV2, OB1..OB5.  Built once and shared."""
     av = forall(I, exists(I, App(App(AV, Bound(1)), Bound(0)), "V"), "W")
     pv1 = forall(I, forall(I, limp(App(App(AV, Bound(1)), Bound(0)),
                                    App(App(PV, Bound(1)), Bound(0))),
@@ -426,9 +423,9 @@ def axioms() -> list[tuple[str, HolTerm]]:
              exists(I, land(App(Bound(2), Bound(0)),
                             App(Bound(1), Bound(0))), "W")),
         App(App(OB, Bound(1)), Bound(0))), "Z"), "Y"), "X")
-    return [(name, beta_eta_normalize(term)) for name, term in
-            (("AV", av), ("PV1", pv1), ("PV2", pv2), ("OB1", ob1),
-             ("OB2", ob2), ("OB3", ob3), ("OB4", ob4), ("OB5", ob5))]
+    return tuple((name, beta_eta_normalize(term)) for name, term in
+                 (("AV", av), ("PV1", pv1), ("PV2", pv2), ("OB1", ob1),
+                  ("OB2", ob2), ("OB3", ob3), ("OB4", ob4), ("OB5", ob5)))
 
 
 def _fresh(hint: str, taken: set[str]) -> str:

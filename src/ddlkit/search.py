@@ -120,40 +120,24 @@ def _drop_world(m: CJModel, k: int) -> CJModel | None:
 
 
 def _minimize(m: CJModel, s: int, f: Formula) -> tuple[CJModel, int]:
-    """Best-effort shrinking: greedily drop worlds, then ob traces, as
-    long as the result stays valid and still falsifies f."""
-    changed = True
-    while changed:
-        changed = False
+    """Greedy shrinking: drop worlds, highest index first, as long as the
+    result still falsifies f.
+
+    A dropped model needs no re-validation (`_certify` still re-checks
+    the result): `_drop_world` keeps pv1 and pv2, refuses an empty av
+    set, and maps ob_S to ob_S' with S' the squeezed S.  Ob traces are
+    not dropped: `find_countermodel` minimizes only sampled models on
+    three or more worlds, where removing one trace from a valid table
+    never leaves a valid one.  As the exhaustive tier has covered one and
+    two worlds, only a drop from four worlds to three can succeed there.
+    """
+    while m.n > 1:
         for k in range(m.n - 1, -1, -1):
-            if m.n == 1:
-                break
             smaller = _drop_world(m, k)
-            if smaller is None or not validate(smaller).ok:
-                continue
-            hit = _falsifying_world(smaller, f)
+            hit = None if smaller is None else _falsifying_world(smaller, f)
             if hit is not None:
                 m, s = smaller, hit
-                changed = True
                 break
-        if changed:
-            continue
-        for context in sorted(m.ob):
-            for trace in sorted(m.ob[context]):
-                trimmed = dict(m.ob)
-                kept = m.ob[context] - {trace}
-                if kept:
-                    trimmed[context] = kept
-                else:
-                    del trimmed[context]
-                candidate = CJModel(m.n, m.av, m.pv, trimmed, m.val)
-                if not validate(candidate).ok:
-                    continue
-                hit = _falsifying_world(candidate, f)
-                if hit is not None:
-                    m, s = candidate, hit
-                    changed = True
-                    break
-            if changed:
-                break
+        else:
+            break
     return m, s

@@ -4,7 +4,10 @@ The oracles here deliberately do not reuse the package's internal
 machinery: the lambda oracle works on named terms with explicit
 renaming, the ob-condition oracle quantifies over every proposition
 triple and every member family, straight from the definitions, and the
-ob-closure oracle grows a table rule by rule to a fixpoint.
+ob-closure oracle grows a table rule by rule to a fixpoint.  The
+minimization oracle is the exception: it shares `_drop_world` with the
+package, but also tries every ob-trace removal and re-validates every
+candidate instead of relying on the closed form of ob tables.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from ddlkit import hol
 from ddlkit.hol import (AV, I, NOT, OB, OR, PV, TAU, Abs, App, Arrow, Bound,
                         Const, Free, HolTerm, HolType, O, atom_const,
                         eq_const, pi_const)
-from ddlkit.model import CJModel, full_mask, mask_of, subsets
+from ddlkit.model import CJModel, full_mask, mask_of, subsets, validate
+from ddlkit.search import _drop_world, _falsifying_world
+from ddlkit.syntax import Formula
 
 # ---------------------------------------------------------------------------
 # named-variable lambda oracle
@@ -331,6 +336,50 @@ def repair_ob(ob: dict[int, set[int]], n: int) -> None:
                     if y and t and t not in ob.setdefault(y, set()):
                         ob[y].add(t)
                         changed = True
+
+
+# ---------------------------------------------------------------------------
+# countermodel minimization oracle
+
+
+def minimize_oracle(m: CJModel, s: int, f: Formula) -> tuple[CJModel, int]:
+    """Best-effort shrinking: greedily drop worlds, then ob traces, as
+    long as the result stays valid and still falsifies f."""
+    changed = True
+    while changed:
+        changed = False
+        for k in range(m.n - 1, -1, -1):
+            if m.n == 1:
+                break
+            smaller = _drop_world(m, k)
+            if smaller is None or not validate(smaller).ok:
+                continue
+            hit = _falsifying_world(smaller, f)
+            if hit is not None:
+                m, s = smaller, hit
+                changed = True
+                break
+        if changed:
+            continue
+        for context in sorted(m.ob):
+            for trace in sorted(m.ob[context]):
+                trimmed = dict(m.ob)
+                kept = m.ob[context] - {trace}
+                if kept:
+                    trimmed[context] = kept
+                else:
+                    del trimmed[context]
+                candidate = CJModel(m.n, m.av, m.pv, trimmed, m.val)
+                if not validate(candidate).ok:
+                    continue
+                hit = _falsifying_world(candidate, f)
+                if hit is not None:
+                    m, s = candidate, hit
+                    changed = True
+                    break
+            if changed:
+                break
+    return m, s
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -180,3 +181,17 @@ def test_desugared_connectives_agree_with_boolean_semantics():
             assert eval_formula(m, s, parse("p <-> q")) == (p == q)
             assert eval_formula(m, s, parse("T")) is True
             assert eval_formula(m, s, parse("F")) is False
+
+
+def test_truth_set_shares_repeated_subformulas():
+    # `a <-> b` desugars with a and b each used twice, so this chain has a
+    # few nodes per level but an unshared tree of over 2**depth nodes;
+    # growing it one level at a time fails fast if the memo stops sharing
+    text = "p"
+    for depth in range(1, 26):
+        text = f"p <-> ({text})"
+        f = parse(text)
+        start = time.perf_counter()
+        got = truth_set(M2, f)
+        assert time.perf_counter() - start < 0.5, depth
+        assert got == (full_mask(2) if depth % 2 else M2.val["p"]), depth

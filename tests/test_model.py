@@ -9,8 +9,8 @@ from ddlkit.model import (MAX_WORLDS, CJModel, InvalidModelError,
                           close_ob, enumerate_models, full_mask, ideal_ob,
                           load_model, model_json, ob_member, random_model,
                           save_model, subsets, validate)
-from helpers import (all_candidate_ob_tables, brute_force_ob3_ok,
-                     brute_force_ob_ok, mk_model, repair_ob)
+from helpers import (all_candidate_ob_tables, brute_force_ob_ok, mk_model,
+                     repair_ob)
 
 MINIMAL = mk_model(1, av=[[0]], pv=[[0]], ob=[], val={})
 
@@ -271,19 +271,6 @@ def test_membership_depends_only_on_trace():
             assert y & x == z & x
             assert ob_member(m, x, y) == ob_member(m, x, z)
             assert not ob_member(m, x, 0)
-
-
-def test_binary_closure_agrees_with_family_closure():
-    # independent oracle for the pairwise-intersection design decision:
-    # over every candidate table on 1 and 2 worlds, the pairwise check
-    # accepts exactly when the arbitrary-family check does
-    from ddlkit.model import _ob_violations
-
-    for n in (1, 2):
-        for table in all_candidate_ob_tables(n):
-            binary_ok = not any(v.condition == "ob3"
-                                for v in _ob_violations(table, n))
-            assert binary_ok == brute_force_ob3_ok(dict(table), n), table
 
 
 def test_validate_agrees_with_brute_force_on_candidates():

@@ -2,13 +2,17 @@ import random
 
 import pytest
 
+from ddlkit import search
 from ddlkit.checker import eval_formula
 from ddlkit.henkin import TRUE, build_henkin, eval_term
 from ddlkit.hol import embed, vld
-from ddlkit.model import model_json, random_model, validate
+from ddlkit.model import (CJModel, _ob_violations, _valid_ob_tables,
+                          full_mask, ideal_ob, model_json, random_model,
+                          validate)
 from ddlkit.search import (CounterModel, NoCounterexampleUpTo,
-                           find_countermodel, verdict, _minimize)
+                           find_countermodel, verdict, _drop_world, _minimize)
 from ddlkit.syntax import parse
+from helpers import minimize_oracle
 
 VALID = ["[]p -> [p]p", "[p]p -> [a]p", "[p]p -> p", "~Oa(F)",
          "O(p/q) -> []O(p/q)", "~p|p"]
@@ -81,6 +85,64 @@ def test_minimize_shrinks_random_countermodel():
     # greedy, best-effort: must have shrunk, need not reach the optimum
     assert small.n < 3
     assert _minimize(m, ts[0], f) == (small, s)  # deterministic
+
+
+def test_dropping_a_world_keeps_the_closed_form():
+    # so `_minimize` needs no re-validation after `_drop_world`
+    for n in range(2, 7):
+        full = full_mask(n)
+        for ideal in range(1 << n):
+            m = CJModel(n, (full,) * n, (full,) * n, ideal_ob(n, ideal), {})
+            for k in range(n):
+                squeezed = ideal & ((1 << k) - 1) | ideal >> (k + 1) << k
+                assert _drop_world(m, k).ob == ideal_ob(n - 1, squeezed)
+
+
+def test_no_single_trace_removal_stays_valid_from_three_worlds():
+    # so `_minimize`, which sees only sampled models on 3 or more worlds,
+    # has nothing to gain from dropping ob traces
+    counts = []
+    for n in range(1, 6):
+        count = 0
+        for table in _valid_ob_tables(n):
+            for context in table:
+                for trace in table[context]:
+                    trimmed = {**table, context: table[context] - {trace}}
+                    if not trimmed[context]:
+                        del trimmed[context]
+                    count += next(_ob_violations(trimmed, n), None) is None
+        counts.append(count)
+    assert counts == [1, 4, 0, 0, 0]
+
+
+# the refuted3 rows of perfbench/search_corpus.tsv: only the sampling
+# tier finds their countermodels, so only they reach `_minimize`
+REFUTED3 = ["Oa p -> Op p", "~(<>(p&q) & <>(p&~q) & <>(~p&q))",
+            "~(<>(p&q) & <>(p&~q) & <>(~p&q)) | O(p/q)"]
+
+
+def test_search_minimizes_like_the_oracle(monkeypatch):
+    shrunk = []
+
+    def world_drops_only(m, s, f):
+        out = _minimize(m, s, f)
+        shrunk.append((m.n, out[0].n))
+        return out
+
+    def run(minimize, f, n_max, samples, seed):
+        monkeypatch.setattr(search, "_minimize", minimize)
+        found = find_countermodel(f, n_max, samples, seed)
+        return found and (model_json(found[0]), found[1])
+
+    cases = [(text, n_max, samples, seed)
+             for text in REFUTED3 + ["Op p -> Oa p"]
+             for n_max in (3, 4) for samples in (5, 20) for seed in range(8)]
+    cases.append(("Oa p -> Op p", 4, 5, 20))  # a 4-world hit, shrunk to 3
+    for text, *budget in cases:
+        f = parse(text)
+        assert run(world_drops_only, f, *budget) \
+            == run(minimize_oracle, f, *budget), (text, budget)
+    assert (4, 3) in shrunk
 
 
 def test_verdict_default_budget_matches_cli_contract():
