@@ -23,9 +23,7 @@ from . import hol
 from .hol import (EQ_NAME, NOT_NAME, OR_NAME, PI_NAME, Abs, App, Arrow,
                   BaseType, Bound, Const, Free, HolTerm, HolType, embed,
                   match_and, match_exists, vld)
-from .syntax import Formula, atoms
-
-RESERVED_SYMBOLS = frozenset({"av", "pv", "ob"})
+from .syntax import RESERVED_ATOMS, Formula, atoms
 
 AV_TYPE = "$i > $i > $o"
 PV_TYPE = "$i > $i > $o"
@@ -127,7 +125,7 @@ class ThfProblem:
 
 def _signature_entries(atom_names: list[str]) -> list[tuple[str, str, str]]:
     for a in atom_names:
-        if a in RESERVED_SYMBOLS:
+        if a in RESERVED_ATOMS:
             raise ExportError(
                 f"atom name {a!r} collides with a reserved signature symbol")
     entries = [

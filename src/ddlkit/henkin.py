@@ -34,7 +34,7 @@ from .hol import (EQ_NAME, I, LOGICAL_NAMES, NOT_NAME, OR_NAME, PI_NAME, TAU,
                   O as O_TYPE, axioms, embed, type_str, vld)
 from .model import (DENSITIES, CJModel, canonicalize, model_json, ob_member,
                     random_model, validate)
-from .syntax import Formula, pretty, random_formula
+from .syntax import RESERVED_ATOMS, Formula, pretty, random_formula
 
 DOMAIN_BUDGET = 1 << 20
 
@@ -261,8 +261,13 @@ def build_henkin(m: CJModel) -> HenkinModel:
 
     Atoms, av, and pv become characteristic-function tables; ob becomes
     the table sending a pair of propositions to their trace-membership
-    verdict, over all pairs from the full proposition domain.
+    verdict, over all pairs from the full proposition domain.  Raises
+    ValueError for an atom named like a signature constant.
     """
+    clash = RESERVED_ATOMS & m.val.keys()
+    if clash:
+        raise ValueError(f"atom {min(clash)!r} is reserved for a signature "
+                         "constant")
     n = m.n
     interp = dict(m.val)
     interp["av"] = sum(mask << n * s for s, mask in enumerate(m.av))

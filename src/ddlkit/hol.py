@@ -20,6 +20,8 @@ the definitional lambda terms for the nine connectives; `vld` closes a
 world predicate into a sentence by quantifying over all worlds; and
 `axioms` builds the eight closed sentences (AV, PV1, PV2, OB1..OB5) that
 characterize exactly the interpretations arising from valid models.
+`beta_eta_normalize` works by evaluation (Berger & Schwichtenberg, 1991):
+a term evaluates to closures and is read back in normal form.
 """
 
 from __future__ import annotations
@@ -184,39 +186,6 @@ def substitute(t: HolTerm, replacement: HolTerm) -> HolTerm:
     return _subst(t, 0, replacement)
 
 
-def _whnf(t: HolTerm) -> HolTerm:
-    while isinstance(t, App):
-        fn = _whnf(t.fn)
-        if isinstance(fn, Abs):
-            t = _subst(fn.body, 0, t.arg)
-        else:
-            return t if fn is t.fn else App(fn, t.arg)
-    return t
-
-
-def _beta_nf(t: HolTerm) -> HolTerm:
-    # leftmost-outermost reduction to beta-normal form
-    t = _whnf(t)
-    if isinstance(t, App):
-        return App(_beta_nf(t.fn), _beta_nf(t.arg))
-    if isinstance(t, Abs):
-        return Abs(t.var_ty, _beta_nf(t.body), t.hint)
-    return t
-
-
-def _beta_nf_innermost(t: HolTerm) -> HolTerm:
-    # rightmost-innermost strategy; must agree with _beta_nf on typed terms
-    if isinstance(t, App):
-        fn = _beta_nf_innermost(t.fn)
-        arg = _beta_nf_innermost(t.arg)
-        if isinstance(fn, Abs):
-            return _beta_nf_innermost(_subst(fn.body, 0, arg))
-        return App(fn, arg)
-    if isinstance(t, Abs):
-        return Abs(t.var_ty, _beta_nf_innermost(t.body), t.hint)
-    return t
-
-
 def uses_bound(t: HolTerm, index: int) -> bool:
     if isinstance(t, Bound):
         return t.index == index
@@ -227,33 +196,43 @@ def uses_bound(t: HolTerm, index: int) -> bool:
     return False
 
 
-def _eta_nf(t: HolTerm) -> HolTerm:
-    if isinstance(t, App):
-        return App(_eta_nf(t.fn), _eta_nf(t.arg))
-    if isinstance(t, Abs):
-        body = _eta_nf(t.body)
+def _eval(t: HolTerm, env: tuple) -> object:
+    """The value of `t`, env[i] being the value of Bound(i): a Const or
+    Free, an int level (a variable; negative if bound outside the term
+    being normalized), an App with a stuck head, or a closure (abs, env)."""
+    while True:  # a closure body loops here: one frame per nesting level
+        if isinstance(t, App):
+            fn, arg = _eval(t.fn, env), _eval(t.arg, env)
+            if type(fn) is not tuple:
+                return App(fn, arg)
+            t, env = fn[0].body, (arg,) + fn[1]
+        elif isinstance(t, Bound):
+            i = t.index
+            return env[i] if i < len(env) else len(env) - 1 - i
+        else:
+            return (t, env) if isinstance(t, Abs) else t
+
+
+def _quote(v: object, depth: int) -> HolTerm:
+    """Read a value back into a term under `depth` binders (level L is
+    Bound(depth - 1 - L)), eta-reducing every lambda it rebuilds: its body
+    is normal already, and an eta step there makes no beta redex."""
+    if type(v) is tuple:
+        abs_, env = v
+        body = _quote(_eval(abs_.body, (depth,) + env), depth + 1)
         if (isinstance(body, App) and body.arg == Bound(0)
                 and not uses_bound(body.fn, 0)):
             return shift(body.fn, -1)
-        return Abs(t.var_ty, body, t.hint)
-    return t
+        return Abs(abs_.var_ty, body, abs_.hint)
+    if isinstance(v, App):
+        return App(_quote(v.fn, depth), _quote(v.arg, depth))
+    return Bound(depth - 1 - v) if type(v) is int else v
 
 
 def beta_eta_normalize(t: HolTerm) -> HolTerm:
-    """The beta-eta normal form (unique for well-typed terms)."""
-    # eta steps on a beta-normal typed term create no beta redex, and
-    # _eta_nf works bottom-up, so one pass of each is enough
-    return _eta_nf(_beta_nf(t))
-
-
-def beta_eta_normalize_innermost(t: HolTerm) -> HolTerm:
-    """Same normal form, computed with the rightmost-innermost strategy."""
-    t = _eta_nf(_beta_nf_innermost(t))
-    while True:
-        t2 = _eta_nf(_beta_nf_innermost(t))
-        if t2 == t:
-            return t
-        t = t2
+    """The beta-eta normal form (unique for well-typed terms), by
+    evaluation and read-back."""
+    return _quote(_eval(t, ()), 0)
 
 
 def neg(s: HolTerm) -> HolTerm:

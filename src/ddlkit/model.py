@@ -43,6 +43,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Mapping
 
+from .syntax import RESERVED_ATOMS
+
 
 class ModelError(Exception):
     pass
@@ -340,6 +342,8 @@ def load_model(data: bytes | str, allow_invalid: bool = False) -> CJModel:
     for atom in sorted(val_obj):
         _require(isinstance(atom, str) and _IDENT.match(atom) is not None,
                  f"val.{atom}", "atom names must match [a-z][a-zA-Z0-9_]*")
+        _require(atom not in RESERVED_ATOMS, f"val.{atom}",
+                 "atom name is reserved for a signature constant")
         val[atom] = _mask_from_json(val_obj[atom], n, f"val.{atom}")
     ob, notes = canonicalize(raw_ob, n)
     for note in notes:

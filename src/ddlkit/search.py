@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .checker import truth_set
 from .model import (DENSITIES, CJModel, enumerate_models, full_mask,
-                    random_model, validate)
+                    ideal_ob, random_model, validate)
 from .syntax import Formula, atoms
 
 
@@ -91,7 +91,8 @@ def _certify(m: CJModel, s: int, f: Formula) -> tuple[CJModel, int]:
 
 def _drop_world(m: CJModel, k: int) -> CJModel | None:
     """The model with world k removed and indices compacted, or None if
-    a frame set would come out empty."""
+    a frame set would come out empty.  A valid ob table is {} or ob_S,
+    S the meet of ob(W); it becomes ob_S' with S' the squeezed S."""
 
     def squeeze(mask: int) -> int:
         low = mask & ((1 << k) - 1)
@@ -107,14 +108,12 @@ def _drop_world(m: CJModel, k: int) -> CJModel | None:
             return None
         av.append(a)
         pv.append(p)
-    ob: dict[int, frozenset[int]] = {}
-    for context, traces in m.ob.items():
-        c = squeeze(context)
-        if c == 0:
-            continue
-        kept = frozenset(t for t in (squeeze(t) for t in traces) if t)
-        if kept:
-            ob[c] = ob.get(c, frozenset()) | kept
+    ob = m.ob
+    if ob:
+        ideal = full_mask(m.n)
+        for member in ob[ideal]:
+            ideal &= member
+        ob = ideal_ob(m.n - 1, squeeze(ideal))
     val = {a: squeeze(mask) for a, mask in m.val.items()}
     return CJModel(m.n - 1, tuple(av), tuple(pv), ob, val)
 

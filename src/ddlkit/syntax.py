@@ -25,7 +25,9 @@ the nine primitive constructors:
     F        ->  ~T
 
 Because `T`/`F` expand through the reserved atom `q0`, input that both
-uses `T`/`F` and mentions `q0` explicitly is rejected as ambiguous.
+uses `T`/`F` and mentions `q0` explicitly is rejected as ambiguous.  The
+names in `RESERVED_ATOMS` are the embedding's signature constants, so
+they are never atoms.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ class ParseError(Exception):
 
 
 class ReservedAtomError(ParseError):
-    """Raised when input both declares the atom `q0` and uses `T`/`F`."""
+    """Raised when input both declares the atom `q0` and uses `T`/`F`, or
+    names an atom in `RESERVED_ATOMS`."""
 
 
 class Formula:
@@ -118,6 +121,8 @@ class ObP(Formula):
 
 
 RESERVED_ATOM = "q0"
+# the embedding's constants (see `hol`) whose names an atom could take
+RESERVED_ATOMS = frozenset({"av", "pv", "ob", "not", "or", "eq"})
 
 _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 _KEYWORD_RE = re.compile(r"[A-Z][a-zA-Z0-9_]*")
@@ -293,6 +298,10 @@ class _Parser:
             if tok.text == RESERVED_ATOM:
                 self.saw_q0_at = tok.offset
                 self.guard_reserved()
+            if tok.text in RESERVED_ATOMS:
+                raise ReservedAtomError(
+                    f"atom '{tok.text}' is reserved for a signature constant "
+                    "of the embedding", tok.offset)
             return Atom(tok.text)
         if tok.kind in ("T", "F"):
             self.advance()

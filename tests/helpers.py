@@ -5,9 +5,11 @@ machinery: the lambda oracle works on named terms with explicit
 renaming, the ob-condition oracle quantifies over every proposition
 triple and every member family, straight from the definitions, and the
 ob-closure oracle grows a table rule by rule to a fixpoint.  The
-minimization oracle is the exception: it shares `_drop_world` with the
-package, but also tries every ob-trace removal and re-validates every
-candidate instead of relying on the closed form of ob tables.
+normalization and minimization oracles are the package's earlier
+implementations: substitution on de Bruijn terms (two strategies), and
+a world-and-trace minimization that squeezes every ob trace and
+re-validates every candidate instead of relying on the closed form of
+ob tables.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from typing import Union
 
 from ddlkit import hol
 from ddlkit.hol import (AV, I, NOT, OB, OR, PV, TAU, Abs, App, Arrow, Bound,
-                        Const, Free, HolTerm, HolType, O, atom_const,
-                        eq_const, pi_const)
+                        Const, Free, HolTerm, HolType, O, _subst, atom_const,
+                        eq_const, pi_const, shift, uses_bound)
 from ddlkit.model import CJModel, full_mask, mask_of, subsets, validate
-from ddlkit.search import _drop_world, _falsifying_world
+from ddlkit.search import _falsifying_world
 from ddlkit.syntax import Formula
 
 # ---------------------------------------------------------------------------
@@ -187,6 +189,73 @@ def oracle_normalize(t: HolTerm) -> HolTerm:
 
 
 # ---------------------------------------------------------------------------
+# substitution normalizers: the de Bruijn strategies the package used
+# before normalization by evaluation
+
+
+def _whnf(t: HolTerm) -> HolTerm:
+    while isinstance(t, App):
+        fn = _whnf(t.fn)
+        if isinstance(fn, Abs):
+            t = _subst(fn.body, 0, t.arg)
+        else:
+            return t if fn is t.fn else App(fn, t.arg)
+    return t
+
+
+def _beta_nf(t: HolTerm) -> HolTerm:
+    # leftmost-outermost reduction to beta-normal form
+    t = _whnf(t)
+    if isinstance(t, App):
+        return App(_beta_nf(t.fn), _beta_nf(t.arg))
+    if isinstance(t, Abs):
+        return Abs(t.var_ty, _beta_nf(t.body), t.hint)
+    return t
+
+
+def _beta_nf_innermost(t: HolTerm) -> HolTerm:
+    # rightmost-innermost strategy; must agree with _beta_nf on typed terms
+    if isinstance(t, App):
+        fn = _beta_nf_innermost(t.fn)
+        arg = _beta_nf_innermost(t.arg)
+        if isinstance(fn, Abs):
+            return _beta_nf_innermost(_subst(fn.body, 0, arg))
+        return App(fn, arg)
+    if isinstance(t, Abs):
+        return Abs(t.var_ty, _beta_nf_innermost(t.body), t.hint)
+    return t
+
+
+def _eta_nf(t: HolTerm) -> HolTerm:
+    if isinstance(t, App):
+        return App(_eta_nf(t.fn), _eta_nf(t.arg))
+    if isinstance(t, Abs):
+        body = _eta_nf(t.body)
+        if (isinstance(body, App) and body.arg == Bound(0)
+                and not uses_bound(body.fn, 0)):
+            return shift(body.fn, -1)
+        return Abs(t.var_ty, body, t.hint)
+    return t
+
+
+def substitution_normalize(t: HolTerm) -> HolTerm:
+    """The beta-eta normal form by leftmost-outermost substitution."""
+    # eta steps on a beta-normal typed term create no beta redex, and
+    # _eta_nf works bottom-up, so one pass of each is enough
+    return _eta_nf(_beta_nf(t))
+
+
+def beta_eta_normalize_innermost(t: HolTerm) -> HolTerm:
+    """Same normal form, computed with the rightmost-innermost strategy."""
+    t = _eta_nf(_beta_nf_innermost(t))
+    while True:
+        t2 = _eta_nf(_beta_nf_innermost(t))
+        if t2 == t:
+            return t
+        t = t2
+
+
+# ---------------------------------------------------------------------------
 # random well-typed kernel terms
 
 _TYPE_POOL = (O, I, TAU, Arrow(O, O))
@@ -342,6 +411,37 @@ def repair_ob(ob: dict[int, set[int]], n: int) -> None:
 # countermodel minimization oracle
 
 
+def drop_world_oracle(m: CJModel, k: int) -> CJModel | None:
+    """The model with world k removed and indices compacted, or None if
+    a frame set would come out empty; squeezes every ob trace, so it
+    works on any table."""
+
+    def squeeze(mask: int) -> int:
+        low = mask & ((1 << k) - 1)
+        high = mask >> (k + 1)
+        return low | high << k
+
+    av, pv = [], []
+    for s in range(m.n):
+        if s == k:
+            continue
+        a, p = squeeze(m.av[s]), squeeze(m.pv[s])
+        if a == 0:
+            return None
+        av.append(a)
+        pv.append(p)
+    ob: dict[int, frozenset[int]] = {}
+    for context, traces in m.ob.items():
+        c = squeeze(context)
+        if c == 0:
+            continue
+        kept = frozenset(t for t in (squeeze(t) for t in traces) if t)
+        if kept:
+            ob[c] = ob.get(c, frozenset()) | kept
+    val = {a: squeeze(mask) for a, mask in m.val.items()}
+    return CJModel(m.n - 1, tuple(av), tuple(pv), ob, val)
+
+
 def minimize_oracle(m: CJModel, s: int, f: Formula) -> tuple[CJModel, int]:
     """Best-effort shrinking: greedily drop worlds, then ob traces, as
     long as the result stays valid and still falsifies f."""
@@ -351,7 +451,7 @@ def minimize_oracle(m: CJModel, s: int, f: Formula) -> tuple[CJModel, int]:
         for k in range(m.n - 1, -1, -1):
             if m.n == 1:
                 break
-            smaller = _drop_world(m, k)
+            smaller = drop_world_oracle(m, k)
             if smaller is None or not validate(smaller).ok:
                 continue
             hit = _falsifying_world(smaller, f)

@@ -28,14 +28,13 @@ from ddlkit.henkin import (FALSE, TRUE, build_henkin, check_axioms,
                            check_faithfulness, enumerate_domain, eval_term,
                            extract_model, frame_condition_failures)
 from ddlkit.hol import (I, App, Arrow, Bound, Free, O, beta_eta_normalize,
-                        beta_eta_normalize_innermost, embed, exists,
-                        false_term, forall, land, liff, limp, lor, neg,
-                        true_term, type_of, vld)
+                        embed, exists, false_term, forall, land, liff, limp,
+                        lor, neg, true_term, type_of, vld)
 from ddlkit.model import enumerate_models, random_model, validate
 from ddlkit.search import CounterModel, NoCounterexampleUpTo, verdict
 from ddlkit.syntax import parse
-from helpers import (all_candidate_ob_tables, brute_force_ob3_ok,
-                     check_thf_problem_text, random_term)
+from helpers import (all_candidate_ob_tables, beta_eta_normalize_innermost,
+                     brute_force_ob3_ok, check_thf_problem_text, random_term)
 from ddlkit.model import _ob_violations
 
 

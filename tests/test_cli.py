@@ -134,6 +134,27 @@ def test_model_above_world_cap_is_a_one_line_error(tmp_path, capsys, command):
     assert len(err) == 1 and err[0].startswith("error: worlds:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["valid", "--formula", "av | p"],
+    ["embed", "--formula", "av", "--thf", "-"],
+    ["embed", "--formula", "p & O(not / q)"],
+], ids=["valid", "embed-thf", "embed"])
+def test_signature_name_as_atom_is_a_one_line_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "is reserved for a signature constant" in err[0]
+
+
+def test_model_with_signature_name_as_atom_is_a_one_line_error(tmp_path,
+                                                                capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"worlds": 1, "av": [[0]], "pv": [[0]],
+                                "ob": [], "val": {"ob": [0]}}))
+    assert main(["check", "--model", str(path), "--formula", "p"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: val.ob:")
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["nonsense"]) == 1

@@ -6,7 +6,7 @@ import pytest
 from ddlkit.export import (ExportError, ThfProblem, axioms_problem,
                            thf_type, to_thf_problem, to_thf_term)
 from ddlkit.hol import I, TAU, Arrow, Free, O, axioms, embed, vld
-from ddlkit.syntax import parse, random_formula
+from ddlkit.syntax import Atom, Or, parse, random_formula
 from helpers import check_thf_problem_text, thf_tokens
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -89,10 +89,11 @@ def test_axioms_problem_has_no_conjecture():
 
 
 def test_reserved_symbol_collision_rejected():
+    # the parser already refuses these atoms, so build them directly
     with pytest.raises(ExportError):
-        to_thf_problem(parse("ob | p"))
+        to_thf_problem(Or(Atom("ob"), Atom("p")))
     with pytest.raises(ExportError):
-        to_thf_problem(parse("av"))
+        to_thf_problem(Atom("av"))
 
 
 def test_unrenderable_terms_rejected():

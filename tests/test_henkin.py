@@ -42,6 +42,14 @@ def test_universal_over_worlds_fails_on_partial_atom():
     assert eval_term(build_henkin(m_full), sentence) == TRUE
 
 
+def test_build_henkin_rejects_atoms_named_like_signature_constants():
+    # `av` would overwrite the av table: av | p would come out valid
+    with pytest.raises(ValueError, match="'av' is reserved"):
+        build_henkin(random_model(2, ["av", "p"], seed=4))
+    with pytest.raises(ValueError, match="'not' is reserved"):
+        build_henkin(mk_model(1, av=[[0]], pv=[[0]], ob=[], val={"not": []}))
+
+
 def test_build_henkin_minimal_av_table():
     h = build_henkin(MINIMAL)
     assert h.n == 1

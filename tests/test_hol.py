@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from ddlkit.hol import (LOGICAL_NAMES, NOT, OB, PI_NAME, TAU, Abs, App,
-                        Arrow, Bound, Const, Free, HolTypeError, I, O,
-                        atom_const, axioms, beta_eta_normalize,
-                        beta_eta_normalize_innermost, embed, leibniz_eq, lor,
-                        neg, pretty_term, substitute, type_of, type_str, vld)
-from ddlkit.syntax import parse, random_formula
-from helpers import oracle_normalize, random_term, to_named, nsubst, from_named
+from ddlkit.hol import (AV, LOGICAL_NAMES, NOT, OB, PI_NAME, PV, TAU, Abs,
+                        App, Arrow, Bound, Const, Free, HolTypeError, I, O,
+                        VLD, atom_const, axioms, beta_eta_normalize, embed,
+                        leibniz_eq, lor, neg, pretty_term, substitute,
+                        type_of, type_str, vld)
+from ddlkit.syntax import _IDENT_RE, RESERVED_ATOMS, parse, random_formula
+from helpers import (beta_eta_normalize_innermost, from_named, nsubst,
+                     oracle_normalize, random_term, substitution_normalize,
+                     to_named)
 
 W = Free("w", I)
 
@@ -96,6 +98,11 @@ def test_embedded_disjunction():
     assert got == lor(App(atom_const("p"), W), App(atom_const("q"), W))
 
 
+def test_reserved_atoms_are_the_signature_names_an_atom_could_take():
+    names = {AV.name, PV.name, OB.name} | set(LOGICAL_NAMES)
+    assert RESERVED_ATOMS == {n for n in names if _IDENT_RE.fullmatch(n)}
+
+
 def test_embed_types_and_signature():
     rng = random.Random(55)
     allowed = set(LOGICAL_NAMES) | {"av", "pv", "ob", "p", "q", "r", "q0"}
@@ -166,6 +173,27 @@ def test_reduction_strategies_agree():
     for _ in range(300):
         t = random_term(rng, None, 4)
         assert beta_eta_normalize(t) == beta_eta_normalize_innermost(t)
+
+
+def test_normalization_agrees_with_substitution_oracle():
+    # open terms too: a variable bound outside the term keeps its index
+    rng = random.Random(81)
+    for k in range(600):
+        binders = tuple(rng.choice((O, I, TAU)) for _ in range(k % 3))
+        t = random_term(rng, None, 4, binders)
+        assert beta_eta_normalize(t) == substitution_normalize(t)
+
+
+def test_binder_hints_survive_normalization():
+    # Abs.hint does not take part in ==, so compare the printed names
+    terms = [t for _, t in axioms()]
+    rng = random.Random(82)
+    for _ in range(300):
+        f = embed(random_formula(rng, 5))
+        terms += [f, App(VLD, f)]
+    for t in terms:
+        assert pretty_term(beta_eta_normalize(t)) \
+            == pretty_term(substitution_normalize(t))
 
 
 def test_normalization_agrees_with_named_oracle():

@@ -182,6 +182,14 @@ def test_load_format_errors_name_the_path():
     assert "val" in str(e.value)
 
 
+def test_load_rejects_atoms_named_like_signature_constants():
+    for name in ("av", "pv", "ob", "not", "or", "eq"):
+        with pytest.raises(ModelFormatError) as e:
+            load_model(json.dumps({"worlds": 1, "av": [[0]], "pv": [[0]],
+                                   "ob": [], "val": {name: [0]}}))
+        assert str(e.value).startswith(f"val.{name}:")
+
+
 def test_load_enforces_world_cap():
     doc = json.dumps({"worlds": MAX_WORLDS + 1,
                       "av": [[s] for s in range(MAX_WORLDS + 1)],

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from ddlkit.syntax import (Atom, Box, BoxA, BoxP, Not, ObA, ObDyadic, ObP, Or,
-                           ParseError, ReservedAtomError, atoms, parse, pretty,
-                           random_formula)
+from ddlkit.syntax import (RESERVED_ATOMS, Atom, Box, BoxA, BoxP, Not, ObA,
+                           ObDyadic, ObP, Or, ParseError, ReservedAtomError,
+                           atoms, parse, pretty, random_formula)
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 TRUE = Or(Not(Atom("q0")), Atom("q0"))
@@ -124,6 +124,15 @@ def test_reserved_atom_guard():
     # each alone is fine
     assert atoms(parse("q0 | p")) == {"q0", "p"}
     assert atoms(parse("T | p")) == {"q0", "p"}
+
+
+@pytest.mark.parametrize("name", sorted(RESERVED_ATOMS))
+def test_signature_names_are_not_atoms(name):
+    for text, offset in ((name, 0), (f"p | O({name} / q)", 6)):
+        with pytest.raises(ReservedAtomError) as e:
+            parse(text)
+        assert e.value.offset == offset
+    assert atoms(parse(name + "x")) == {name + "x"}
 
 
 def test_whitespace_and_parens():
