@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage/parse/IO errors, 2 model-condition
-violations or faithfulness mismatches, 3 countermodel found.  Randomized
-subcommands are reproducible from --seed.
+Exit codes: 0 success, 1 usage/parse/IO errors and internal errors, 2
+model-condition violations or faithfulness mismatches, 3 countermodel
+found.  Randomized subcommands are reproducible from --seed.
 """
 
 from __future__ import annotations
@@ -41,8 +41,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("valid", help="search for a countermodel")
     p.add_argument("--formula", required=True)
-    p.add_argument("--max-worlds", type=int, default=3)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--max-worlds", type=int, default=3,
+                   help="exhaustive up to 3 worlds, sampled at 4")
+    p.add_argument("--samples", type=int, default=1000,
+                   help="frames and tables drawn at 4 worlds")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("embed", help="show the embedded term or write THF")
@@ -151,6 +153,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except RecursionError:
         print("error: formula nested too deeply", file=sys.stderr)
+        return 1
+    except Exception as e:  # a defect: one line, not a traceback
+        detail = " ".join(f"{type(e).__name__}: {e}".split())
+        print(f"error: internal: {detail}", file=sys.stderr)
         return 1
 
 

@@ -455,7 +455,9 @@ def random_model(n: int, atom_names: Iterable[str], seed: int,
     return CJModel(n, tuple(av), tuple(pv), close_ob(raw, n), val)
 
 
-def _frame_choices(n: int) -> list[list[tuple[int, int]]]:
+def frame_choices(n: int) -> list[list[tuple[int, int]]]:
+    """Per world s, every valid (av(s), pv(s)) pair, pv ascending, then
+    av ascending."""
     full = full_mask(n)
     per_world = []
     for s in range(n):
@@ -489,7 +491,9 @@ def enumerate_models(n: int, atoms: Iterable[str]) -> Iterator[CJModel]:
 
     Capped at n <= 2: at 3 worlds there are 14**3 frames times 9 ob
     tables times 8**k valuations of k atoms, about 1.58 million models
-    for two atoms, so anything larger is covered by random sampling.
+    for two atoms.  The countermodel search (`ddlkit.search`) does not
+    enumerate models: up to 3 worlds it sweeps one frame and table per
+    orbit of world permutations, with every valuation at once.
     Order is deterministic: frames, then ob tables, then valuations.
     """
     if n > 2:
@@ -502,7 +506,7 @@ def enumerate_models(n: int, atoms: Iterable[str]) -> Iterator[CJModel]:
 def _enumerate_models(n: int, names: list[str]) -> Iterator[CJModel]:
     full = full_mask(n)
     ob_tables = _valid_ob_tables(n)
-    for frame in itertools.product(*_frame_choices(n)):
+    for frame in itertools.product(*frame_choices(n)):
         av = tuple(a for a, _ in frame)
         pv = tuple(p for _, p in frame)
         for ob in ob_tables:

@@ -5,16 +5,18 @@ machinery: the lambda oracle works on named terms with explicit
 renaming, the ob-condition oracle quantifies over every proposition
 triple and every member family, straight from the definitions, and the
 ob-closure oracle grows a table rule by rule to a fixpoint.  The
-normalization and minimization oracles are the package's earlier
+normalization and search oracles are the package's earlier
 implementations: substitution on de Bruijn terms (two strategies), and
-a world-and-trace minimization that squeezes every ob trace and
-re-validates every candidate instead of relying on the closed form of
-ob tables.
+a countermodel search that evaluates every model of up to two worlds
+and random models beyond, shrinking a sampled hit by dropping worlds;
+its world drop squeezes every ob trace rather than relying on the
+closed form of ob tables.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -23,9 +25,11 @@ from ddlkit import hol
 from ddlkit.hol import (AV, I, NOT, OB, OR, PV, TAU, Abs, App, Arrow, Bound,
                         Const, Free, HolTerm, HolType, O, _subst, atom_const,
                         eq_const, pi_const, shift, uses_bound)
-from ddlkit.model import CJModel, full_mask, mask_of, subsets, validate
-from ddlkit.search import _falsifying_world
-from ddlkit.syntax import Formula
+from ddlkit.checker import truth_set
+from ddlkit.model import (DENSITIES, CJModel, enumerate_models, full_mask,
+                          mask_of, random_model, subsets)
+from ddlkit.search import _certify
+from ddlkit.syntax import Formula, atoms
 
 # ---------------------------------------------------------------------------
 # named-variable lambda oracle
@@ -408,7 +412,59 @@ def repair_ob(ob: dict[int, set[int]], n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# countermodel minimization oracle
+# countermodel search oracle
+
+
+def sampled_search_oracle(f: Formula, n_max: int = 3, samples: int = 1000,
+                          seed: int = 0) -> tuple[CJModel, int] | None:
+    """The earlier `find_countermodel`: every model on up to min(2, n_max)
+    worlds, then `samples` random models per world count up to n_max, a
+    hit shrunk by dropping worlds."""
+    if not 1 <= n_max <= 4:
+        raise ValueError(f"n_max must be in 1..4, got {n_max}")
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
+    names = sorted(atoms(f))
+    for n in range(1, min(2, n_max) + 1):
+        for m in enumerate_models(n, names):
+            hit = _falsifying_world(m, f)
+            if hit is not None:
+                return _certify(m, hit, f)
+    rng = random.Random(seed)
+    for n in range(3, n_max + 1):
+        for _ in range(samples):
+            density = rng.choice(DENSITIES)
+            m = random_model(n, names, rng.getrandbits(63), density)
+            hit = _falsifying_world(m, f)
+            if hit is not None:
+                m, hit = _minimize(m, hit, f)
+                return _certify(m, hit, f)
+    return None
+
+
+def _falsifying_world(m: CJModel, f: Formula) -> int | None:
+    ts = truth_set(m, f)
+    full = full_mask(m.n)
+    if ts == full:
+        return None
+    missing = full & ~ts
+    return (missing & -missing).bit_length() - 1
+
+
+def _minimize(m: CJModel, s: int, f: Formula) -> tuple[CJModel, int]:
+    """Greedy shrinking: drop worlds, highest index first, as long as the
+    result still falsifies f.  On closed-form tables a drop stays valid
+    (`_certify` re-checks the result anyway)."""
+    while m.n > 1:
+        for k in range(m.n - 1, -1, -1):
+            smaller = drop_world_oracle(m, k)
+            hit = None if smaller is None else _falsifying_world(smaller, f)
+            if hit is not None:
+                m, s = smaller, hit
+                break
+        else:
+            break
+    return m, s
 
 
 def drop_world_oracle(m: CJModel, k: int) -> CJModel | None:
@@ -440,46 +496,6 @@ def drop_world_oracle(m: CJModel, k: int) -> CJModel | None:
             ob[c] = ob.get(c, frozenset()) | kept
     val = {a: squeeze(mask) for a, mask in m.val.items()}
     return CJModel(m.n - 1, tuple(av), tuple(pv), ob, val)
-
-
-def minimize_oracle(m: CJModel, s: int, f: Formula) -> tuple[CJModel, int]:
-    """Best-effort shrinking: greedily drop worlds, then ob traces, as
-    long as the result stays valid and still falsifies f."""
-    changed = True
-    while changed:
-        changed = False
-        for k in range(m.n - 1, -1, -1):
-            if m.n == 1:
-                break
-            smaller = drop_world_oracle(m, k)
-            if smaller is None or not validate(smaller).ok:
-                continue
-            hit = _falsifying_world(smaller, f)
-            if hit is not None:
-                m, s = smaller, hit
-                changed = True
-                break
-        if changed:
-            continue
-        for context in sorted(m.ob):
-            for trace in sorted(m.ob[context]):
-                trimmed = dict(m.ob)
-                kept = m.ob[context] - {trace}
-                if kept:
-                    trimmed[context] = kept
-                else:
-                    del trimmed[context]
-                candidate = CJModel(m.n, m.av, m.pv, trimmed, m.val)
-                if not validate(candidate).ok:
-                    continue
-                hit = _falsifying_world(candidate, f)
-                if hit is not None:
-                    m, s = candidate, hit
-                    changed = True
-                    break
-            if changed:
-                break
-    return m, s
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import ddlkit
+from ddlkit import cli
 from ddlkit.cli import main
 from ddlkit.export import to_thf_problem
 from ddlkit.model import save_model
@@ -189,3 +191,49 @@ def test_deep_nesting_is_a_one_line_error(argv):
                           timeout=120)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["error: formula nested too deeply"]
+
+
+@pytest.mark.parametrize("max_worlds,k,code", [
+    ("3", 6, 0), ("3", 7, 1), ("4", 4, 0), ("4", 5, 1),
+])
+def test_valid_atom_bound(capsys, max_worlds, k, code):
+    # lanes are 2**(worlds * atoms) bits wide; past 18 bits the search
+    # refuses before building any
+    x = "(" + " | ".join(f"a{i}" for i in range(k)) + ")"
+    start = time.perf_counter()
+    rc = main(["valid", "--formula", f"~{x} | {x}",
+               "--max-worlds", max_worlds])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert rc == code
+    if code == 0:
+        assert out == f"no counterexample up to {max_worlds} worlds\n"
+    else:
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {k} atoms") and elapsed < 1.0
+
+
+def test_unexpected_exception_is_a_one_line_internal_error(monkeypatch,
+                                                           capsys):
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setitem(cli._COMMANDS, "valid", broken)
+    assert main(["valid", "--formula", "p"]) == 1
+    assert capsys.readouterr().err.splitlines() \
+        == ["error: internal: RuntimeError: boom second line"]
+
+
+@pytest.mark.parametrize("formula,code,out", [
+    ("~" * 494 + "(p | ~p)", 0, "no counterexample up to 3 worlds\n"),
+    ("[a]" * 494 + "p", 3,
+     '{"world":0,"model":{"worlds":1,"av":[[0]],"pv":[[0]],"ob":[],'
+     '"val":{"p":[]}}}\n'),
+], ids=["negations", "actual-boxes"])
+def test_valid_answers_at_depth_494(formula, code, out):
+    env = {**os.environ, "PYTHONPATH": str(Path(ddlkit.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "ddlkit.cli", "valid",
+                           "--formula", formula],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
