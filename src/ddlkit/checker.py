@@ -40,22 +40,18 @@ def truth_set(m: CJModel, f: Formula) -> int:
     # subtree; every node stays reachable from f, so ids stay unique, and
     # the operands the parser repeats when desugaring are shared objects
     cache: dict[int, int] = {}
+    missing: dict[str, None] = {}  # in order of discovery
 
     def go(g: Formula) -> int:
         got = cache.get(id(g))
         if got is not None:
             return got
         if isinstance(g, Atom):
-            if g.name in m.val:
-                v = m.val[g.name]
-            else:
-                # the reserved desugaring atom defaults silently: it only
-                # occurs in tautological or contradictory combinations
-                if g.name != RESERVED_ATOM:
-                    warnings.warn(f"atom {g.name!r} has no valuation, "
-                                  "defaulting to the empty set",
-                                  MissingAtomWarning, stacklevel=4)
-                v = 0
+            v = m.val.get(g.name, 0)
+            # the reserved desugaring atom defaults silently: it only
+            # occurs in tautological or contradictory combinations
+            if g.name not in m.val and g.name != RESERVED_ATOM:
+                missing[g.name] = None
         elif isinstance(g, Not):
             v = full & ~go(g.sub)
         elif isinstance(g, Or):
@@ -84,7 +80,12 @@ def truth_set(m: CJModel, f: Formula) -> int:
         cache[id(g)] = v
         return v
 
-    return go(f)
+    out = go(f)
+    for name in missing:
+        # after the walk, so the warning points at the caller
+        warnings.warn(f"atom {name!r} has no valuation, defaulting to the "
+                      "empty set", MissingAtomWarning, stacklevel=2)
+    return out
 
 
 def mask_where(n: int, pred) -> int:

@@ -17,6 +17,7 @@ the fly so every quantifier prints in binder notation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import hol
@@ -24,11 +25,6 @@ from .hol import (EQ_NAME, NOT_NAME, OR_NAME, PI_NAME, Abs, App, Arrow,
                   BaseType, Bound, Const, Free, HolTerm, HolType, embed,
                   match_and, match_exists, vld)
 from .syntax import RESERVED_ATOMS, Formula, atoms
-
-AV_TYPE = "$i > $i > $o"
-PV_TYPE = "$i > $i > $o"
-OB_TYPE = "($i > $o) > ($i > $o) > $o"
-ATOM_TYPE = "$i > $o"
 
 
 class ExportError(Exception):
@@ -46,6 +42,10 @@ def thf_type(ty: HolType) -> str:
     if isinstance(ty.arg, Arrow):
         left = f"({left})"
     return f"{left} > {thf_type(ty.res)}"
+
+
+AV_TYPE, PV_TYPE, OB_TYPE, ATOM_TYPE = (
+    thf_type(ty) for ty in (hol.AV.ty, hol.PV.ty, hol.OB.ty, hol.TAU))
 
 
 def _render(t: HolTerm, names: tuple[str, ...]) -> str:
@@ -137,15 +137,10 @@ def _signature_entries(atom_names: list[str]) -> list[tuple[str, str, str]]:
     return entries
 
 
-_AXIOM_LINE_NAMES = {
-    "AV": "av", "PV1": "pv1", "PV2": "pv2", "OB1": "ob1",
-    "OB2": "ob2", "OB3": "ob3", "OB4": "ob4", "OB5": "ob5",
-}
-
-
-def _axiom_entries() -> list[tuple[str, str, str]]:
-    return [(_AXIOM_LINE_NAMES[name], "axiom", to_thf_term(term))
-            for name, term in hol.axioms()]
+@functools.cache
+def _axiom_entries() -> tuple[tuple[str, str, str], ...]:
+    return tuple((name.lower(), "axiom", to_thf_term(term))
+                 for name, term in hol.axioms())
 
 
 def to_thf_problem(f: Formula) -> ThfProblem:
@@ -159,4 +154,4 @@ def to_thf_problem(f: Formula) -> ThfProblem:
 
 def axioms_problem() -> ThfProblem:
     """Declarations and the eight axioms only (no conjecture)."""
-    return ThfProblem(tuple(_signature_entries([]) + _axiom_entries()))
+    return ThfProblem((*_signature_entries([]), *_axiom_entries()))

@@ -322,64 +322,6 @@ def extract_model(h: HenkinModel, atoms: Iterable[str]) -> CJModel:
     return m
 
 
-def frame_condition_failures(h: HenkinModel) -> list[str]:
-    """Check the frame conditions directly on the interpreted tables.
-
-    Returns the names of violated clauses among av, pv1, pv2, ob1..ob5,
-    quantifying over all propositions of the finite domain.  On an
-    interpretation built from a valid model this is empty.
-    """
-    n = h.n
-    full = (1 << n) - 1
-    av = [h.interp["av"] >> n * s & full for s in range(n)]
-    pv = [h.interp["pv"] >> n * s & full for s in range(n)]
-    member = {(x, y): h.interp["ob"] >> (x << n) + y & 1
-              for x in range(full + 1) for y in range(full + 1)}
-    failures: list[str] = []
-    if any(av[s] == 0 for s in range(n)):
-        failures.append("av")
-    if any(av[s] & ~pv[s] for s in range(n)):
-        failures.append("pv1")
-    if any(not pv[s] >> s & 1 for s in range(n)):
-        failures.append("pv2")
-    if any(member[(x, 0)] for x in range(full + 1)):
-        failures.append("ob1")
-    if any(y & x == z & x and member[(x, y)] != member[(x, z)]
-           for x in range(full + 1)
-           for y in range(full + 1)
-           for z in range(full + 1)):
-        failures.append("ob2")
-    for x in range(full + 1):
-        members = [y for y in range(full + 1) if member[(x, y)]]
-        bad = False
-        for pick in range(1, 1 << len(members)):
-            chosen = [members[i] for i in range(len(members)) if pick >> i & 1]
-            meet = full
-            for y in chosen:
-                meet &= y
-            if meet & x and not member[(x, meet)]:
-                bad = True
-        if bad:
-            failures.append("ob3")
-            break
-    ob4_bad = False
-    ob5_bad = False
-    for x in range(full + 1):
-        for y in range(full + 1):
-            for z in range(full + 1):
-                if not y & ~x and member[(x, y)] and not x & ~z:
-                    if not member[(z, (z & ~x) | y)]:
-                        ob4_bad = True
-                if not y & ~x and member[(x, z)] and y & z:
-                    if not member[(y, z)]:
-                        ob5_bad = True
-    if ob4_bad:
-        failures.append("ob4")
-    if ob5_bad:
-        failures.append("ob5")
-    return failures
-
-
 @dataclass(frozen=True)
 class Mismatch:
     model: CJModel

@@ -312,6 +312,8 @@ def load_model(data: bytes | str, allow_invalid: bool = False) -> CJModel:
         obj = json.loads(data)
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise ModelFormatError("not valid JSON: nested too deeply") from e
     _require(isinstance(obj, dict), "$", "expected a JSON object")
     n = obj.get("worlds")
     _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,

@@ -43,7 +43,7 @@ from .checker import truth_set
 from .model import (CJModel, frame_choices, full_mask, ideal_ob, mask_of,
                     validate, world_list)
 from .syntax import (Atom, Box, BoxA, BoxP, Formula, Not, ObA, ObDyadic, ObP,
-                     Or, atoms)
+                     Or, atoms, children)
 
 # Bound on n_max times the number of atoms: a model on n worlds has
 # 2**(n*k) valuations, one bit each.  The theorem ([p]x -> [a]x) | Op x,
@@ -129,18 +129,6 @@ _CODES = {Not: _NOT, Or: _OR, Box: _BOX, BoxA: _BOXA, BoxP: _BOXP,
           ObDyadic: _OB, ObA: _OBA, ObP: _OBP}
 
 
-def _children(g: Formula) -> tuple[Formula, ...]:
-    if isinstance(g, Atom):
-        return ()
-    if isinstance(g, Or):
-        return g.left, g.right
-    if isinstance(g, ObDyadic):
-        return g.antecedent, g.consequent
-    if type(g) in _CODES:
-        return (g.sub,)
-    raise TypeError(f"not a formula: {g!r}")
-
-
 def _compile(f: Formula, names: list[str]):
     """Post-order operations (code, x, y), one per distinct subformula,
     and which of av, pv and ob the formula mentions.
@@ -158,7 +146,7 @@ def _compile(f: Formula, names: list[str]):
         if id(g) in index:
             stack.pop()
             continue
-        kids = _children(g)
+        kids = children(g)
         pending = [c for c in kids if id(c) not in index]
         if pending:
             stack.extend(pending)
@@ -295,11 +283,17 @@ def _representatives(n: int, use_av: bool, use_pv: bool,
 def _sampled(n: int, use_av: bool, use_pv: bool, use_ob: bool,
              samples: int, seed: int):
     """`samples` seeded draws of a frame, uniform per world over its
-    options, and a table, uniform over the empty one and every ob_S."""
+    options, and a table, uniform over the empty one and every ob_S.
+    A draw already swept is skipped, but still drawn, so the draws after
+    it do not move."""
     rng = random.Random(seed)
     options = _world_options(n, use_av, use_pv)
     tables = (None, *range(1 << n)) if use_ob else (None,)
+    seen = set()
     for _ in range(samples):
         frame = [rng.choice(opts) for opts in options]
-        yield (tuple(a for a, _ in frame), tuple(p for _, p in frame),
-               (rng.choice(tables),))
+        drawn = (tuple(a for a, _ in frame), tuple(p for _, p in frame),
+                 rng.choice(tables))
+        if drawn not in seen:
+            seen.add(drawn)
+            yield drawn[0], drawn[1], drawn[2:]

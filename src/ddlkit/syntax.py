@@ -1,15 +1,19 @@
 """Concrete syntax for dyadic deontic logic formulas.
 
-The surface grammar, lowest to highest precedence:
+The surface grammar:
 
-    iff     :=  imp ('<->' imp)*          left associative
-    imp     :=  or ('->' imp)?            right associative
-    or      :=  and ('|' and)*            left associative
-    and     :=  unary ('&' unary)*        left associative
-    unary   :=  ('~' | '[]' | '[a]' | '[p]' | '<>' | '<a>' | '<p>'
-                 | 'Oa' | 'Op') unary
-              | primary
-    primary :=  ident | 'T' | 'F' | 'O' '(' iff '/' iff ')' | '(' iff ')'
+    formula :=  operand (binary operand)*
+    operand :=  prefix operand | ident | 'T' | 'F'
+              | 'O' '(' formula '/' formula ')' | '(' formula ')'
+    prefix  :=  '~' | '[]' | '[a]' | '[p]' | '<>' | '<a>' | '<p>' | 'Oa' | 'Op'
+
+Prefix operators bind tighter than every binary one.  The binary
+connectives, from lowest to highest precedence (the `_BINARY` table):
+
+    <->   0   left associative
+    ->    1   right associative
+    |     2   left associative
+    &     3   left associative
 
 Identifiers match [a-z][a-zA-Z0-9_]*.  `O(psi / phi)` is the dyadic
 obligation "it ought to be psi, given phi".
@@ -34,7 +38,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 
 class ParseError(Exception):
@@ -125,7 +128,6 @@ RESERVED_ATOM = "q0"
 RESERVED_ATOMS = frozenset({"av", "pv", "ob", "not", "or", "eq"})
 
 _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
-_KEYWORD_RE = re.compile(r"[A-Z][a-zA-Z0-9_]*")
 _KEYWORDS = {"T", "F", "O", "Oa", "Op"}
 
 
@@ -150,66 +152,39 @@ def _iff(a: Formula, b: Formula) -> Formula:
     return _and(_imp(a, b), _imp(b, a))
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    offset: int
+# one token per match, after optional whitespace: an operator, an
+# identifier, a capitalized word, or else one stray character (none at
+# the end of the text)
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:(?P<op><->|->|<[ap]?>|\[[ap]?\]|[()/|&~])"
+    rf"|(?P<ident>{_IDENT_RE.pattern})|(?P<word>[A-Z][a-zA-Z0-9_]*)"
+    r"|(?P<other>.?))", re.DOTALL)
+# what a stray '-', '<' or '[' could have started
+_PARTIAL = {"-": {"'->'"}, "<": {"'<->'", "'<>'", "'<a>'", "'<p>'"},
+            "[": {"'[]'", "'[a]'", "'[p]'"}}
+
+_Token = tuple[str, str, int]  # kind, text, offset
 
 
-def _tokenize(text: str) -> Iterator[_Token]:
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c in "()/|&~":
-            yield _Token(c, c, i)
-            i += 1
-            continue
-        if c == "-":
-            if text.startswith("->", i):
-                yield _Token("->", "->", i)
-                i += 2
-                continue
-            raise ParseError("unexpected character '-'", i, {"'->'"})
-        if c == "<":
-            for tok in ("<->", "<a>", "<p>", "<>"):
-                if text.startswith(tok, i):
-                    yield _Token(tok, tok, i)
-                    i += len(tok)
-                    break
-            else:
-                raise ParseError("unexpected character '<'", i,
-                                 {"'<->'", "'<>'", "'<a>'", "'<p>'"})
-            continue
-        if c == "[":
-            for tok in ("[a]", "[p]", "[]"):
-                if text.startswith(tok, i):
-                    yield _Token(tok, tok, i)
-                    i += len(tok)
-                    break
-            else:
-                raise ParseError("unexpected character '['", i,
-                                 {"'[]'", "'[a]'", "'[p]'"})
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            yield _Token("ident", m.group(), i)
-            i = m.end()
-            continue
-        m = _KEYWORD_RE.match(text, i)
-        if m:
-            word = m.group()
-            if word not in _KEYWORDS:
-                raise ParseError(f"unknown keyword '{word}'", i,
-                                 {"'T'", "'F'", "'O'", "'Oa'", "'Op'"})
-            yield _Token(word, word, i)
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    yield _Token("eof", "", n)
+def _tokenize(text: str) -> list[_Token]:
+    """All tokens, ending with ("eof", "", len(text))."""
+    tokens = []
+    pos = 0
+    while True:
+        m = _TOKEN_RE.match(text, pos)
+        kind = m.lastgroup
+        tok, offset = m.group(kind), m.start(kind)
+        if kind == "word" and tok not in _KEYWORDS:
+            raise ParseError(f"unknown keyword '{tok}'", offset,
+                             {f"'{word}'" for word in _KEYWORDS})
+        if kind == "other":
+            if tok:
+                raise ParseError(f"unexpected character {tok!r}", offset,
+                                 _PARTIAL.get(tok))
+            tokens.append(("eof", "", offset))
+            return tokens
+        tokens.append(("ident" if kind == "ident" else tok, tok, offset))
+        pos = m.end()
 
 
 _PRIMARY_STARTERS = {"identifier", "'T'", "'F'", "'O('", "'('", "'~'", "'[]'",
@@ -227,28 +202,37 @@ _PREFIX = {
     "Op": ObP,
 }
 
+# token: (precedence, builder, right associative)
+_BINARY = {
+    "<->": (0, _iff, False),
+    "->": (1, _imp, True),
+    "|": (2, Or, False),
+    "&": (3, _and, False),
+}
+
+
+def _unexpected(tok: _Token, expected: set[str]) -> ParseError:
+    _, text, offset = tok
+    return ParseError(f"unexpected {text!r}" if text else
+                      "unexpected end of input", offset, expected)
+
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.saw_tf_at: int | None = None
         self.saw_q0_at: int | None = None
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"unexpected {tok.text!r}" if tok.text else
-                             "unexpected end of input", tok.offset, {f"'{kind}'"})
-        return self.advance()
+    def expect(self, kind: str) -> None:
+        tok = self.advance()
+        if tok[0] != kind:
+            raise _unexpected(tok, {f"'{kind}'"})
 
     def guard_reserved(self) -> None:
         if self.saw_tf_at is not None and self.saw_q0_at is not None:
@@ -256,73 +240,48 @@ class _Parser:
                 f"atom '{RESERVED_ATOM}' is reserved for desugaring 'T'/'F'; "
                 "a formula may not use both", max(self.saw_tf_at, self.saw_q0_at))
 
-    def iff(self) -> Formula:
-        f = self.imp()
-        while self.peek().kind == "<->":
-            self.advance()
-            f = _iff(f, self.imp())
-        return f
+    def binary(self, level: int = 0) -> Formula:
+        """Operands joined by binary connectives of precedence `level` or
+        higher (precedence climbing)."""
+        f = self.operand()
+        while True:
+            entry = _BINARY.get(self.tokens[self.pos][0])
+            if entry is None or entry[0] < level:
+                return f
+            self.pos += 1
+            prec, build, right_assoc = entry
+            f = build(f, self.binary(prec if right_assoc else prec + 1))
 
-    def imp(self) -> Formula:
-        f = self.or_()
-        if self.peek().kind == "->":
-            self.advance()
-            f = _imp(f, self.imp())
-        return f
-
-    def or_(self) -> Formula:
-        f = self.and_()
-        while self.peek().kind == "|":
-            self.advance()
-            f = Or(f, self.and_())
-        return f
-
-    def and_(self) -> Formula:
-        f = self.unary()
-        while self.peek().kind == "&":
-            self.advance()
-            f = _and(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind in _PREFIX:
-            self.advance()
-            return _PREFIX[tok.kind](self.unary())
-        return self.primary()
-
-    def primary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == RESERVED_ATOM:
-                self.saw_q0_at = tok.offset
+    def operand(self) -> Formula:
+        tok = self.advance()
+        kind, text, offset = tok
+        if kind in _PREFIX:
+            return _PREFIX[kind](self.operand())
+        if kind == "ident":
+            if text == RESERVED_ATOM:
+                self.saw_q0_at = offset
                 self.guard_reserved()
-            if tok.text in RESERVED_ATOMS:
+            if text in RESERVED_ATOMS:
                 raise ReservedAtomError(
-                    f"atom '{tok.text}' is reserved for a signature constant "
-                    "of the embedding", tok.offset)
-            return Atom(tok.text)
-        if tok.kind in ("T", "F"):
-            self.advance()
-            self.saw_tf_at = tok.offset
+                    f"atom '{text}' is reserved for a signature constant "
+                    "of the embedding", offset)
+            return Atom(text)
+        if kind in ("T", "F"):
+            self.saw_tf_at = offset
             self.guard_reserved()
-            return _true() if tok.kind == "T" else _false()
-        if tok.kind == "O":
-            self.advance()
+            return _true() if kind == "T" else _false()
+        if kind == "O":
             self.expect("(")
-            consequent = self.iff()
+            consequent = self.binary()
             self.expect("/")
-            antecedent = self.iff()
+            antecedent = self.binary()
             self.expect(")")
             return ObDyadic(antecedent, consequent)
-        if tok.kind == "(":
-            self.advance()
-            f = self.iff()
+        if kind == "(":
+            f = self.binary()
             self.expect(")")
             return f
-        raise ParseError(f"unexpected {tok.text!r}" if tok.text else
-                         "unexpected end of input", tok.offset, _PRIMARY_STARTERS)
+        raise _unexpected(tok, _PRIMARY_STARTERS)
 
 
 def parse(text: str) -> Formula:
@@ -330,43 +289,47 @@ def parse(text: str) -> Formula:
     if not text.strip():
         raise ParseError("empty input", 0, _PRIMARY_STARTERS)
     p = _Parser(text)
-    f = p.iff()
-    eof = p.peek()
-    if eof.kind != "eof":
-        raise ParseError(f"unexpected trailing {eof.text!r}", eof.offset)
+    f = p.binary()
+    kind, rest, offset = p.tokens[p.pos]
+    if kind != "eof":
+        raise ParseError(f"unexpected trailing {rest!r}", offset)
     return f
+
+
+_PREFIX_TEXT = {Not: "~", Box: "[]", BoxA: "[a]", BoxP: "[p]", ObA: "Oa ",
+                ObP: "Op "}
 
 
 def pretty(f: Formula) -> str:
     """Render a formula so that parse(pretty(f)) returns f again."""
     if isinstance(f, Atom):
         return f.name
-    if isinstance(f, Not):
-        return "~" + _operand(f.sub)
+    prefix = _PREFIX_TEXT.get(type(f))
+    if prefix is not None:
+        # the argument of a prefix operator: disjunctions need parentheses
+        sub = pretty(f.sub)
+        return prefix + (f"({sub})" if isinstance(f.sub, Or) else sub)
     if isinstance(f, Or):
         # `|` is parsed left associative, so only a right-nested Or needs parens
         right = f"({pretty(f.right)})" if isinstance(f.right, Or) else pretty(f.right)
         return f"{pretty(f.left)} | {right}"
-    if isinstance(f, Box):
-        return "[]" + _operand(f.sub)
-    if isinstance(f, BoxA):
-        return "[a]" + _operand(f.sub)
-    if isinstance(f, BoxP):
-        return "[p]" + _operand(f.sub)
     if isinstance(f, ObDyadic):
         return f"O({pretty(f.consequent)} / {pretty(f.antecedent)})"
-    if isinstance(f, ObA):
-        return "Oa " + _operand(f.sub)
-    if isinstance(f, ObP):
-        return "Op " + _operand(f.sub)
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _operand(f: Formula) -> str:
-    # argument of a prefix operator: disjunctions need parentheses
-    if isinstance(f, Or):
-        return f"({pretty(f)})"
-    return pretty(f)
+def children(g: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas; an ObDyadic gives (antecedent,
+    consequent)."""
+    if isinstance(g, Atom):
+        return ()
+    if isinstance(g, Or):
+        return g.left, g.right
+    if isinstance(g, ObDyadic):
+        return g.antecedent, g.consequent
+    if type(g) in _PREFIX_TEXT:
+        return (g.sub,)
+    raise TypeError(f"not a formula: {g!r}")
 
 
 def atoms(f: Formula) -> set[str]:
@@ -377,17 +340,13 @@ def atoms(f: Formula) -> set[str]:
         g = stack.pop()
         if isinstance(g, Atom):
             out.add(g.name)
-        elif isinstance(g, (Not, Box, BoxA, BoxP, ObA, ObP)):
-            stack.append(g.sub)
-        elif isinstance(g, Or):
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, ObDyadic):
-            stack.append(g.antecedent)
-            stack.append(g.consequent)
         else:
-            raise TypeError(f"not a formula: {g!r}")
+            stack.extend(children(g))
     return out
+
+
+# in the order of the draw, which seeded callers depend on
+_CONSTRUCTORS = (Not, Or, Box, BoxA, BoxP, ObDyadic, ObA, ObP)
 
 
 def random_formula(rng, max_depth: int = 6, atom_names=("p", "q", "r")) -> Formula:
@@ -399,21 +358,8 @@ def random_formula(rng, max_depth: int = 6, atom_names=("p", "q", "r")) -> Formu
     names = list(atom_names)
     if max_depth <= 0 or rng.random() < 0.2:
         return Atom(rng.choice(names))
-    kind = rng.choice(("not", "or", "box", "boxa", "boxp", "ob", "oba", "obp"))
-    if kind == "not":
-        return Not(random_formula(rng, max_depth - 1, names))
-    if kind == "or":
-        return Or(random_formula(rng, max_depth - 1, names),
-                  random_formula(rng, max_depth - 1, names))
-    if kind == "box":
-        return Box(random_formula(rng, max_depth - 1, names))
-    if kind == "boxa":
-        return BoxA(random_formula(rng, max_depth - 1, names))
-    if kind == "boxp":
-        return BoxP(random_formula(rng, max_depth - 1, names))
-    if kind == "ob":
-        return ObDyadic(random_formula(rng, max_depth - 1, names),
-                        random_formula(rng, max_depth - 1, names))
-    if kind == "oba":
-        return ObA(random_formula(rng, max_depth - 1, names))
-    return ObP(random_formula(rng, max_depth - 1, names))
+    build = rng.choice(_CONSTRUCTORS)
+    sub = random_formula(rng, max_depth - 1, names)
+    if build is Or or build is ObDyadic:
+        return build(sub, random_formula(rng, max_depth - 1, names))
+    return build(sub)

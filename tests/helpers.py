@@ -3,10 +3,13 @@
 The oracles here deliberately do not reuse the package's internal
 machinery: the lambda oracle works on named terms with explicit
 renaming, the ob-condition oracle quantifies over every proposition
-triple and every member family, straight from the definitions, and the
-ob-closure oracle grows a table rule by rule to a fixpoint.  The
+triple and every member family, straight from the definitions, for any
+membership predicate (a table or an interpreted `ob`), and the
+ob-closure oracle grows a table rule by rule to a fixpoint.  The parser,
 normalization and search oracles are the package's earlier
-implementations: substitution on de Bruijn terms (two strategies), and
+implementations: a scanner with a branch per token start and a
+recursive-descent parser with a method per binary level, substitution
+on de Bruijn terms (two strategies), and
 a countermodel search that evaluates every model of up to two worlds
 and random models beyond, shrinking a sampled hit by dropping worlds;
 its world drop squeezes every ob trace rather than relying on the
@@ -15,11 +18,12 @@ closed form of ob tables.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from ddlkit import hol
 from ddlkit.hol import (AV, I, NOT, OB, OR, PV, TAU, Abs, App, Arrow, Bound,
@@ -29,7 +33,10 @@ from ddlkit.checker import truth_set
 from ddlkit.model import (DENSITIES, CJModel, enumerate_models, full_mask,
                           mask_of, random_model, subsets)
 from ddlkit.search import _certify
-from ddlkit.syntax import Formula, atoms
+from ddlkit.syntax import (_IDENT_RE, _KEYWORDS, _PREFIX, _PRIMARY_STARTERS,
+                           RESERVED_ATOM, RESERVED_ATOMS, Atom, Formula,
+                           ObDyadic, Or, ParseError, ReservedAtomError, _and,
+                           _false, _iff, _imp, _true, atoms)
 
 # ---------------------------------------------------------------------------
 # named-variable lambda oracle
@@ -307,55 +314,57 @@ def ob_membership(ob: dict[int, frozenset[int]], context: int,
     return trace != 0 and trace in ob.get(context, frozenset())
 
 
-def brute_force_ob_ok(ob: dict[int, frozenset[int]], n: int) -> bool:
-    """Check the five conditions from their definitions: all proposition
-    pairs and triples, and for condition 3 every nonempty member family."""
+def table_member(ob: dict[int, frozenset[int]]):
+    """The membership predicate of a trace-canonical ob table."""
+    return functools.partial(ob_membership, ob)
+
+
+def brute_force_ob_failures(member, n: int) -> list[str]:
+    """The names among ob1..ob5 of the conditions that the membership
+    predicate member(context, proposition) violates, checked from their
+    definitions: all proposition pairs and triples, and for ob3 every
+    nonempty member family."""
     full = full_mask(n)
     props = range(full + 1)
-    for context in ob:
-        for trace in ob[context]:
-            if trace == 0 or trace & ~context:
-                return False
+    bad = set()
     for x in props:
-        if ob_membership(ob, x, 0):
-            return False
+        if member(x, 0):
+            bad.add("ob1")
         for y in props:
             for z in props:
-                if y & x == z & x and ob_membership(ob, x, y) != \
-                        ob_membership(ob, x, z):
-                    return False
-                if not y & ~x and ob_membership(ob, x, y) and not x & ~z:
-                    if not ob_membership(ob, z, (z & ~x) | y):
-                        return False
-                if not y & ~x and ob_membership(ob, x, z) and y & z:
-                    if not ob_membership(ob, y, z):
-                        return False
-    for x in props:
-        members = [y for y in props if ob_membership(ob, x, y)]
+                if y & x == z & x and member(x, y) != member(x, z):
+                    bad.add("ob2")
+                if not y & ~x and member(x, y) and not x & ~z \
+                        and not member(z, (z & ~x) | y):
+                    bad.add("ob4")
+                if not y & ~x and member(x, z) and y & z \
+                        and not member(y, z):
+                    bad.add("ob5")
+        members = [y for y in props if member(x, y)]
         for pick in range(1, 1 << len(members)):
-            family = [members[i] for i in range(len(members)) if pick >> i & 1]
             meet = full
-            for y in family:
-                meet &= y
-            if meet & x and not ob_membership(ob, x, meet):
-                return False
-    return True
+            for i, y in enumerate(members):
+                if pick >> i & 1:
+                    meet &= y
+            if meet & x and not member(x, meet):
+                bad.add("ob3")
+    return sorted(bad)
 
 
-def brute_force_ob3_ok(ob: dict[int, frozenset[int]], n: int) -> bool:
-    """Only the intersection-closure condition, over every member family."""
+def interpreted_frame_failures(h) -> list[str]:
+    """The frame conditions among av, pv1, pv2, ob1..ob5 that the
+    interpreted tables of a HenkinModel violate, over all propositions
+    of its finite domain."""
+    n = h.n
     full = full_mask(n)
-    props = range(full + 1)
-    for x in props:
-        members = [y for y in props if ob_membership(ob, x, y)]
-        for pick in range(1, 1 << len(members)):
-            family = [members[i] for i in range(len(members)) if pick >> i & 1]
-            meet = full
-            for y in family:
-                meet &= y
-            if meet & x and not ob_membership(ob, x, meet):
-                return False
-    return True
+    av = [h.interp["av"] >> n * s & full for s in range(n)]
+    pv = [h.interp["pv"] >> n * s & full for s in range(n)]
+    ob = h.interp["ob"]
+    frame = (("av", any(a == 0 for a in av)),
+             ("pv1", any(a & ~p for a, p in zip(av, pv))),
+             ("pv2", any(not p >> s & 1 for s, p in enumerate(pv))))
+    return [name for name, bad in frame if bad] + brute_force_ob_failures(
+        lambda x, y: bool(ob >> (x << n) + y & 1), n)
 
 
 def all_candidate_ob_tables(n: int):
@@ -409,6 +418,183 @@ def repair_ob(ob: dict[int, set[int]], n: int) -> None:
                     if y and t and t not in ob.setdefault(y, set()):
                         ob[y].add(t)
                         changed = True
+
+
+# ---------------------------------------------------------------------------
+# formula parser oracle: the earlier scanner and recursive-descent parser
+
+_KEYWORD_RE = re.compile(r"[A-Z][a-zA-Z0-9_]*")
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    text: str
+    offset: int
+
+
+def _tokenize(text: str) -> Iterator[_Token]:
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c in " \t\r\n":
+            i += 1
+            continue
+        if c in "()/|&~":
+            yield _Token(c, c, i)
+            i += 1
+            continue
+        if c == "-":
+            if text.startswith("->", i):
+                yield _Token("->", "->", i)
+                i += 2
+                continue
+            raise ParseError("unexpected character '-'", i, {"'->'"})
+        if c == "<":
+            for tok in ("<->", "<a>", "<p>", "<>"):
+                if text.startswith(tok, i):
+                    yield _Token(tok, tok, i)
+                    i += len(tok)
+                    break
+            else:
+                raise ParseError("unexpected character '<'", i,
+                                 {"'<->'", "'<>'", "'<a>'", "'<p>'"})
+            continue
+        if c == "[":
+            for tok in ("[a]", "[p]", "[]"):
+                if text.startswith(tok, i):
+                    yield _Token(tok, tok, i)
+                    i += len(tok)
+                    break
+            else:
+                raise ParseError("unexpected character '['", i,
+                                 {"'[]'", "'[a]'", "'[p]'"})
+            continue
+        m = _IDENT_RE.match(text, i)
+        if m:
+            yield _Token("ident", m.group(), i)
+            i = m.end()
+            continue
+        m = _KEYWORD_RE.match(text, i)
+        if m:
+            word = m.group()
+            if word not in _KEYWORDS:
+                raise ParseError(f"unknown keyword '{word}'", i,
+                                 {"'T'", "'F'", "'O'", "'Oa'", "'Op'"})
+            yield _Token(word, word, i)
+            i = m.end()
+            continue
+        raise ParseError(f"unexpected character {c!r}", i)
+    yield _Token("eof", "", n)
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = list(_tokenize(text))
+        self.pos = 0
+        self.saw_tf_at: int | None = None
+        self.saw_q0_at: int | None = None
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"unexpected {tok.text!r}" if tok.text else
+                             "unexpected end of input", tok.offset, {f"'{kind}'"})
+        return self.advance()
+
+    def guard_reserved(self) -> None:
+        if self.saw_tf_at is not None and self.saw_q0_at is not None:
+            raise ReservedAtomError(
+                f"atom '{RESERVED_ATOM}' is reserved for desugaring 'T'/'F'; "
+                "a formula may not use both", max(self.saw_tf_at, self.saw_q0_at))
+
+    def iff(self) -> Formula:
+        f = self.imp()
+        while self.peek().kind == "<->":
+            self.advance()
+            f = _iff(f, self.imp())
+        return f
+
+    def imp(self) -> Formula:
+        f = self.or_()
+        if self.peek().kind == "->":
+            self.advance()
+            f = _imp(f, self.imp())
+        return f
+
+    def or_(self) -> Formula:
+        f = self.and_()
+        while self.peek().kind == "|":
+            self.advance()
+            f = Or(f, self.and_())
+        return f
+
+    def and_(self) -> Formula:
+        f = self.unary()
+        while self.peek().kind == "&":
+            self.advance()
+            f = _and(f, self.unary())
+        return f
+
+    def unary(self) -> Formula:
+        tok = self.peek()
+        if tok.kind in _PREFIX:
+            self.advance()
+            return _PREFIX[tok.kind](self.unary())
+        return self.primary()
+
+    def primary(self) -> Formula:
+        tok = self.peek()
+        if tok.kind == "ident":
+            self.advance()
+            if tok.text == RESERVED_ATOM:
+                self.saw_q0_at = tok.offset
+                self.guard_reserved()
+            if tok.text in RESERVED_ATOMS:
+                raise ReservedAtomError(
+                    f"atom '{tok.text}' is reserved for a signature constant "
+                    "of the embedding", tok.offset)
+            return Atom(tok.text)
+        if tok.kind in ("T", "F"):
+            self.advance()
+            self.saw_tf_at = tok.offset
+            self.guard_reserved()
+            return _true() if tok.kind == "T" else _false()
+        if tok.kind == "O":
+            self.advance()
+            self.expect("(")
+            consequent = self.iff()
+            self.expect("/")
+            antecedent = self.iff()
+            self.expect(")")
+            return ObDyadic(antecedent, consequent)
+        if tok.kind == "(":
+            self.advance()
+            f = self.iff()
+            self.expect(")")
+            return f
+        raise ParseError(f"unexpected {tok.text!r}" if tok.text else
+                         "unexpected end of input", tok.offset, _PRIMARY_STARTERS)
+
+
+def oracle_parse(text: str) -> Formula:
+    """The earlier `parse`: one method per binary level."""
+    if not text.strip():
+        raise ParseError("empty input", 0, _PRIMARY_STARTERS)
+    p = _Parser(text)
+    f = p.iff()
+    eof = p.peek()
+    if eof.kind != "eof":
+        raise ParseError(f"unexpected trailing {eof.text!r}", eof.offset)
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import inspect
 import random
 import time
 
@@ -150,6 +151,18 @@ def test_missing_atom_defaults_to_empty_with_warning():
     m = mk_model(1, av=[[0]], pv=[[0]], ob=[], val={})
     with pytest.warns(MissingAtomWarning):
         assert truth_set(m, parse("fresh_atom")) == 0
+
+
+@pytest.mark.parametrize("text", ["x", "~x", "~~~x"])
+def test_missing_atom_warning_names_the_calling_line(text):
+    m = mk_model(1, av=[[0]], pv=[[0]], ob=[], val={})
+    f = parse(f"{text} | {text} & p")
+    with pytest.warns(MissingAtomWarning) as record:
+        line = inspect.currentframe().f_lineno + 1
+        truth_set(m, f)
+    # one warning per missing name, wherever the atom sits
+    assert [str(w.message).split()[1] for w in record] == ["'x'", "'p'"]
+    assert {(w.filename, w.lineno) for w in record} == {(__file__, line)}
 
 
 def test_reserved_atom_defaults_silently():

@@ -136,6 +136,18 @@ def test_model_above_world_cap_is_a_one_line_error(tmp_path, capsys, command):
     assert len(err) == 1 and err[0].startswith("error: worlds:")
 
 
+@pytest.mark.parametrize("command", ["validate-model", "check"])
+def test_too_deeply_nested_model_json_is_a_model_error(tmp_path, capsys,
+                                                       command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    argv = ([command, str(deep)] if command == "validate-model"
+            else [command, "--model", str(deep), "--formula", "p"])
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: not valid JSON: nested too deeply"]
+
+
 @pytest.mark.parametrize("argv", [
     ["valid", "--formula", "av | p"],
     ["embed", "--formula", "av", "--thf", "-"],
@@ -237,3 +249,13 @@ def test_valid_answers_at_depth_494(formula, code, out):
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+
+
+def test_valid_answers_inside_250_parentheses():
+    # each parenthesis level costs the parser two stack frames
+    env = {**os.environ, "PYTHONPATH": str(Path(ddlkit.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "ddlkit.cli", "valid",
+                           "--formula", "(" * 250 + "p" + ")" * 250],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (3, "")

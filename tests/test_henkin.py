@@ -6,14 +6,14 @@ from ddlkit.checker import eval_formula, valid_in_model
 from ddlkit.henkin import (FALSE, TRUE, AxiomCheckError, DomainBudgetError,
                            HenkinModel, Mismatch, build_henkin, check_axioms,
                            check_faithfulness, domain_size, enumerate_domain,
-                           eval_term, extract_model, frame_condition_failures)
+                           eval_term, extract_model)
 from ddlkit.hol import (I, NOT, OR, TAU, Abs, App, Arrow, Bound, Free, O,
                         atom_const, embed, eq_const, equals, exists,
                         false_term, forall, land, leibniz_eq, liff, limp, lor,
                         neg, pi_const, true_term, vld)
 from ddlkit.model import random_model, validate
 from ddlkit.syntax import parse, pretty, random_formula
-from helpers import mk_model
+from helpers import interpreted_frame_failures, mk_model
 
 MINIMAL = mk_model(1, av=[[0]], pv=[[0]], ob=[], val={"p": [0]})
 
@@ -64,7 +64,7 @@ def test_axioms_hold_on_built_interpretations():
 
 def test_frame_conditions_hold_on_built_interpretations():
     for m in random_models(20):
-        assert frame_condition_failures(build_henkin(m)) == []
+        assert interpreted_frame_failures(build_henkin(m)) == []
 
 
 def test_per_world_agreement_with_direct_semantics():
@@ -97,7 +97,7 @@ def test_extract_rejects_av_violation():
     with pytest.raises(AxiomCheckError) as e:
         extract_model(broken, ["p"])
     assert e.value.axiom == "AV"
-    assert "av" in frame_condition_failures(broken)
+    assert "av" in interpreted_frame_failures(broken)
 
 
 def test_extract_validates_result():

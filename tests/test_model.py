@@ -9,8 +9,8 @@ from ddlkit.model import (MAX_WORLDS, CJModel, InvalidModelError,
                           close_ob, enumerate_models, full_mask, ideal_ob,
                           load_model, model_json, ob_member, random_model,
                           save_model, subsets, validate)
-from helpers import (all_candidate_ob_tables, brute_force_ob_ok, mk_model,
-                     repair_ob)
+from helpers import (all_candidate_ob_tables, brute_force_ob_failures,
+                     mk_model, repair_ob, table_member)
 
 MINIMAL = mk_model(1, av=[[0]], pv=[[0]], ob=[], val={})
 
@@ -169,6 +169,11 @@ def test_load_warns_on_member_outside_context():
     assert m.ob == {}
 
 
+def test_load_rejects_too_deeply_nested_json():
+    with pytest.raises(ModelFormatError, match="nested too deeply"):
+        load_model('{"worlds": 1, "av": ' + "[" * 100_000)
+
+
 def test_load_format_errors_name_the_path():
     with pytest.raises(ModelFormatError):
         load_model(b"{not json")
@@ -286,7 +291,8 @@ def test_validate_agrees_with_brute_force_on_candidates():
         for table in all_candidate_ob_tables(n):
             m = CJModel(n, tuple(1 << s for s in range(n)),
                         tuple(1 << s for s in range(n)), table, {})
-            assert validate(m).ok == brute_force_ob_ok(dict(table), n), table
+            assert validate(m).ok == (
+                not brute_force_ob_failures(table_member(table), n)), table
 
 
 def test_close_ob_matches_repair_oracle():
@@ -317,7 +323,8 @@ def test_close_ob_matches_repair_oracle():
 def test_valid_ob_tables_match_filtered_candidates():
     for n in (1, 2):
         assert _valid_ob_tables(n) == [
-            t for t in all_candidate_ob_tables(n) if brute_force_ob_ok(t, n)]
+            t for t in all_candidate_ob_tables(n)
+            if not brute_force_ob_failures(table_member(t), n)]
 
 
 def test_valid_ob_table_count_order_and_validity():
@@ -333,4 +340,4 @@ def test_valid_ob_table_count_order_and_validity():
         for table in tables:
             assert next(_ob_violations(table, n), None) is None
             if n == 3:
-                assert brute_force_ob_ok(table, n)
+                assert brute_force_ob_failures(table_member(table), n) == []

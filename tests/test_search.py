@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -10,7 +11,7 @@ from ddlkit.hol import embed, vld
 from ddlkit.model import (DENSITIES, _ob_violations, _valid_ob_tables,
                           enumerate_models, full_mask, ideal_ob, mask_of,
                           model_json, random_model, validate, world_list)
-from ddlkit.search import (CounterModel, NoCounterexampleUpTo,
+from ddlkit.search import (CounterModel, NoCounterexampleUpTo, _sampled,
                            find_countermodel, verdict)
 from ddlkit.syntax import atoms, parse, random_formula
 from helpers import drop_world_oracle, sampled_search_oracle
@@ -211,6 +212,21 @@ def test_no_world_drop_of_a_four_world_hit_falsifies_the_formula():
             for k in range(4):
                 smaller = drop_world_oracle(m, k)
                 assert smaller is None or truth_set(smaller, f) == 7, text
+
+
+def test_four_world_draws_are_swept_once():
+    # only the table varies: 17 candidates, however many draws
+    drawn = list(_sampled(4, False, False, True, 1000, 0))
+    assert len(drawn) == len(set(drawn)) <= 17
+    # the answers of sweeping every draw, repeats included, before
+    # repeats were skipped
+    digest = hashlib.sha256()
+    for text in NEEDS_FOUR:
+        for seed in range(4):
+            m, s = find_countermodel(parse(text), 4, 1000, seed)
+            digest.update(f"{model_json(m)} {s}\n".encode())
+    assert digest.hexdigest() == ("0f0a98acd7392de8bdea11e1677fd461"
+                                  "762d25c42d0f2b117a8979e2f7af56df")
 
 
 # (av, pv, ob varied) -> (canonical frames, frame-table pairs) at n = 1, 2, 3
