@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage/parse/IO errors and internal errors, 2
 model-condition violations or faithfulness mismatches, 3 countermodel
-found.  Randomized subcommands are reproducible from --seed.
+found.  Randomized subcommands are reproducible from --seed.  Each
+warning a command raises is one `warning:` line on stderr.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .checker import eval_formula, truth_set
@@ -95,9 +97,7 @@ def _cmd_valid(args) -> int:
     f = parse(args.formula)
     v = verdict(f, args.max_worlds, args.samples, args.seed)
     if isinstance(v, CounterModel):
-        print(json.dumps({"world": v.world,
-                          "model": json.loads(model_json(v.model))},
-                         separators=(",", ":")))
+        print(f'{{"world":{v.world},"model":{model_json(v.model)}}}')
         return 3
     print(f"no counterexample up to {v.n_max} worlds")
     return 0
@@ -143,21 +143,25 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else 1
-    try:
-        return _COMMANDS[args.command](args)
-    except InvalidModelError as e:
-        print(e, file=sys.stderr)
-        return 2
-    except (ParseError, ModelError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except RecursionError:
-        print("error: formula nested too deeply", file=sys.stderr)
-        return 1
-    except Exception as e:  # a defect: one line, not a traceback
-        detail = " ".join(f"{type(e).__name__}: {e}".split())
-        print(f"error: internal: {detail}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        try:
+            return _COMMANDS[args.command](args)
+        except InvalidModelError as e:
+            print(e, file=sys.stderr)
+            return 2
+        except (ParseError, ModelError, OSError, ValueError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
+        except RecursionError:
+            print("error: formula nested too deeply", file=sys.stderr)
+            return 1
+        except Exception as e:  # a defect: one line, not a traceback
+            detail = " ".join(f"{type(e).__name__}: {e}".split())
+            print(f"error: internal: {detail}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -376,13 +376,9 @@ def check_faithfulness(n_max: int = 2, samples: int = 1000,
         s = rng.randrange(n)
         h = build_henkin(m)
         t = embed(f)
-        direct = eval_formula(m, s, f)
-        embedded = _eval_at_world(h, t, s)
-        if direct != embedded:
+        if eval_formula(m, s, f) != _eval_at_world(h, t, s):
             mismatches.append(Mismatch(m, s, f, "world"))
-        direct_valid = valid_in_model(m, f)
-        embedded_valid = eval_term(h, vld(t)) == TRUE
-        if direct_valid != embedded_valid:
+        if valid_in_model(m, f) != (eval_term(h, vld(t)) == TRUE):
             mismatches.append(Mismatch(m, None, f, "validity"))
     return FaithfulnessReport(samples, tuple(mismatches))
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .syntax import (Atom, Box, BoxA, BoxP, Formula, Not, ObA, ObDyadic, ObP,
-                     Or)
+                     Or, children)
 
 
 class HolTypeError(Exception):
@@ -301,6 +301,12 @@ OBP_TAU = Abs(TAU, Abs(I, land(
                    neg(App(Bound(2), Bound(0)))), "Y")), "X"), "A")
 
 
+# each connective's definitional term, applied to its children's
+# embeddings in the order of `children`
+_DEFINITIONS = {Not: NOT_TAU, Or: OR_TAU, Box: BOX_TAU, BoxA: BOXA_TAU,
+                BoxP: BOXP_TAU, ObDyadic: OB_TAU, ObA: OBA_TAU, ObP: OBP_TAU}
+
+
 def embed(f: Formula) -> HolTerm:
     """Translate a formula to a world predicate of type tau.
 
@@ -311,23 +317,11 @@ def embed(f: Formula) -> HolTerm:
     """
     if isinstance(f, Atom):
         return atom_const(f.name)
-    if isinstance(f, Not):
-        return App(NOT_TAU, embed(f.sub))
-    if isinstance(f, Or):
-        return App(App(OR_TAU, embed(f.left)), embed(f.right))
-    if isinstance(f, Box):
-        return App(BOX_TAU, embed(f.sub))
-    if isinstance(f, BoxA):
-        return App(BOXA_TAU, embed(f.sub))
-    if isinstance(f, BoxP):
-        return App(BOXP_TAU, embed(f.sub))
-    if isinstance(f, ObDyadic):
-        return App(App(OB_TAU, embed(f.antecedent)), embed(f.consequent))
-    if isinstance(f, ObA):
-        return App(OBA_TAU, embed(f.sub))
-    if isinstance(f, ObP):
-        return App(OBP_TAU, embed(f.sub))
-    raise TypeError(f"not a formula: {f!r}")
+    kids = children(f)  # a TypeError for a non-formula
+    term = _DEFINITIONS[type(f)]
+    for c in kids:
+        term = App(term, embed(c))
+    return term
 
 
 VLD = Abs(TAU, forall(I, App(Bound(1), Bound(0)), "S"), "A")

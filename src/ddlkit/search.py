@@ -43,7 +43,7 @@ from .checker import truth_set
 from .model import (CJModel, frame_choices, full_mask, ideal_ob, mask_of,
                     validate, world_list)
 from .syntax import (Atom, Box, BoxA, BoxP, Formula, Not, ObA, ObDyadic, ObP,
-                     Or, atoms, children)
+                     Or, atoms, children, postorder)
 
 # Bound on n_max times the number of atoms: a model on n worlds has
 # 2**(n*k) valuations, one bit each.  The theorem ([p]x -> [a]x) | Op x,
@@ -130,31 +130,19 @@ _CODES = {Not: _NOT, Or: _OR, Box: _BOX, BoxA: _BOXA, BoxP: _BOXP,
 
 
 def _compile(f: Formula, names: list[str]):
-    """Post-order operations (code, x, y), one per distinct subformula,
-    and which of av, pv and ob the formula mentions.
+    """Post-order operations (code, x, y), one per distinct subformula
+    (`postorder`), and which of av, pv and ob the formula mentions.
 
     x and y index earlier operations (x is the context of O(y/x)); an
-    atom's x is its index in `names`.  Subformulas are keyed by identity,
-    as in `truth_set`, and the walk uses an explicit stack, so nesting
-    adds no recursion depth.
+    atom's x is its index in `names`.
     """
     index: dict[int, int] = {}
     ops: list[tuple[int, int, int]] = []
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        if id(g) in index:
-            stack.pop()
-            continue
-        kids = children(g)
-        pending = [c for c in kids if id(c) not in index]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
+    for g in postorder(f):
         if isinstance(g, Atom):
             op = (_ATOM, names.index(g.name), 0)
         else:
+            kids = children(g)
             op = (_CODES[type(g)], index[id(kids[0])], index[id(kids[-1])])
         index[id(g)] = len(ops)
         ops.append(op)

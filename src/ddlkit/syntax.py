@@ -332,17 +332,30 @@ def children(g: Formula) -> tuple[Formula, ...]:
     raise TypeError(f"not a formula: {g!r}")
 
 
+def postorder(f: Formula) -> list[Formula]:
+    """The distinct subformulas of f, told apart by identity, each after
+    its children, leftmost child first.
+
+    The parser shares the operands it repeats when desugaring: d nested
+    `<->` make 9d+1 nodes but about 2**d paths.  The explicit stack
+    keeps nesting from adding recursion depth.
+    """
+    seen, out, stack = set(), [], [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if expanded:
+            out.append(g)
+        elif id(g) not in seen:
+            seen.add(id(g))
+            stack.append((g, True))
+            for c in reversed(children(g)):
+                stack.append((c, False))
+    return out
+
+
 def atoms(f: Formula) -> set[str]:
     """The set of atom names occurring in the formula."""
-    out: set[str] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Atom):
-            out.add(g.name)
-        else:
-            stack.extend(children(g))
-    return out
+    return {g.name for g in postorder(f) if isinstance(g, Atom)}
 
 
 # in the order of the draw, which seeded callers depend on

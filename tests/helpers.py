@@ -6,14 +6,15 @@ renaming, the ob-condition oracle quantifies over every proposition
 triple and every member family, straight from the definitions, for any
 membership predicate (a table or an interpreted `ob`), and the
 ob-closure oracle grows a table rule by rule to a fixpoint.  The parser,
-normalization and search oracles are the package's earlier
+formula walk, normalization and search oracles are the package's earlier
 implementations: a scanner with a branch per token start and a
-recursive-descent parser with a method per binary level, substitution
-on de Bruijn terms (two strategies), and
-a countermodel search that evaluates every model of up to two worlds
-and random models beyond, shrinking a sampled hit by dropping worlds;
-its world drop squeezes every ob trace rather than relying on the
-closed form of ob tables.
+recursive-descent parser with a method per binary level, an `atoms`
+that follows every path and an `embed` with a branch per constructor,
+substitution on de Bruijn terms (two strategies), and a countermodel
+search that evaluates every model of up to two worlds and random
+models beyond, shrinking a sampled hit by dropping worlds; its world
+drop squeezes every ob trace rather than relying on the closed form of
+ob tables.
 """
 
 from __future__ import annotations
@@ -26,17 +27,20 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from ddlkit import hol
-from ddlkit.hol import (AV, I, NOT, OB, OR, PV, TAU, Abs, App, Arrow, Bound,
-                        Const, Free, HolTerm, HolType, O, _subst, atom_const,
-                        eq_const, pi_const, shift, uses_bound)
+from ddlkit.hol import (AV, BOX_TAU, BOXA_TAU, BOXP_TAU, I, NOT, NOT_TAU, OB,
+                        OB_TAU, OBA_TAU, OBP_TAU, OR, OR_TAU, PV, TAU, Abs,
+                        App, Arrow, Bound, Const, Free, HolTerm, HolType, O,
+                        _subst, atom_const, eq_const, pi_const, shift,
+                        uses_bound)
 from ddlkit.checker import truth_set
 from ddlkit.model import (DENSITIES, CJModel, enumerate_models, full_mask,
                           mask_of, random_model, subsets)
 from ddlkit.search import _certify
 from ddlkit.syntax import (_IDENT_RE, _KEYWORDS, _PREFIX, _PRIMARY_STARTERS,
-                           RESERVED_ATOM, RESERVED_ATOMS, Atom, Formula,
-                           ObDyadic, Or, ParseError, ReservedAtomError, _and,
-                           _false, _iff, _imp, _true, atoms)
+                           RESERVED_ATOM, RESERVED_ATOMS, Atom, Box, BoxA,
+                           BoxP, Formula, Not, ObA, ObDyadic, ObP, Or,
+                           ParseError, ReservedAtomError, _and, _false, _iff,
+                           _imp, _true, atoms, children)
 
 # ---------------------------------------------------------------------------
 # named-variable lambda oracle
@@ -595,6 +599,54 @@ def oracle_parse(text: str) -> Formula:
     if eof.kind != "eof":
         raise ParseError(f"unexpected trailing {eof.text!r}", eof.offset)
     return f
+
+
+# ---------------------------------------------------------------------------
+# formula walk oracles: the earlier `atoms`, which follows every path, and
+# the earlier `embed`, one branch per constructor
+
+
+def oracle_atoms(f: Formula) -> set[str]:
+    """The set of atom names occurring in the formula."""
+    out: set[str] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Atom):
+            out.add(g.name)
+        else:
+            stack.extend(children(g))
+    return out
+
+
+def oracle_embed(f: Formula) -> HolTerm:
+    """Translate a formula to a world predicate of type tau.
+
+    The output mentions only signature constants, lambda, and
+    application; the connective definitions above are substituted
+    unreduced (normalize afterwards if a normal form is wanted).  The
+    dyadic obligation applies its definition to the antecedent first.
+    """
+    if isinstance(f, Atom):
+        return atom_const(f.name)
+    if isinstance(f, Not):
+        return App(NOT_TAU, oracle_embed(f.sub))
+    if isinstance(f, Or):
+        return App(App(OR_TAU, oracle_embed(f.left)), oracle_embed(f.right))
+    if isinstance(f, Box):
+        return App(BOX_TAU, oracle_embed(f.sub))
+    if isinstance(f, BoxA):
+        return App(BOXA_TAU, oracle_embed(f.sub))
+    if isinstance(f, BoxP):
+        return App(BOXP_TAU, oracle_embed(f.sub))
+    if isinstance(f, ObDyadic):
+        return App(App(OB_TAU, oracle_embed(f.antecedent)),
+                   oracle_embed(f.consequent))
+    if isinstance(f, ObA):
+        return App(OBA_TAU, oracle_embed(f.sub))
+    if isinstance(f, ObP):
+        return App(OBP_TAU, oracle_embed(f.sub))
+    raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------

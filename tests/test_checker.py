@@ -157,12 +157,16 @@ def test_missing_atom_defaults_to_empty_with_warning():
 def test_missing_atom_warning_names_the_calling_line(text):
     m = mk_model(1, av=[[0]], pv=[[0]], ob=[], val={})
     f = parse(f"{text} | {text} & p")
-    with pytest.warns(MissingAtomWarning) as record:
-        line = inspect.currentframe().f_lineno + 1
-        truth_set(m, f)
-    # one warning per missing name, wherever the atom sits
-    assert [str(w.message).split()[1] for w in record] == ["'x'", "'p'"]
-    assert {(w.filename, w.lineno) for w in record} == {(__file__, line)}
+    for entry, args in ((truth_set, (m, f)), (eval_formula, (m, 0, f)),
+                        (valid_in_model, (m, f))):
+        with pytest.warns(MissingAtomWarning) as record:
+            line = inspect.currentframe().f_lineno + 1
+            entry(*args)
+        # one warning per missing name, wherever the atom sits
+        assert [str(w.message).split()[1] for w in record] \
+            == ["'x'", "'p'"], entry.__name__
+        assert {(w.filename, w.lineno) for w in record} \
+            == {(__file__, line)}, entry.__name__
 
 
 def test_reserved_atom_defaults_silently():

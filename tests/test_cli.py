@@ -19,6 +19,14 @@ VALID_MODEL = mk_model(2, av=[[1], [1]], pv=[[0, 1], [1]], ob=[],
                        val={"p": [1]})
 
 
+def _cli_process(*argv, timeout=120):
+    """Run the CLI in a new process, as a user would."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ddlkit.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "ddlkit.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
 def write_model(tmp_path, m, name="model.json"):
     path = tmp_path / name
     path.write_bytes(save_model(m))
@@ -37,6 +45,30 @@ def test_check_single_world(tmp_path, capsys):
     assert main(["check", "--model", path, "--formula", "p", "--world",
                  "1"]) == 0
     assert capsys.readouterr().out.strip() == "true"
+
+
+EXAMPLE_MODEL = str(Path(__file__).parents[1] / "docs" / "example-model.json")
+
+
+@pytest.mark.parametrize("world,out", [([], '{"0":true,"1":true}\n'),
+                                       (["--world", "0"], "true\n")],
+                         ids=["all", "world"])
+def test_check_prints_a_warning_as_one_line(capsys, world, out):
+    assert main(["check", "--model", EXAMPLE_MODEL, "--formula",
+                 "~~~x | x", *world]) == 0
+    assert capsys.readouterr() == (out, "warning: atom 'x' has no "
+                                   "valuation, defaulting to the empty set\n")
+
+
+def test_model_warning_is_one_line(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"worlds": 1, "av": [[0]], "pv": [[0]],
+                                "ob": [{"context": [0], "members": [[], [0]]}],
+                                "val": {"p": [0]}}))
+    assert main(["validate-model", str(path)]) == 0
+    assert capsys.readouterr() == ("valid\n", "warning: empty trace dropped: "
+                                   "member {} of ob({0}) does not meet its "
+                                   "context\n")
 
 
 def test_validate_model_ok(tmp_path, capsys):
@@ -79,6 +111,20 @@ def test_valid_countermodel_json(capsys):
     out = json.loads(capsys.readouterr().out)
     assert set(out) == {"world", "model"}
     assert out["model"]["worlds"] <= 2
+
+
+def test_valid_countermodel_line_is_pinned(capsys):
+    assert main(["valid", "--formula", "Oa p -> Op p"]) == 3
+    assert capsys.readouterr().out == (
+        '{"world":2,"model":{"worlds":3,"av":[[0],[1],[0,1]],'
+        '"pv":[[0],[1],[0,1,2]],"ob":[{"context":[0],"members":[[0]]},'
+        '{"context":[1],"members":[[1]]},'
+        '{"context":[0,1],"members":[[0],[1],[0,1]]},'
+        '{"context":[2],"members":[[2]]},'
+        '{"context":[0,2],"members":[[2],[0,2]]},'
+        '{"context":[1,2],"members":[[2],[1,2]]},'
+        '{"context":[0,1,2],"members":[[2],[0,2],[1,2],[0,1,2]]}],'
+        '"val":{"p":[0]}}}\n')
 
 
 def test_valid_reproducible(capsys):
@@ -197,10 +243,7 @@ def test_help_exits_zero(capsys):
     ["embed", "--thf", "-", "--formula", "~" * 600 + "p"],
 ], ids=["valid", "embed-thf"])
 def test_deep_nesting_is_a_one_line_error(argv):
-    env = {**os.environ, "PYTHONPATH": str(Path(ddlkit.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "ddlkit.cli", *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=120)
+    proc = _cli_process(*argv)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["error: formula nested too deeply"]
 
@@ -243,19 +286,27 @@ def test_unexpected_exception_is_a_one_line_internal_error(monkeypatch,
      '"val":{"p":[]}}}\n'),
 ], ids=["negations", "actual-boxes"])
 def test_valid_answers_at_depth_494(formula, code, out):
-    env = {**os.environ, "PYTHONPATH": str(Path(ddlkit.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "ddlkit.cli", "valid",
-                           "--formula", formula],
-                          capture_output=True, text=True, env=env,
-                          timeout=120)
+    proc = _cli_process("valid", "--formula", formula)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
 
 
 def test_valid_answers_inside_250_parentheses():
     # each parenthesis level costs the parser two stack frames
-    env = {**os.environ, "PYTHONPATH": str(Path(ddlkit.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "ddlkit.cli", "valid",
-                           "--formula", "(" * 250 + "p" + ")" * 250],
-                          capture_output=True, text=True, env=env,
-                          timeout=120)
+    proc = _cli_process("valid", "--formula", "(" * 250 + "p" + ")" * 250)
     assert (proc.returncode, proc.stderr) == (3, "")
+
+
+@pytest.mark.parametrize("d,code,out", [
+    (40, 3, '{"world":0,"model":{"worlds":1,"av":[[0]],"pv":[[0]],"ob":[],'
+            '"val":{"p":[]}}}\n'),
+    (41, 0, "no counterexample up to 3 worlds\n"),
+], ids=["refuted-40", "valid-41"])
+def test_valid_answers_on_a_long_iff_chain(d, code, out):
+    # the parser shares the operands of each `<->`: 9d+1 nodes but about
+    # 2**d paths, and every walk of `valid` visits each node once
+    start = time.perf_counter()
+    proc = _cli_process("valid", "--formula", "p <-> (" * d + "p" + ")" * d,
+                        timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+    assert elapsed < 2.0

@@ -5,11 +5,13 @@ exception, and an error is one line on stderr."""
 import contextlib
 import io
 import json
+import warnings
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402,E501
+from hypothesis import (HealthCheck, example, given,  # noqa: E402
+                        settings, strategies as st)
 
 from ddlkit.cli import main  # noqa: E402
 from ddlkit.model import model_json, random_model  # noqa: E402
@@ -41,8 +43,10 @@ COMMANDS = [["valid", "--samples", "3"], ["embed"], ["embed", "--thf", "-"]]
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as escaped:
         code = main(argv)
+    assert escaped == [], argv  # the CLI prints each warning itself
     return code, err.getvalue().splitlines()
 
 
@@ -112,13 +116,13 @@ MODEL_TEXT = st.one_of(
                              + "[" * depth))
 
 
-# a dropped member or an atom without valuation is a warning on stderr,
-# which is what the CLI should print for such models
-@pytest.mark.filterwarnings("ignore::ddlkit.model.ModelWarning",
-                            "ignore::ddlkit.checker.MissingAtomWarning")
 @settings(derandomize=True, database=None, max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(MODEL_TEXT)
+# an empty trace to drop, and no valuation for q: two warnings
+@example(text='{"worlds": 1, "av": [[0]], "pv": [[0]], '
+              '"ob": [{"context": [0], "members": [[], [0]]}], '
+              '"val": {"p": [0]}}')
 def test_cli_handles_any_model_json(tmp_path, text):
     path = tmp_path / "model.json"
     path.write_text(text, encoding="utf-8")
@@ -126,6 +130,14 @@ def test_cli_handles_any_model_json(tmp_path, text):
                  ["check", "--model", str(path), "--formula", "Oa p | [p]q"]):
         code, err = _run(argv)
         assert code in (0, 1, 2), (argv[0], text)
+        # a dropped member or an atom without valuation is one `warning:`
+        # line; besides those, an error is one line and an invalid model
+        # given to `check` is its report
+        others = [line for line in err if not line.startswith("warning: ")]
         if code == 1:
-            assert len(err) == 1, (argv[0], text)
+            assert len(others) == 1, (argv[0], text)
+        elif code == 2 and argv[0] == "check":
+            assert others[0] == "invalid model:", (argv[0], text)
+        else:
+            assert others == [], (argv[0], text)
         assert not any("internal:" in line for line in err), (argv[0], text)

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from ddlkit import henkin
 from ddlkit.checker import eval_formula, valid_in_model
+from ddlkit.cli import main
 from ddlkit.henkin import (FALSE, TRUE, AxiomCheckError, DomainBudgetError,
                            HenkinModel, Mismatch, build_henkin, check_axioms,
                            check_faithfulness, domain_size, enumerate_domain,
@@ -187,6 +189,17 @@ def test_unapplied_logical_constants_match_applied_clauses():
             pi_table
 
 
+def test_application_reads_a_digit_in_a_base_that_is_no_power_of_two():
+    # at 3 worlds a function of type i>i is a 3-digit number in base 3
+    h = build_henkin(mk_model(3, av=[[0], [1], [2]], pv=[[0, 1, 2]] * 3,
+                              ob=[], val={}))
+    f, x = Free("f", Arrow(I, I)), Free("x", I)
+    for vf in range(27):
+        for vx in range(3):
+            assert eval_term(h, App(f, x), {"f": vf, "x": vx}) \
+                == vf // 3 ** vx % 3
+
+
 def test_connective_clauses_on_random_values():
     rng = random.Random(44)
     a, b = Free("a", O), Free("b", O)
@@ -224,6 +237,34 @@ def test_check_faithfulness_clean_and_deterministic():
     assert rep.render() == check_faithfulness(n_max=2, samples=60,
                                               seed=9).render()
     assert rep.render().endswith("OK samples=60")
+
+
+@pytest.fixture
+def negated_direct_route(monkeypatch):
+    # the direct route answers wrongly, at every world and model-wide
+    monkeypatch.setattr(henkin, "eval_formula",
+                        lambda m, s, f: not eval_formula(m, s, f))
+    monkeypatch.setattr(henkin, "valid_in_model",
+                        lambda m, f: not valid_in_model(m, f))
+
+
+def test_check_faithfulness_reports_both_kinds_of_mismatch(
+        negated_direct_route):
+    rep = check_faithfulness(n_max=2, samples=5, seed=0)
+    assert not rep.ok
+    assert [mm.kind for mm in rep.mismatches] == ["world", "validity"] * 5
+    lines = rep.render().splitlines()
+    assert all(line.startswith("MISMATCH model={") for line in lines[:-1])
+    assert lines[-1] == "FAIL samples=5 mismatches=10"
+
+
+def test_faithfulness_command_fails_on_a_mismatch(negated_direct_route,
+                                                   capsys):
+    assert main(["faithfulness", "--samples", "5"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11
+    assert all(line.startswith("MISMATCH ") for line in lines[:-1])
+    assert lines[-1] == "FAIL samples=5 mismatches=10"
 
 
 def test_check_faithfulness_bounds():

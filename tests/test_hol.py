@@ -7,10 +7,11 @@ from ddlkit.hol import (AV, LOGICAL_NAMES, NOT, OB, PI_NAME, PV, TAU, Abs,
                         VLD, atom_const, axioms, beta_eta_normalize, embed,
                         leibniz_eq, lor, neg, pretty_term, substitute,
                         type_of, type_str, vld)
-from ddlkit.syntax import _IDENT_RE, RESERVED_ATOMS, parse, random_formula
+from ddlkit.syntax import (_IDENT_RE, RESERVED_ATOMS, Formula, parse,
+                           random_formula)
 from helpers import (beta_eta_normalize_innermost, from_named, nsubst,
-                     oracle_normalize, random_term, substitution_normalize,
-                     to_named)
+                     oracle_embed, oracle_normalize, random_term,
+                     substitution_normalize, to_named)
 
 W = Free("w", I)
 
@@ -122,6 +123,21 @@ def test_embed_types_and_signature():
         assert type_of(t) == TAU
         assert set(constants(t)) <= allowed
         assert type_of(vld(t)) == O
+
+
+def test_embed_matches_the_branching_oracle():
+    rng = random.Random(56)
+    for _ in range(2000):
+        f = random_formula(rng, 6)
+        t, expected = embed(f), oracle_embed(f)
+        assert t == expected
+        assert pretty_term(t) == pretty_term(expected)
+
+
+def test_embed_rejects_a_non_formula():
+    for junk in ("p", None, Formula()):
+        with pytest.raises(TypeError, match="not a formula"):
+            embed(junk)
 
 
 def test_vld_of_truth_constant():

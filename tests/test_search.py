@@ -13,7 +13,8 @@ from ddlkit.model import (DENSITIES, _ob_violations, _valid_ob_tables,
                           model_json, random_model, validate, world_list)
 from ddlkit.search import (CounterModel, NoCounterexampleUpTo, _sampled,
                            find_countermodel, verdict)
-from ddlkit.syntax import atoms, parse, random_formula
+from ddlkit.syntax import (Not, ObDyadic, Or, atoms, parse, postorder,
+                           random_formula)
 from helpers import drop_world_oracle, sampled_search_oracle
 
 VALID = ["[]p -> [p]p", "[p]p -> [a]p", "[p]p -> p", "~Oa(F)",
@@ -137,21 +138,35 @@ def _assert_lane_agrees(names, missed, m, f):
         == [1 - (ts >> w & 1) for w in range(m.n)], (f, model_json(m))
 
 
+def _assert_lanes_agree_up_to_two_worlds(f):
+    names = sorted(atoms(f))
+    ops, _ = search._compile(f, names)
+    for n in (1, 2):
+        swept = {}
+        for m in enumerate_models(n, names):
+            key = (m.av, m.pv, _ideal(m))
+            if key not in swept:
+                swept[key] = _missed(ops, names, m)
+            _assert_lane_agrees(names, swept[key], m, f)
+
+
 def test_lanes_match_truth_set_on_every_model_up_to_two_worlds():
     rng = random.Random(61)
     for _ in range(25):
         f = random_formula(rng, 5, ("p", "q"))
         while len(atoms(f)) < 2:
             f = random_formula(rng, 5, ("p", "q"))
-        names = sorted(atoms(f))
-        ops, _ = search._compile(f, names)
-        for n in (1, 2):
-            swept = {}
-            for m in enumerate_models(n, names):
-                key = (m.av, m.pv, _ideal(m))
-                if key not in swept:
-                    swept[key] = _missed(ops, names, m)
-                _assert_lane_agrees(names, swept[key], m, f)
+        _assert_lanes_agree_up_to_two_worlds(f)
+
+
+def test_lanes_match_truth_set_on_shared_subformulas():
+    # one operation per distinct node; every use of a shared node reads it
+    x = parse("Oa p | [p]q")
+    for f in (Or(x, x), ObDyadic(x, x), ObDyadic(Not(x), Or(x, Not(x))),
+              parse("p <-> (q <-> O(p/q))"), parse("<a>p -> <p>(q <-> p)")):
+        ops, _ = search._compile(f, sorted(atoms(f)))
+        assert len(ops) == len(postorder(f))
+        _assert_lanes_agree_up_to_two_worlds(f)
 
 
 def test_lanes_match_truth_set_on_random_models_at_three_and_four_worlds():

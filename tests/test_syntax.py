@@ -5,9 +5,9 @@ import pytest
 
 from ddlkit.syntax import (RESERVED_ATOMS, Atom, Box, BoxA, BoxP, Formula,
                            Not, ObA, ObDyadic, ObP, Or, ParseError,
-                           ReservedAtomError, atoms, parse, pretty,
-                           random_formula)
-from helpers import oracle_parse
+                           ReservedAtomError, atoms, children, parse,
+                           postorder, pretty, random_formula)
+from helpers import oracle_atoms, oracle_parse
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 TRUE = Or(Not(Atom("q0")), Atom("q0"))
@@ -204,3 +204,68 @@ def test_random_formula_draws_are_pinned():
                       + b"\n")
     assert digest.hexdigest() == ("a577c524a1df8c692fdc7ee2654b1537"
                                   "8c4616acd778cc210ec3d8645cd85af8")
+
+
+def iff_chain(d):
+    """d nested `p <-> (...)`: 9d+1 nodes, as the parser shares the
+    operands it repeats, but about 2**d paths."""
+    return "p <-> (" * d + "p" + ")" * d
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 40])
+def test_postorder_lists_each_node_of_a_shared_chain_once(d):
+    f = parse(iff_chain(d))
+    nodes = postorder(f)
+    assert len(nodes) == 9 * d + 1
+    assert len({id(g) for g in nodes}) == len(nodes)
+    assert atoms(f) == {"p"}
+
+
+def test_postorder_lists_a_shared_child_once():
+    x = Not(P)
+    for f in (Or(x, x), ObDyadic(x, x)):
+        assert [id(g) for g in postorder(f)] == [id(P), id(x), id(f)]
+
+
+def test_postorder_puts_children_first_leftmost_first():
+    left, right = Or(P, Q), Not(R)
+    f = ObDyadic(left, right)
+    assert [id(g) for g in postorder(f)] \
+        == [id(g) for g in (P, Q, left, R, right, f)]
+
+
+def _shared_formulas(rng, count):
+    # parsed grammar text: `->`, `<->`, `&` and the diamonds share nodes
+    out = []
+    while len(out) < count:
+        try:
+            out.append(parse(_grammar_text(rng, 4)))
+        except ParseError:
+            pass  # a reserved name
+    return out
+
+
+def test_postorder_visits_every_node_once_after_its_children():
+    for f in _shared_formulas(random.Random(8), 500):
+        nodes = postorder(f)
+        place = {id(g): i for i, g in enumerate(nodes)}
+        assert len(place) == len(nodes) and nodes[-1] is f
+        for i, g in enumerate(nodes):
+            assert all(place[id(c)] < i for c in children(g))
+
+
+def test_postorder_adds_no_recursion_depth():
+    f = P
+    for _ in range(20000):
+        f = BoxA(f)
+    assert len(postorder(f)) == 20001
+    assert atoms(f) == {"p"}
+
+
+def test_atoms_match_the_path_walking_oracle():
+    rng = random.Random(9)
+    names = ("p", "q", "r", "s", "t")
+    formulas = [random_formula(rng, 6, rng.sample(names, rng.randint(1, 5)))
+                for _ in range(2000)]
+    for f in formulas + _shared_formulas(rng, 500):
+        assert atoms(f) == oracle_atoms(f)
