@@ -13,6 +13,13 @@ and a world predicate (type i>o) is the bitmask of the worlds where it
 holds.  Application reads one digit, and abstraction writes the digits
 of its body.
 
+`eval_term` compiles a term once per call into closures over a binder
+stack.  Each compiled node carries the mask of the binder levels it
+reads, so a quantifier or abstraction that ignores some enclosing
+binders is cached per values of the ones it reads, for that call only.
+The domain of each binder is fixed at compile time; one that is over
+the budget raises DomainBudgetError only if the binder runs.
+
 `build_henkin` turns a valid finite model into such an interpretation
 (characteristic-function tables for each atom, av, pv, and ob), and
 `extract_model` inverts it for any interpretation satisfying the eight
@@ -24,6 +31,8 @@ always agree.
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -31,7 +40,7 @@ from typing import Callable, Iterable, Mapping
 from .checker import eval_formula, valid_in_model
 from .hol import (EQ_NAME, I, LOGICAL_NAMES, NOT_NAME, OR_NAME, PI_NAME, TAU,
                   Abs, App, Arrow, Bound, Const, Free, HolTerm, HolType,
-                  O as O_TYPE, axioms, embed, type_str, vld)
+                  O as O_TYPE, axioms, embed, match_and, type_str, vld)
 from .model import (DENSITIES, CJModel, canonicalize, model_json, ob_member,
                     random_model, validate)
 from .syntax import RESERVED_ATOMS, Formula, pretty, random_formula
@@ -65,9 +74,11 @@ class ExtractionError(EvalError):
 def domain_size(n: int, ty: HolType) -> int:
     if isinstance(ty, Arrow):
         return domain_size(n, ty.res) ** domain_size(n, ty.arg)
-    if ty == O_TYPE:
+    # identity first: the compiler asks for sizes at every node, and a
+    # dataclass comparison is a Python call
+    if ty is O_TYPE or ty == O_TYPE:
         return 2
-    if ty == I:
+    if ty is I or ty == I:
         return n
     raise EvalError(f"type {ty!r} has no finite domain")
 
@@ -103,6 +114,10 @@ Code = Callable[[list], int]
 
 _ARITY = {NOT_NAME: 1, OR_NAME: 2, EQ_NAME: 2, PI_NAME: 1}
 
+# code reading binder levels: one level's value, or a tuple of several;
+# shared by every node that reads the same levels
+_read = functools.lru_cache(maxsize=1024)(operator.itemgetter)
+
 
 def eval_term(h: HenkinModel, t: HolTerm,
               free: Mapping[str, int] | None = None) -> int:
@@ -110,25 +125,35 @@ def eval_term(h: HenkinModel, t: HolTerm,
     via the assignment, application by reading a digit, abstraction by
     tabulating the body over the argument domain.
 
-    The term is first compiled once, so types and radices are worked
-    out per node rather than per application.  Quantifiers and the
-    boolean connectives are applied without materializing their tables,
-    enumerating lazily with early exit; the resulting value is the same,
-    only cheaper.
+    The term is first compiled once, so types, radices and the domain
+    of each quantifier and abstraction are worked out per node rather
+    than per step.  Quantifiers and the boolean connectives are applied
+    without materializing their tables, enumerating lazily with early
+    exit; a conjunction and an implication ¬a ∨ b are one clause each,
+    and a digit read from a constant or at a bound variable reads it
+    directly.  A domain over the budget raises DomainBudgetError only
+    when a binder over it runs, so a short-circuited one never does.
+
+    Each compiled node knows which binder levels it reads.  A quantifier
+    or abstraction under binders it does not all read keeps its values
+    per values of the levels it does read, for this call only: in OB3,
+    ∃Z. B Z depends on B alone and is computed once per B, not once per
+    B and X.  The resulting value is the same, only cheaper.
     """
-    code, _ = _compile(h, t, (), free or {})
+    code, _, _ = _compile(h, t, (), free or {})
     return code([])
 
 
 def _compile(h: HenkinModel, t: HolTerm, binders: tuple[HolType, ...],
-             free: Mapping[str, int]) -> tuple[Code, HolType]:
+             free: Mapping[str, int]) -> tuple[Code, HolType, int]:
     """Code computing `t` under binders of the given types (innermost
-    first), together with the type of `t`."""
+    first), the type of `t`, and the mask of the binder levels the code
+    reads: bit l stands for env[l], the l-th binder from the outside."""
     if isinstance(t, Bound):
-        if t.index >= len(binders):
+        level = len(binders) - 1 - t.index
+        if level < 0:
             raise EvalError(f"dangling bound variable index {t.index}")
-        k = -1 - t.index
-        return (lambda env: env[k]), binders[t.index]
+        return _read(level), binders[t.index], 1 << level
     if isinstance(t, Free):
         if t.name not in free:
             raise EvalError(f"unassigned free variable {t.name}:"
@@ -137,17 +162,20 @@ def _compile(h: HenkinModel, t: HolTerm, binders: tuple[HolType, ...],
         if not 0 <= v < domain_size(h.n, t.ty):
             raise EvalError(f"value {v} of {t.name} is outside the domain "
                             f"of type {type_str(t.ty)}")
-        return (lambda env: v), t.ty
+        return (lambda env: v), t.ty, 0
     if isinstance(t, Const):
         if t.name in LOGICAL_NAMES:
             return _compile(h, _eta_expand(t), binders, free)
         if t.name not in h.interp:
             raise EvalError(f"constant {t.name} has no interpretation")
         v = h.interp[t.name]
-        return (lambda env: v), t.ty
+        return (lambda env: v), t.ty, 0
+    depth = len(binders)
     if isinstance(t, Abs):
-        body, res = _compile(h, t.body, (t.var_ty,) + binders, free)
-        return _tabulate(h.n, t.var_ty, body, res), Arrow(t.var_ty, res)
+        body, res, mask = _compile(h, t.body, (t.var_ty,) + binders, free)
+        mask &= (1 << depth) - 1
+        code = _cached(_tabulate(h.n, t.var_ty, body, res), mask, depth)
+        return code, Arrow(t.var_ty, res), mask
     # application: flatten the spine so logical heads can short-circuit
     head, args = t, []
     while isinstance(head, App):
@@ -156,60 +184,117 @@ def _compile(h: HenkinModel, t: HolTerm, binders: tuple[HolType, ...],
     args.reverse()
     if isinstance(head, Const) and head.name in LOGICAL_NAMES:
         if len(args) == _ARITY[head.name]:
-            return _compile_logical(h, head, args, binders, free), O_TYPE
+            code, mask = _compile_logical(h, t, head, args, binders, free)
+            return code, O_TYPE, mask
         head = _eta_expand(head)
     argcode = [_compile(h, a, binders, free) for a in args]
+    mask = 0
+    for _, _, arg_mask in argcode:
+        mask |= arg_mask
+    value = None
     if isinstance(head, Abs):
         # apply syntactic lambdas by extending the environment rather
         # than building their tables; arguments are evaluated in the
         # current environment first
         k = 0
+        inner = binders
         while isinstance(head, Abs) and k < len(args):
-            binders = (head.var_ty,) + binders
+            inner = (head.var_ty,) + inner
             head = head.body
             k += 1
-        body, ty = _compile(h, head, binders, free)
-        pushed = [a for a, _ in argcode[:k]]
-        argcode = argcode[k:]
+        body, ty, body_mask = _compile(h, head, inner, free)
+        mask |= body_mask & ((1 << depth) - 1)
+        pushed = [a for a, _, _ in argcode[:k]]
 
         def code(env: list) -> int:
             env.extend([a(env) for a in pushed])
             out = body(env)
             del env[-k:]
             return out
+        if k == len(args):
+            return code, ty, mask
+        args, argcode = args[k:], argcode[k:]
     else:
-        code, ty = _compile(h, head, binders, free)
-    for a, arg_ty in argcode:
+        code, ty, head_mask = _compile(h, head, binders, free)
+        mask |= head_mask
+        if isinstance(head, Const):
+            value = h.interp[head.name]
+        elif isinstance(head, Free):
+            value = free[head.name]
+    for u, (a, arg_ty, _) in zip(args, argcode):
         if not isinstance(ty, Arrow) or ty.arg != arg_ty:
             raise EvalError(f"cannot apply a value of type {type_str(ty)} "
                             f"to one of type {type_str(arg_ty)}")
         ty = ty.res
-        code = _digit(code, a, domain_size(h.n, ty))
-    return code, ty
+        level = depth - 1 - u.index if isinstance(u, Bound) else None
+        code = _digit(code, a, domain_size(h.n, ty), value, level)
+        value = None
+    return code, ty, mask
 
 
-def _digit(fn: Code, arg: Code, base: int) -> Code:
+def _digit(fn: Code, arg: Code, base: int, value: int | None,
+           level: int | None) -> Code:
     """Code applying a function to an argument: digit `arg` of `fn` in
-    the given base."""
+    the given base.  `value` is the function's value when it is known
+    at compile time, and `level` the argument's binder level when it is
+    a bound variable; the code then reads them without a call."""
     width = base.bit_length() - 1
-    if base == 1 << width:
-        mask = base - 1
+    if base != 1 << width:
+        return lambda env: fn(env) // base ** arg(env) % base
+    mask = base - 1
+    if value is None and level is None:
         return lambda env: fn(env) >> width * arg(env) & mask
-    return lambda env: fn(env) // base ** arg(env) % base
+    if level is None:
+        return lambda env: value >> width * arg(env) & mask
+    if value is None:
+        return lambda env: fn(env) >> width * env[level] & mask
+    return lambda env: value >> width * env[level] & mask
 
 
 def _tabulate(n: int, var_ty: HolType, body: Code, res: HolType) -> Code:
     """Code building a function's number from its body's values."""
     base = domain_size(n, res)
+    try:
+        dom = enumerate_domain(n, var_ty)[::-1]
+    except EvalError:
+        return _enumerate_when_run(n, var_ty)
 
     def code(env: list) -> int:
         out = 0
-        for d in reversed(enumerate_domain(n, var_ty)):
+        for d in dom:
             env.append(d)
             out = out * base + body(env)
             env.pop()
         return out
     return code
+
+
+def _enumerate_when_run(n: int, ty: HolType) -> Code:
+    """Code for a binder over a domain that cannot be enumerated (over
+    the budget, or of a type without a finite domain): it raises that
+    error, DomainBudgetError naming the type and size, only if it runs,
+    so a binder that a short circuit skips never raises."""
+    return lambda env: len(enumerate_domain(n, ty))
+
+
+def _cached(code: Code, mask: int, depth: int) -> Code:
+    """`code` remembering its value per values of the binder levels in
+    `mask`, when it sits under binders it does not all read; the table
+    lives as long as the compiled term, one `eval_term` call."""
+    if mask == (1 << depth) - 1:
+        return code
+    levels = [level for level in range(depth) if mask >> level & 1]
+    # a closed node is keyed by the stack's length, the same at each run
+    key = _read(*levels) if levels else len
+    memo: dict = {}
+
+    def cached(env: list) -> int:
+        k = key(env)
+        v = memo.get(k)
+        if v is None:
+            v = memo[k] = code(env)
+        return v
+    return cached
 
 
 def _eta_expand(c: Const) -> HolTerm:
@@ -228,32 +313,61 @@ def _eta_expand(c: Const) -> HolTerm:
     return term
 
 
-def _compile_logical(h: HenkinModel, head: Const, args: list[HolTerm],
-                     binders: tuple[HolType, ...],
-                     free: Mapping[str, int]) -> Code:
+def _compile_logical(h: HenkinModel, t: HolTerm, head: Const,
+                     args: list[HolTerm], binders: tuple[HolType, ...],
+                     free: Mapping[str, int]) -> tuple[Code, int]:
+    """Code and binder mask of `t`, the logical constant `head` applied
+    to all its arguments `args`."""
+    depth = len(binders)
     if head.name == PI_NAME and isinstance(args[0], Abs):
         n, alpha = h.n, head.ty.arg.arg
-        body, _ = _compile(h, args[0].body, (alpha,) + binders, free)
+        body, _, mask = _compile(h, args[0].body, (alpha,) + binders, free)
+        mask &= (1 << depth) - 1
+        try:
+            dom = enumerate_domain(n, alpha)
+        except EvalError:
+            return _enumerate_when_run(n, alpha), mask
 
         def forall(env: list) -> int:
-            for d in enumerate_domain(n, alpha):
+            for d in dom:
                 env.append(d)
                 v = body(env)
                 env.pop()
                 if not v:
                     return FALSE
             return TRUE
-        return forall
-    a, *rest = [_compile(h, u, binders, free)[0] for u in args]
+        return _cached(forall, mask, depth), mask
+    # a conjunction ¬(¬a ∨ ¬b) and an implication ¬a ∨ b are one clause
+    # each, over operands compiled once
     if head.name == NOT_NAME:
-        return lambda env: 1 - a(env)
+        conj = match_and(t)
+        if conj is not None:
+            (a, _, mask), (b, _, b_mask) = [_compile(h, u, binders, free)
+                                            for u in conj]
+            return (lambda env: a(env) and b(env)), mask | b_mask
+        a, _, mask = _compile(h, args[0], binders, free)
+        return (lambda env: 1 - a(env)), mask
     if head.name == PI_NAME:
+        a, _, mask = _compile(h, args[0], binders, free)
         full = (1 << domain_size(h.n, head.ty.arg.arg)) - 1
-        return lambda env: int(a(env) == full)
-    b = rest[0]
+        return (lambda env: int(a(env) == full)), mask
+    imp = head.name == OR_NAME and _negation(args[0])
+    if imp:
+        args = [args[0].arg, args[1]]
+    (a, _, mask), (b, _, b_mask) = [_compile(h, u, binders, free)
+                                    for u in args]
+    mask |= b_mask
+    if imp:
+        return (lambda env: b(env) if a(env) else TRUE), mask
     if head.name == OR_NAME:
-        return lambda env: a(env) or b(env)
-    return lambda env: int(a(env) == b(env))
+        return (lambda env: a(env) or b(env)), mask
+    return (lambda env: int(a(env) == b(env))), mask
+
+
+def _negation(t: HolTerm) -> bool:
+    """Whether t is a negation ¬a."""
+    return (isinstance(t, App) and isinstance(t.fn, Const)
+            and t.fn.name == NOT_NAME)
 
 
 def build_henkin(m: CJModel) -> HenkinModel:

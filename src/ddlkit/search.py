@@ -58,9 +58,23 @@ class CounterModel:
     world: int
 
 
+# World counts up to this are swept exhaustively; beyond, sampled.
+EXHAUSTIVE_WORLDS = 3
+
+
 @dataclass(frozen=True)
 class NoCounterexampleUpTo:
-    n_max: int
+    """No countermodel on up to `exhaustive` worlds, where every model
+    was swept, nor among the models drawn on `sampled` worlds, if the
+    search went beyond the exhaustive tier."""
+
+    exhaustive: int
+    sampled: int | None = None
+
+    @property
+    def n_max(self) -> int:
+        """The largest world count searched."""
+        return self.sampled or self.exhaustive
 
 
 Verdict = CounterModel | NoCounterexampleUpTo
@@ -88,7 +102,7 @@ def find_countermodel(f: Formula, n_max: int = 3, samples: int = 1000,
             f"at most {MAX_LANE_BITS // n_max} atoms at this world bound")
     ops, uses = _compile(f, names)
     for n in range(1, n_max + 1):
-        candidates = (_representatives(n, *uses) if n <= 3
+        candidates = (_representatives(n, *uses) if n <= EXHAUSTIVE_WORLDS
                       else _sampled(n, *uses, samples, seed))
         for av, pv, ideal, missed in _sweep(ops, len(names), n, candidates):
             union = 0
@@ -110,7 +124,9 @@ def verdict(f: Formula, n_max: int = 3, samples: int = 1000,
     """Wrap the search result, keeping the boundedness explicit."""
     found = find_countermodel(f, n_max, samples, seed)
     if found is None:
-        return NoCounterexampleUpTo(n_max)
+        if n_max <= EXHAUSTIVE_WORLDS:
+            return NoCounterexampleUpTo(n_max)
+        return NoCounterexampleUpTo(EXHAUSTIVE_WORLDS, n_max)
     return CounterModel(*found)
 
 

@@ -14,7 +14,9 @@ substitution on de Bruijn terms (two strategies), and a countermodel
 search that evaluates every model of up to two worlds and random
 models beyond, shrinking a sampled hit by dropping worlds; its world
 drop squeezes every ob trace rather than relying on the closed form of
-ob tables.
+ob tables.  The embedded evaluator oracle is the closure compiler from
+before binder use masks, per-call caches, compile-time domains and
+fused clauses.
 """
 
 from __future__ import annotations
@@ -24,15 +26,18 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Mapping, Union
 
 from ddlkit import hol
-from ddlkit.hol import (AV, BOX_TAU, BOXA_TAU, BOXP_TAU, I, NOT, NOT_TAU, OB,
-                        OB_TAU, OBA_TAU, OBP_TAU, OR, OR_TAU, PV, TAU, Abs,
-                        App, Arrow, Bound, Const, Free, HolTerm, HolType, O,
+from ddlkit.hol import (AV, BOX_TAU, BOXA_TAU, BOXP_TAU, LOGICAL_NAMES, I,
+                        NOT, NOT_NAME, NOT_TAU, OB, OB_TAU, OBA_TAU, OBP_TAU,
+                        OR, OR_NAME, OR_TAU, PI_NAME, PV, TAU, Abs, App,
+                        Arrow, Bound, Const, Free, HolTerm, HolType, O,
                         _subst, atom_const, eq_const, pi_const, shift,
-                        uses_bound)
+                        type_str, uses_bound)
 from ddlkit.checker import truth_set
+from ddlkit.henkin import (_ARITY, FALSE, TRUE, Code, EvalError, HenkinModel,
+                           _eta_expand, domain_size, enumerate_domain)
 from ddlkit.model import (DENSITIES, CJModel, enumerate_models, full_mask,
                           mask_of, random_model, subsets)
 from ddlkit.search import _certify
@@ -647,6 +652,152 @@ def oracle_embed(f: Formula) -> HolTerm:
     if isinstance(f, ObP):
         return App(OBP_TAU, oracle_embed(f.sub))
     raise TypeError(f"not a formula: {f!r}")
+
+
+# ---------------------------------------------------------------------------
+# embedded evaluator oracle
+
+
+def oracle_eval_term(h: HenkinModel, t: HolTerm,
+                     free: Mapping[str, int] | None = None) -> int:
+    """The earlier `henkin.eval_term`, before binder use masks, per-call
+    caches, compile-time domains and fused clauses.
+
+    Denotation of a term: constants via the interpretation, variables
+    via the assignment, application by reading a digit, abstraction by
+    tabulating the body over the argument domain.
+
+    The term is first compiled once, so types and radices are worked
+    out per node rather than per application.  Quantifiers and the
+    boolean connectives are applied without materializing their tables,
+    enumerating lazily with early exit; the resulting value is the same,
+    only cheaper.
+    """
+    code, _ = _oracle_compile(h, t, (), free or {})
+    return code([])
+
+
+def _oracle_compile(h: HenkinModel, t: HolTerm,
+                    binders: tuple[HolType, ...],
+                    free: Mapping[str, int]) -> tuple[Code, HolType]:
+    """Code computing `t` under binders of the given types (innermost
+    first), together with the type of `t`."""
+    if isinstance(t, Bound):
+        if t.index >= len(binders):
+            raise EvalError(f"dangling bound variable index {t.index}")
+        k = -1 - t.index
+        return (lambda env: env[k]), binders[t.index]
+    if isinstance(t, Free):
+        if t.name not in free:
+            raise EvalError(f"unassigned free variable {t.name}:"
+                            f"{type_str(t.ty)}")
+        v = free[t.name]
+        if not 0 <= v < domain_size(h.n, t.ty):
+            raise EvalError(f"value {v} of {t.name} is outside the domain "
+                            f"of type {type_str(t.ty)}")
+        return (lambda env: v), t.ty
+    if isinstance(t, Const):
+        if t.name in LOGICAL_NAMES:
+            return _oracle_compile(h, _eta_expand(t), binders, free)
+        if t.name not in h.interp:
+            raise EvalError(f"constant {t.name} has no interpretation")
+        v = h.interp[t.name]
+        return (lambda env: v), t.ty
+    if isinstance(t, Abs):
+        body, res = _oracle_compile(h, t.body, (t.var_ty,) + binders, free)
+        return _oracle_tabulate(h.n, t.var_ty, body, res), Arrow(t.var_ty, res)
+    # application: flatten the spine so logical heads can short-circuit
+    head, args = t, []
+    while isinstance(head, App):
+        args.append(head.arg)
+        head = head.fn
+    args.reverse()
+    if isinstance(head, Const) and head.name in LOGICAL_NAMES:
+        if len(args) == _ARITY[head.name]:
+            return _oracle_compile_logical(h, head, args, binders, free), O
+        head = _eta_expand(head)
+    argcode = [_oracle_compile(h, a, binders, free) for a in args]
+    if isinstance(head, Abs):
+        # apply syntactic lambdas by extending the environment rather
+        # than building their tables; arguments are evaluated in the
+        # current environment first
+        k = 0
+        while isinstance(head, Abs) and k < len(args):
+            binders = (head.var_ty,) + binders
+            head = head.body
+            k += 1
+        body, ty = _oracle_compile(h, head, binders, free)
+        pushed = [a for a, _ in argcode[:k]]
+        argcode = argcode[k:]
+
+        def code(env: list) -> int:
+            env.extend([a(env) for a in pushed])
+            out = body(env)
+            del env[-k:]
+            return out
+    else:
+        code, ty = _oracle_compile(h, head, binders, free)
+    for a, arg_ty in argcode:
+        if not isinstance(ty, Arrow) or ty.arg != arg_ty:
+            raise EvalError(f"cannot apply a value of type {type_str(ty)} "
+                            f"to one of type {type_str(arg_ty)}")
+        ty = ty.res
+        code = _oracle_digit(code, a, domain_size(h.n, ty))
+    return code, ty
+
+
+def _oracle_digit(fn: Code, arg: Code, base: int) -> Code:
+    """Code applying a function to an argument: digit `arg` of `fn` in
+    the given base."""
+    width = base.bit_length() - 1
+    if base == 1 << width:
+        mask = base - 1
+        return lambda env: fn(env) >> width * arg(env) & mask
+    return lambda env: fn(env) // base ** arg(env) % base
+
+
+def _oracle_tabulate(n: int, var_ty: HolType, body: Code,
+                     res: HolType) -> Code:
+    """Code building a function's number from its body's values."""
+    base = domain_size(n, res)
+
+    def code(env: list) -> int:
+        out = 0
+        for d in reversed(enumerate_domain(n, var_ty)):
+            env.append(d)
+            out = out * base + body(env)
+            env.pop()
+        return out
+    return code
+
+
+def _oracle_compile_logical(h: HenkinModel, head: Const,
+                            args: list[HolTerm],
+                            binders: tuple[HolType, ...],
+                            free: Mapping[str, int]) -> Code:
+    if head.name == PI_NAME and isinstance(args[0], Abs):
+        n, alpha = h.n, head.ty.arg.arg
+        body, _ = _oracle_compile(h, args[0].body, (alpha,) + binders, free)
+
+        def forall(env: list) -> int:
+            for d in enumerate_domain(n, alpha):
+                env.append(d)
+                v = body(env)
+                env.pop()
+                if not v:
+                    return FALSE
+            return TRUE
+        return forall
+    a, *rest = [_oracle_compile(h, u, binders, free)[0] for u in args]
+    if head.name == NOT_NAME:
+        return lambda env: 1 - a(env)
+    if head.name == PI_NAME:
+        full = (1 << domain_size(h.n, head.ty.arg.arg)) - 1
+        return lambda env: int(a(env) == full)
+    b = rest[0]
+    if head.name == OR_NAME:
+        return lambda env: a(env) or b(env)
+    return lambda env: int(a(env) == b(env))
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,8 @@ JUNK = st.recursive(
     max_leaves=8)
 
 
-# what a mutation puts in place of a value: mostly world indices and
-# world lists, which keep the model decodable but may break a condition
+# what a mutation puts in place of a value when it may break decoding:
+# world indices, possibly out of range, lists of them, and junk
 REPLACEMENTS = st.one_of(st.integers(-1, 8),
                          st.lists(st.integers(0, 7), max_size=4), JUNK)
 
@@ -87,15 +87,41 @@ def _slots(node):
             yield from _slots(node[key])
 
 
+def _world_slots(obj):
+    """The slots below the root that hold a world index or a world list:
+    the rows of av and pv, ob contexts and members, the valuation."""
+    return [(parent, key) for parent, key in _slots(obj)
+            if parent is not obj and (
+                type(parent[key]) is int and isinstance(parent, list)
+                or isinstance(parent[key], list)
+                and all(type(w) is int for w in parent[key]))]
+
+
 @st.composite
 def mutated_models(draw):
-    """A valid model with up to three values replaced, deleted or wrapped
-    in a list."""
+    """A valid model with up to three changes.  Most changes put a world
+    index or a world list over the model's own worlds in place of
+    another, which keeps the model decodable: it may stay valid, so
+    that `check` evaluates the formula on it, or break a model
+    condition.  The others replace any value by one of REPLACEMENTS,
+    delete it or wrap it in a list."""
     obj = json.loads(json.dumps(draw(st.sampled_from(BASE_MODELS))))
+    world = st.integers(0, obj["worlds"] - 1)
     for _ in range(draw(st.integers(0, 3))):
-        parent, key = draw(st.sampled_from(list(_slots(obj))))
-        action = draw(st.sampled_from(("replace", "delete", "wrap")))
-        if action == "delete":
+        action = draw(st.sampled_from(("world",) * 4
+                                      + ("replace", "delete", "wrap")))
+        slots = _world_slots(obj) if action == "world" else list(_slots(obj))
+        if action != "replace":
+            # leaves first, as the simplest draws come first: a deletion
+            # drops a world rather than the world count
+            slots.reverse()
+        if not slots:
+            break
+        parent, key = draw(st.sampled_from(slots))
+        if action == "world":
+            parent[key] = draw(world if type(parent[key]) is int
+                               else st.lists(world, max_size=4, unique=True))
+        elif action == "delete":
             del parent[key]
         elif action == "wrap":
             parent[key] = [parent[key]]
@@ -107,6 +133,8 @@ def mutated_models(draw):
 
 
 MODEL_TEXT = st.one_of(
+    mutated_models(),
+    mutated_models(),
     mutated_models(),
     mutated_models(),
     mutated_models().flatmap(lambda text: st.integers(0, len(text)).map(

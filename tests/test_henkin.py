@@ -6,16 +6,17 @@ from ddlkit import henkin
 from ddlkit.checker import eval_formula, valid_in_model
 from ddlkit.cli import main
 from ddlkit.henkin import (FALSE, TRUE, AxiomCheckError, DomainBudgetError,
-                           HenkinModel, Mismatch, build_henkin, check_axioms,
-                           check_faithfulness, domain_size, enumerate_domain,
-                           eval_term, extract_model)
+                           EvalError, HenkinModel, Mismatch, build_henkin,
+                           check_axioms, check_faithfulness, domain_size,
+                           enumerate_domain, eval_term, extract_model)
 from ddlkit.hol import (I, NOT, OR, TAU, Abs, App, Arrow, Bound, Free, O,
-                        atom_const, embed, eq_const, equals, exists,
+                        atom_const, axioms, embed, eq_const, equals, exists,
                         false_term, forall, land, leibniz_eq, liff, limp, lor,
-                        neg, pi_const, true_term, vld)
+                        neg, pi_const, pretty_term, true_term, vld)
 from ddlkit.model import random_model, validate
 from ddlkit.syntax import parse, pretty, random_formula
-from helpers import interpreted_frame_failures, mk_model
+from helpers import (interpreted_frame_failures, mk_model, oracle_eval_term,
+                     random_term)
 
 MINIMAL = mk_model(1, av=[[0]], pv=[[0]], ob=[], val={"p": [0]})
 
@@ -279,3 +280,92 @@ def test_mismatch_line_format():
     assert "world=0" in line and "formula=p" in line
     assert Mismatch(MINIMAL, None, parse("p"), "validity").render().count(
         "world=all") == 1
+
+
+# --- the compiled evaluator against the earlier compiler ----------------
+
+
+def _outcome(evaluate, h, t, free=None):
+    """The value, or the error's type and message."""
+    try:
+        return evaluate(h, t, free)
+    except EvalError as e:
+        return type(e).__name__, str(e)
+
+
+def _flipped(h, rng):
+    """The interpretation with one random bit of ob, av or pv flipped."""
+    name = rng.choice(("ob", "av", "pv"))
+    bits = (1 << 2 * h.n) if name == "ob" else h.n * h.n
+    return HenkinModel(h.n, {**h.interp,
+                             name: h.interp[name] ^ 1 << rng.randrange(bits)})
+
+
+def _free_vars(t, out):
+    if isinstance(t, Free):
+        out[t.name] = t.ty
+    for attr in ("fn", "arg", "body"):
+        if hasattr(t, attr):
+            _free_vars(getattr(t, attr), out)
+    return out
+
+
+def test_axioms_match_the_earlier_compiler_on_built_and_flipped_images():
+    rng = random.Random(91)
+    failing = set()
+    for n, count in ((1, 6), (2, 6), (3, 4)):
+        for _ in range(count):
+            m = random_model(n, ("p", "q"), rng.getrandbits(63),
+                             rng.choice((0.0, 0.15, 0.3, 0.5)))
+            h = build_henkin(m)
+            for image in (h, _flipped(h, rng), _flipped(h, rng),
+                          _flipped(h, rng)):
+                for name, term in axioms():
+                    got = eval_term(image, term)
+                    assert got == oracle_eval_term(image, term), (name, m)
+                    if got == FALSE:
+                        failing.add(name)
+    # the flips reach the failing side of every ob axiom and of AV, PV2
+    assert failing >= {"AV", "PV2", "OB1", "OB2", "OB3", "OB4", "OB5"}
+
+
+def test_random_terms_match_the_earlier_compiler():
+    rng = random.Random(92)
+    for m in random_models(1000, seed=93):
+        h = build_henkin(m)
+        t = random_term(rng, depth=6)
+        free = {name: rng.randrange(domain_size(m.n, ty))
+                for name, ty in _free_vars(t, {}).items()}
+        assert _outcome(eval_term, h, t, free) == \
+            _outcome(oracle_eval_term, h, t, free), (pretty_term(t), free)
+
+
+def test_embedded_formulas_match_the_earlier_compiler():
+    rng = random.Random(94)
+    for m in random_models(60, seed=95, atoms=("p", "q", "r")):
+        h = build_henkin(m)
+        t = embed(random_formula(rng, 6, ("p", "q", "r")))
+        at_world = App(t, Free("S", I))
+        for s in range(m.n):
+            assert eval_term(h, at_world, {"S": s}) == \
+                oracle_eval_term(h, at_world, {"S": s})
+        assert eval_term(h, vld(t)) == oracle_eval_term(h, vld(t))
+
+
+@pytest.mark.parametrize("evaluate", [eval_term, oracle_eval_term],
+                         ids=["compiled", "oracle"])
+def test_domain_budget_error_is_raised_only_where_a_quantifier_runs(
+        evaluate):
+    h = build_henkin(mk_model(4, av=[[0], [1], [2], [3]],
+                              pv=[[0, 1, 2, 3]] * 4, ob=[], val={}))
+    big = forall(Arrow(TAU, TAU), true_term())
+    for reached in (big, lor(false_term(), big), limp(true_term(), big),
+                    land(true_term(), big)):
+        with pytest.raises(DomainBudgetError) as e:
+            evaluate(h, reached)
+        assert str(e.value) == (f"domain for type (i>o)>i>o has {16 ** 16} "
+                                f"elements, exceeding the budget of "
+                                f"{henkin.DOMAIN_BUDGET}")
+    assert evaluate(h, lor(true_term(), big)) == TRUE
+    assert evaluate(h, limp(false_term(), big)) == TRUE
+    assert evaluate(h, land(false_term(), big)) == FALSE

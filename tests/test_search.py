@@ -93,6 +93,15 @@ def test_verdict_default_budget_matches_cli_contract():
     assert v == NoCounterexampleUpTo(3)
 
 
+@pytest.mark.parametrize("n_max,exhaustive,sampled", [
+    (2, 2, None), (3, 3, None), (4, 3, 4),
+])
+def test_verdict_records_the_exhaustive_and_the_sampled_bound(
+        n_max, exhaustive, sampled):
+    v = verdict(parse("[p]p -> p"), n_max, 50, 0)
+    assert (v.exhaustive, v.sampled, v.n_max) == (exhaustive, sampled, n_max)
+
+
 def test_search_rejects_too_many_atoms_before_building_lanes(monkeypatch):
     def no_compile(*args):
         raise AssertionError("compiled past the lane bound")
