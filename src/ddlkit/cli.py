@@ -137,10 +137,13 @@ _COMMANDS = {
 }
 
 
+# built once: building takes far longer than parsing a command line
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else 1
     with warnings.catch_warnings():

@@ -40,9 +40,10 @@ from typing import Callable, Iterable, Mapping
 from .checker import eval_formula, valid_in_model
 from .hol import (EQ_NAME, I, LOGICAL_NAMES, NOT_NAME, OR_NAME, PI_NAME, TAU,
                   Abs, App, Arrow, Bound, Const, Free, HolTerm, HolType,
-                  O as O_TYPE, axioms, embed, match_and, type_str, vld)
-from .model import (DENSITIES, CJModel, canonicalize, model_json, ob_member,
-                    random_model, validate)
+                  O as O_TYPE, _applies, axioms, embed, match_and, type_str,
+                  vld)
+from .model import (DENSITIES, CJModel, model_json, ob_member, random_model,
+                    subsets, validate)
 from .syntax import RESERVED_ATOMS, Formula, pretty, random_formula
 
 DOMAIN_BUDGET = 1 << 20
@@ -351,7 +352,7 @@ def _compile_logical(h: HenkinModel, t: HolTerm, head: Const,
         a, _, mask = _compile(h, args[0], binders, free)
         full = (1 << domain_size(h.n, head.ty.arg.arg)) - 1
         return (lambda env: int(a(env) == full)), mask
-    imp = head.name == OR_NAME and _negation(args[0])
+    imp = head.name == OR_NAME and _applies(args[0], NOT_NAME)
     if imp:
         args = [args[0].arg, args[1]]
     (a, _, mask), (b, _, b_mask) = [_compile(h, u, binders, free)
@@ -362,12 +363,6 @@ def _compile_logical(h: HenkinModel, t: HolTerm, head: Const,
     if head.name == OR_NAME:
         return (lambda env: a(env) or b(env)), mask
     return (lambda env: int(a(env) == b(env))), mask
-
-
-def _negation(t: HolTerm) -> bool:
-    """Whether t is a negation ¬a."""
-    return (isinstance(t, App) and isinstance(t.fn, Const)
-            and t.fn.name == NOT_NAME)
 
 
 def build_henkin(m: CJModel) -> HenkinModel:
@@ -404,10 +399,11 @@ def extract_model(h: HenkinModel, atoms: Iterable[str]) -> CJModel:
     """Read a model back off an interpretation satisfying the axioms.
 
     The worlds are the individual domain; av, pv, ob, and the valuation
-    are read off the tables, with ob quotiented to trace-canonical form.
-    Raises AxiomCheckError (naming the axiom) if the interpretation does
-    not satisfy all eight axioms, since only then is a valid model
-    guaranteed.
+    are read off the tables.  As OB1 and OB2 hold, a context's members
+    are fixed by its traces: ob(X) is read at the subsets of X only,
+    which gives the trace-canonical form.  Raises AxiomCheckError
+    (naming the axiom) if the interpretation does not satisfy all eight
+    axioms, since only then is a valid model guaranteed.
     """
     failing = check_axioms(h)
     if failing is not None:
@@ -421,13 +417,11 @@ def extract_model(h: HenkinModel, atoms: Iterable[str]) -> CJModel:
     full = (1 << n) - 1
     av = tuple(av_t >> n * s & full for s in range(n))
     pv = tuple(pv_t >> n * s & full for s in range(n))
-    dom_tau = enumerate_domain(n, TAU)
-    raw_ob: dict[int, set[int]] = {}
-    for x in dom_tau:
-        members = {y for y in dom_tau if ob_t >> (x << n) + y & 1}
-        if members:
-            raw_ob[x] = members
-    ob, _ = canonicalize(raw_ob, n)
+    ob = {}
+    for x in range(1, full + 1):
+        traces = frozenset(y for y in subsets(x) if ob_t >> (x << n) + y & 1)
+        if traces:
+            ob[x] = traces
     m = CJModel(n, av, pv, ob, val)
     report = validate(m)
     if not report.ok:

@@ -307,6 +307,14 @@ _DEFINITIONS = {Not: NOT_TAU, Or: OR_TAU, Box: BOX_TAU, BoxA: BOXA_TAU,
                 BoxP: BOXP_TAU, ObDyadic: OB_TAU, ObA: OBA_TAU, ObP: OBP_TAU}
 
 
+# Bound on the formula nodes `embed` translates, a shared subformula
+# counted once per occurrence: the term does not share, so it and its
+# THF text grow with that count.  d nested `p <-> (...)` have
+# 11 * 2**d - 10 such nodes; `embed --thf` took 0.3 s at d = 10 (11,254
+# nodes) and 1.2 s at d = 12 on a 2-vCPU machine.
+MAX_EMBED_NODES = 1 << 14
+
+
 def embed(f: Formula) -> HolTerm:
     """Translate a formula to a world predicate of type tau.
 
@@ -314,13 +322,23 @@ def embed(f: Formula) -> HolTerm:
     application; the connective definitions above are substituted
     unreduced (normalize afterwards if a normal form is wanted).  The
     dyadic obligation applies its definition to the antecedent first.
+    Raises ValueError past MAX_EMBED_NODES formula nodes.
     """
+    return _embed(f, [MAX_EMBED_NODES])
+
+
+def _embed(f: Formula, budget: list[int]) -> HolTerm:
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise ValueError("formula too large to embed: over "
+                         f"{MAX_EMBED_NODES} nodes, a shared subformula "
+                         "counted once per occurrence")
     if isinstance(f, Atom):
         return atom_const(f.name)
     kids = children(f)  # a TypeError for a non-formula
     term = _DEFINITIONS[type(f)]
     for c in kids:
-        term = App(term, embed(c))
+        term = App(term, _embed(c, budget))
     return term
 
 

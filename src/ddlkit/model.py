@@ -29,7 +29,8 @@ and meet in {w}, so F holds every singleton (S = {}); if there is one,
 it is S.  The tests check that each ob_S is valid.  So there are
 2**n + 1 tables for n >= 2 and 2 for n = 1.  As ob_S shrinks when S
 grows, the least valid table holding a nonempty trace table R is ob_S
-for S = W - union{X - t : t in R(X)}, which `close_ob` computes.
+for S = W - union{X - t : t in R(X)}; `random_model` draws its table
+that way.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import random
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .syntax import RESERVED_ATOMS
 
@@ -402,22 +403,17 @@ def ideal_ob(n: int, ideal: int) -> dict[int, frozenset[int]]:
             for x in range(1, full_mask(n) + 1)}
 
 
-def close_ob(raw: Mapping[int, Collection[int]],
-             n: int) -> dict[int, frozenset[int]]:
-    """The least valid table containing a raw trace table (each trace a
-    nonempty subset of its context); empty if raw has no traces."""
-    if not any(raw.values()):
-        return {}
-    outside = 0
-    for context, traces in raw.items():
-        for trace in traces:
-            outside |= context & ~trace
-    return ideal_ob(n, full_mask(n) & ~outside)
+def ideal_sets(n: int) -> range | tuple[int]:
+    """Each set S of ideal worlds once per distinct table ob_S on n
+    worlds: every S, except that on one world S = {} and S = {0} give
+    the same table."""
+    return range(1 << n) if n > 1 else (0,)
 
 
 def random_model(n: int, atom_names: Iterable[str], seed: int,
                  density: float = 0.3) -> CJModel:
-    """Draw a valid model: sample a frame and ob table, then close ob.
+    """Draw a valid model: sample a frame and raw traces, and take the
+    least valid ob table holding them (empty if none were drawn).
 
     Deterministic for fixed (n, atom_names, seed, density).
     """
@@ -449,12 +445,14 @@ def random_model(n: int, atom_names: Iterable[str], seed: int,
             if rng.random() < 0.5:
                 mask |= 1 << t
         val[atom] = mask
-    raw: dict[int, list[int]] = {}
+    outside, drawn = 0, False  # outside: the union of context - trace
     for context in range(1, full + 1):
         for trace in subsets(context):
             if trace and rng.random() < density:
-                raw.setdefault(context, []).append(trace)
-    return CJModel(n, tuple(av), tuple(pv), close_ob(raw, n), val)
+                outside |= context & ~trace
+                drawn = True
+    ob = ideal_ob(n, full & ~outside) if drawn else {}
+    return CJModel(n, tuple(av), tuple(pv), ob, val)
 
 
 def frame_choices(n: int) -> list[list[tuple[int, int]]]:
@@ -475,17 +473,15 @@ def frame_choices(n: int) -> list[list[tuple[int, int]]]:
 
 
 def _valid_ob_tables(n: int) -> list[dict[int, frozenset[int]]]:
-    """The empty table, then each distinct ob_S with S descending when
-    world 0 is its most significant bit.  This is the order of a product
-    over the contexts of their member subsets: ob_S and ob_T first differ
-    at context {0, d} ({0, 1} if d = 0), d the lowest world in just one
-    of S and T, and the one holding d has the smaller member bitmap."""
-    tables: list[dict[int, frozenset[int]]] = [{}]
-    for s in sorted(range(1 << n), reverse=True,
-                    key=lambda s: [s >> w & 1 for w in range(n)]):
-        if ideal_ob(n, s) not in tables:
-            tables.append(ideal_ob(n, s))
-    return tables
+    """The empty table, then ob_S for each S of `ideal_sets`, descending
+    when world 0 is its most significant bit.  This is the order of a
+    product over the contexts of their member subsets: ob_S and ob_T
+    first differ at context {0, d} ({0, 1} if d = 0), d the lowest world
+    in just one of S and T, and the one holding d has the smaller member
+    bitmap."""
+    return [{}] + [ideal_ob(n, s) for s in sorted(
+        ideal_sets(n), reverse=True,
+        key=lambda s: [s >> w & 1 for w in range(n)])]
 
 
 def enumerate_models(n: int, atoms: Iterable[str]) -> Iterator[CJModel]:

@@ -40,8 +40,8 @@ import random
 from dataclasses import dataclass
 
 from .checker import truth_set
-from .model import (CJModel, frame_choices, full_mask, ideal_ob, mask_of,
-                    validate, world_list)
+from .model import (CJModel, frame_choices, full_mask, ideal_ob, ideal_sets,
+                    mask_of, validate, world_list)
 from .syntax import (Atom, Box, BoxA, BoxP, Formula, Not, ObA, ObDyadic, ObP,
                      Or, atoms, children, postorder)
 
@@ -263,8 +263,7 @@ def _representatives(n: int, use_av: bool, use_pv: bool,
     perms = list(itertools.permutations(range(n)))
     images = [[mask_of(perm[w] for w in world_list(mask))
                for mask in range(1 << n)] for perm in perms]
-    # on one world, ob_S is the same table for S = {} and S = {0}
-    ideals = (range(1 << n) if n > 1 else (0,)) if use_ob else ()
+    ideals = ideal_sets(n) if use_ob else ()
     out = []
     for frame in itertools.product(*_world_options(n, use_av, use_pv)):
         fixing = []
@@ -292,7 +291,7 @@ def _sampled(n: int, use_av: bool, use_pv: bool, use_ob: bool,
     it do not move."""
     rng = random.Random(seed)
     options = _world_options(n, use_av, use_pv)
-    tables = (None, *range(1 << n)) if use_ob else (None,)
+    tables = (None, *ideal_sets(n)) if use_ob else (None,)
     seen = set()
     for _ in range(samples):
         frame = [rng.choice(opts) for opts in options]

@@ -5,7 +5,9 @@ machinery: the lambda oracle works on named terms with explicit
 renaming, the ob-condition oracle quantifies over every proposition
 triple and every member family, straight from the definitions, for any
 membership predicate (a table or an interpreted `ob`), and the
-ob-closure oracle grows a table rule by rule to a fixpoint.  The parser,
+ob-closure oracle grows a table rule by rule to a fixpoint.  The earlier
+`close_ob` and `random_model`, which drew a raw trace table and closed
+it, stay as oracles for the model sampler.  The parser,
 formula walk, normalization and search oracles are the package's earlier
 implementations: a scanner with a branch per token start and a
 recursive-descent parser with a method per binary level, an `atoms`
@@ -39,7 +41,8 @@ from ddlkit.checker import truth_set
 from ddlkit.henkin import (_ARITY, FALSE, TRUE, Code, EvalError, HenkinModel,
                            _eta_expand, domain_size, enumerate_domain)
 from ddlkit.model import (DENSITIES, CJModel, enumerate_models, full_mask,
-                          mask_of, random_model, subsets)
+                          ideal_ob, mask_of, random_model, subsets,
+                          world_list)
 from ddlkit.search import _certify
 from ddlkit.syntax import (_IDENT_RE, _KEYWORDS, _PREFIX, _PRIMARY_STARTERS,
                            RESERVED_ATOM, RESERVED_ATOMS, Atom, Box, BoxA,
@@ -427,6 +430,56 @@ def repair_ob(ob: dict[int, set[int]], n: int) -> None:
                     if y and t and t not in ob.setdefault(y, set()):
                         ob[y].add(t)
                         changed = True
+
+
+def close_ob_oracle(raw: Mapping[int, set[int]],
+                    n: int) -> dict[int, frozenset[int]]:
+    """The earlier `model.close_ob`: the least valid table containing a
+    raw trace table (each trace a nonempty subset of its context), by
+    the closed form; empty if raw has no traces."""
+    if not any(raw.values()):
+        return {}
+    outside = 0
+    for context, traces in raw.items():
+        for trace in traces:
+            outside |= context & ~trace
+    return ideal_ob(n, full_mask(n) & ~outside)
+
+
+def random_model_oracle(n: int, atom_names, seed: int,
+                        density: float = 0.3) -> CJModel:
+    """The earlier `model.random_model`: draw a frame, a valuation and a
+    raw trace table, then close the table with `close_ob_oracle`."""
+    rng = random.Random(seed)
+    full = full_mask(n)
+    pv = []
+    av = []
+    for s in range(n):
+        p = 1 << s
+        for t in range(n):
+            if t != s and rng.random() < 0.5:
+                p |= 1 << t
+        a = 0
+        for t in world_list(p):
+            if rng.random() < 0.5:
+                a |= 1 << t
+        if a == 0:
+            a = 1 << rng.choice(world_list(p))
+        pv.append(p)
+        av.append(a)
+    val = {}
+    for atom in sorted(set(atom_names)):
+        mask = 0
+        for t in range(n):
+            if rng.random() < 0.5:
+                mask |= 1 << t
+        val[atom] = mask
+    raw: dict[int, list[int]] = {}
+    for context in range(1, full + 1):
+        for trace in subsets(context):
+            if trace and rng.random() < density:
+                raw.setdefault(context, []).append(trace)
+    return CJModel(n, tuple(av), tuple(pv), close_ob_oracle(raw, n), val)
 
 
 # ---------------------------------------------------------------------------

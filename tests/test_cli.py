@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -246,6 +247,35 @@ def test_deep_nesting_is_a_one_line_error(argv):
     proc = _cli_process(*argv)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["error: formula nested too deeply"]
+
+
+def test_embed_past_the_node_bound_is_a_one_line_error():
+    # 25 nested `<->` have 11 * 2**25 - 10 nodes once unshared
+    start = time.perf_counter()
+    proc = _cli_process("embed", "--thf", "-", "--formula",
+                        "p <-> (" * 25 + "p" + ")" * 25)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: formula too large to embed")
+    assert elapsed < 1.0
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    runs = [["embed", "--formula", "O(p/q)"], ["embed"],
+            ["embed", "--formula", "O(p/q)"]]
+    first = []
+    for argv in runs:
+        first.append((main(argv), *capsys.readouterr()))
+
+    def no_new_parser(*args, **kwargs):
+        raise AssertionError("main built an argument parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_new_parser)
+    for argv, expected in zip(runs, first):
+        assert (main(argv), *capsys.readouterr()) == expected
+    assert first[0] == first[2] and first[0][0] == 0
+    assert first[1][0] == 1 and "--formula" in first[1][2]
 
 
 @pytest.mark.parametrize("max_worlds,k,code", [

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,7 @@ from ddlkit.hol import (I, NOT, OR, TAU, Abs, App, Arrow, Bound, Free, O,
                         atom_const, axioms, embed, eq_const, equals, exists,
                         false_term, forall, land, leibniz_eq, liff, limp, lor,
                         neg, pi_const, pretty_term, true_term, vld)
-from ddlkit.model import random_model, validate
+from ddlkit.model import _valid_ob_tables, random_model, validate
 from ddlkit.syntax import parse, pretty, random_formula
 from helpers import (interpreted_frame_failures, mk_model, oracle_eval_term,
                      random_term)
@@ -91,6 +92,14 @@ def test_validity_agreement_with_direct_semantics():
 
 def test_extract_round_trips_build():
     for m in random_models(25, seed=35):
+        assert extract_model(build_henkin(m), m.val.keys()) == m
+
+
+def test_extract_round_trips_every_valid_ob_table():
+    frame = mk_model(3, av=[[1], [0, 2], [2]], pv=[[0, 1], [0, 1, 2], [2]],
+                     ob=[], val={"p": [0, 2]})
+    for table in _valid_ob_tables(3):
+        m = replace(frame, ob=table)
         assert extract_model(build_henkin(m), m.val.keys()) == m
 
 

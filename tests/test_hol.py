@@ -4,11 +4,11 @@ import pytest
 
 from ddlkit.hol import (AV, LOGICAL_NAMES, NOT, OB, PI_NAME, PV, TAU, Abs,
                         App, Arrow, Bound, Const, Free, HolTypeError, I, O,
-                        VLD, atom_const, axioms, beta_eta_normalize, embed,
-                        leibniz_eq, lor, neg, pretty_term, substitute,
-                        type_of, type_str, vld)
-from ddlkit.syntax import (_IDENT_RE, RESERVED_ATOMS, Formula, parse,
-                           random_formula)
+                        MAX_EMBED_NODES, VLD, atom_const, axioms,
+                        beta_eta_normalize, embed, leibniz_eq, lor, neg,
+                        pretty_term, substitute, type_of, type_str, vld)
+from ddlkit.syntax import (_IDENT_RE, RESERVED_ATOMS, Atom, Formula, Not, Or,
+                           parse, random_formula)
 from helpers import (beta_eta_normalize_innermost, from_named, nsubst,
                      oracle_embed, oracle_normalize, random_term,
                      substitution_normalize, to_named)
@@ -138,6 +138,17 @@ def test_embed_rejects_a_non_formula():
     for junk in ("p", None, Formula()):
         with pytest.raises(TypeError, match="not a formula"):
             embed(junk)
+
+
+def test_embed_bounds_the_unshared_node_count():
+    # g = g' | g' with g' shared: 2**14 - 1 nodes counted per occurrence
+    g = Atom("p")
+    for _ in range(13):
+        g = Or(g, g)
+    assert MAX_EMBED_NODES == 1 << 14
+    assert type_of(embed(Not(g))) == TAU
+    with pytest.raises(ValueError, match="too large to embed"):
+        embed(Not(Not(g)))
 
 
 def test_vld_of_truth_constant():

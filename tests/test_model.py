@@ -3,14 +3,15 @@ import random
 
 import pytest
 
-from ddlkit.model import (MAX_WORLDS, CJModel, InvalidModelError,
+from ddlkit.model import (DENSITIES, MAX_WORLDS, CJModel, InvalidModelError,
                           ModelFormatError, ModelStructureError, ModelWarning,
                           _ob_violations, _valid_ob_tables, canonicalize,
-                          close_ob, enumerate_models, full_mask, ideal_ob,
-                          load_model, model_json, ob_member, random_model,
-                          save_model, subsets, validate)
+                          enumerate_models, full_mask, ideal_ob, load_model,
+                          model_json, ob_member, random_model, save_model,
+                          subsets, validate)
 from helpers import (all_candidate_ob_tables, brute_force_ob_failures,
-                     mk_model, repair_ob, table_member)
+                     close_ob_oracle, mk_model, random_model_oracle,
+                     repair_ob, table_member)
 
 MINIMAL = mk_model(1, av=[[0]], pv=[[0]], ob=[], val={})
 
@@ -317,7 +318,27 @@ def test_close_ob_matches_repair_oracle():
             grown = {c: set(ts) for c, ts in raw.items()}
             repair_ob(grown, n)
             expected = {c: frozenset(ts) for c, ts in grown.items() if ts}
-            assert close_ob(raw, n) == expected, (n, raw)
+            assert close_ob_oracle(raw, n) == expected, (n, raw)
+
+
+def test_random_model_matches_the_raw_table_oracle():
+    # the sampler takes the least valid table holding its drawn traces
+    # while drawing; the oracle draws a raw table and closes it after.
+    # Equal models render the same `model_json`; comparing the models
+    # skips rendering ob tables of up to 3**8 members.
+    densities = (0.05, *DENSITIES, 1.0)
+    draws = 0
+    for n in range(1, MAX_WORLDS + 1):
+        for density in densities:
+            for seed in range(42):
+                seed = seed * 7919 + n
+                m = random_model(n, "pq", seed, density)
+                old = random_model_oracle(n, "pq", seed, density)
+                assert m == old, (n, density, seed)
+                if n <= 3:
+                    assert model_json(m) == model_json(old)
+                draws += 1
+    assert draws >= 2000
 
 
 def test_valid_ob_tables_match_filtered_candidates():
