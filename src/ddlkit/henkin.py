@@ -20,6 +20,13 @@ binders is cached per values of the ones it reads, for that call only.
 The domain of each binder is fixed at compile time; one that is over
 the budget raises DomainBudgetError only if the binder runs.
 
+Since an element of D(a>o) is the |D(a)|-bit mask of where it holds, a
+binder V : a whose o-typed body reads V only as `g V` (g's table is the
+mask) or `V s` (a fixed projection mask), under negation, conjunction,
+disjunction, implication and equivalence, runs once over all values of
+V, one lane per value: a quantifier is `lanes == full` and an
+abstraction the mask itself.  Any other binder loops over its domain.
+
 `build_henkin` turns a valid finite model into such an interpretation
 (characteristic-function tables for each atom, av, pv, and ob), and
 `extract_model` inverts it for any interpretation satisfying the eight
@@ -73,13 +80,17 @@ class ExtractionError(EvalError):
 
 
 def domain_size(n: int, ty: HolType) -> int:
-    if isinstance(ty, Arrow):
-        return domain_size(n, ty.res) ** domain_size(n, ty.arg)
     # identity first: the compiler asks for sizes at every node, and a
     # dataclass comparison is a Python call
-    if ty is O_TYPE or ty == O_TYPE:
+    if ty is O_TYPE:
         return 2
-    if ty is I or ty == I:
+    if ty is I:
+        return n
+    if isinstance(ty, Arrow):
+        return domain_size(n, ty.res) ** domain_size(n, ty.arg)
+    if ty == O_TYPE:
+        return 2
+    if ty == I:
         return n
     raise EvalError(f"type {ty!r} has no finite domain")
 
@@ -135,27 +146,43 @@ def eval_term(h: HenkinModel, t: HolTerm,
     directly.  A domain over the budget raises DomainBudgetError only
     when a binder over it runs, so a short-circuited one never does.
 
+    A quantifier, or an abstraction with an o-typed body, whose body
+    reads its variable V only through `g V`, `V s` and the boolean
+    connectives runs once over all values of V at a time, as one
+    bitmask with a lane per value (see `_binder`): in OB3, ∀Z. B Z →
+    ob X Z is (B ^ full | ob X) == full instead of a loop over Z.
+
     Each compiled node knows which binder levels it reads.  A quantifier
     or abstraction under binders it does not all read keeps its values
     per values of the levels it does read, for this call only: in OB3,
     ∃Z. B Z depends on B alone and is computed once per B, not once per
     B and X.  The resulting value is the same, only cheaper.
     """
-    code, _, _ = _compile(h, t, (), free or {})
+    code, _, _, _ = _compile(h, t, (), free or {})
     return code([])
 
 
 def _compile(h: HenkinModel, t: HolTerm, binders: tuple[HolType, ...],
-             free: Mapping[str, int]) -> tuple[Code, HolType, int]:
+             free: Mapping[str, int],
+             lanes: int = 0) -> tuple[Code, HolType, int, Code | None]:
     """Code computing `t` under binders of the given types (innermost
-    first), the type of `t`, and the mask of the binder levels the code
-    reads: bit l stands for env[l], the l-th binder from the outside."""
-    if isinstance(t, Bound):
+    first), the type of `t`, the mask of the binder levels the code
+    reads (bit l stands for env[l], the l-th binder from the outside),
+    and the lane code of `t` or None.
+
+    `lanes` is nonzero when the innermost binder V asks for lane code:
+    it is then `full`, the mask with one bit per value of V.  The lane
+    code of an o-typed node that reads V returns the mask of the values
+    of V where the node holds.  A node that does not read V has none:
+    its value is broadcast to 0 or `full` instead."""
+    # one type test per node: this runs for every node of every term
+    kind = type(t)
+    if kind is Bound:
         level = len(binders) - 1 - t.index
         if level < 0:
             raise EvalError(f"dangling bound variable index {t.index}")
-        return _read(level), binders[t.index], 1 << level
-    if isinstance(t, Free):
+        return _read(level), binders[t.index], 1 << level, None
+    if kind is Free:
         if t.name not in free:
             raise EvalError(f"unassigned free variable {t.name}:"
                             f"{type_str(t.ty)}")
@@ -163,49 +190,50 @@ def _compile(h: HenkinModel, t: HolTerm, binders: tuple[HolType, ...],
         if not 0 <= v < domain_size(h.n, t.ty):
             raise EvalError(f"value {v} of {t.name} is outside the domain "
                             f"of type {type_str(t.ty)}")
-        return (lambda env: v), t.ty, 0
-    if isinstance(t, Const):
+        return (lambda env: v), t.ty, 0, None
+    if kind is Const:
         if t.name in LOGICAL_NAMES:
             return _compile(h, _eta_expand(t), binders, free)
         if t.name not in h.interp:
             raise EvalError(f"constant {t.name} has no interpretation")
         v = h.interp[t.name]
-        return (lambda env: v), t.ty, 0
+        return (lambda env: v), t.ty, 0, None
     depth = len(binders)
-    if isinstance(t, Abs):
-        body, res, mask = _compile(h, t.body, (t.var_ty,) + binders, free)
-        mask &= (1 << depth) - 1
-        code = _cached(_tabulate(h.n, t.var_ty, body, res), mask, depth)
-        return code, Arrow(t.var_ty, res), mask
+    if kind is Abs:
+        code, res, mask = _binder(h, t.var_ty, t.body, binders, free, False)
+        return code, Arrow(t.var_ty, res), mask, None
     # application: flatten the spine so logical heads can short-circuit
     head, args = t, []
     while isinstance(head, App):
         args.append(head.arg)
         head = head.fn
     args.reverse()
-    if isinstance(head, Const) and head.name in LOGICAL_NAMES:
+    kind = type(head)
+    if kind is Const and head.name in LOGICAL_NAMES:
         if len(args) == _ARITY[head.name]:
-            code, mask = _compile_logical(h, t, head, args, binders, free)
-            return code, O_TYPE, mask
+            code, mask, lane = _compile_logical(h, t, head, args, binders,
+                                                free, lanes)
+            return code, O_TYPE, mask, lane
         head = _eta_expand(head)
+        kind = Abs
     argcode = [_compile(h, a, binders, free) for a in args]
-    mask = 0
-    for _, _, arg_mask in argcode:
-        mask |= arg_mask
     value = None
-    if isinstance(head, Abs):
+    k = 0
+    if kind is Abs:
         # apply syntactic lambdas by extending the environment rather
         # than building their tables; arguments are evaluated in the
         # current environment first
-        k = 0
         inner = binders
         while isinstance(head, Abs) and k < len(args):
             inner = (head.var_ty,) + inner
             head = head.body
             k += 1
-        body, ty, body_mask = _compile(h, head, inner, free)
-        mask |= body_mask & ((1 << depth) - 1)
-        pushed = [a for a, _, _ in argcode[:k]]
+        body, ty, mask, _ = _compile(h, head, inner, free)
+        mask &= (1 << depth) - 1
+        pushed = []
+        for a, _, arg_mask, _ in argcode[:k]:
+            pushed.append(a)
+            mask |= arg_mask
 
         def code(env: list) -> int:
             env.extend([a(env) for a in pushed])
@@ -213,24 +241,57 @@ def _compile(h: HenkinModel, t: HolTerm, binders: tuple[HolType, ...],
             del env[-k:]
             return out
         if k == len(args):
-            return code, ty, mask
+            return code, ty, mask, None
         args, argcode = args[k:], argcode[k:]
     else:
-        code, ty, head_mask = _compile(h, head, binders, free)
-        mask |= head_mask
-        if isinstance(head, Const):
+        code, ty, mask, _ = _compile(h, head, binders, free)
+        if kind is Const:
             value = h.interp[head.name]
-        elif isinstance(head, Free):
+        elif kind is Free:
             value = free[head.name]
-    for u, (a, arg_ty, _) in zip(args, argcode):
-        if not isinstance(ty, Arrow) or ty.arg != arg_ty:
+    for u, (a, arg_ty, arg_mask, _) in zip(args, argcode):
+        if not isinstance(ty, Arrow) or (ty.arg is not arg_ty
+                                         and ty.arg != arg_ty):
             raise EvalError(f"cannot apply a value of type {type_str(ty)} "
                             f"to one of type {type_str(arg_ty)}")
         ty = ty.res
         level = depth - 1 - u.index if isinstance(u, Bound) else None
+        fn, fn_mask = code, mask
         code = _digit(code, a, domain_size(h.n, ty), value, level)
+        mask |= arg_mask
         value = None
-    return code, ty, mask
+    if not lanes or k or not (ty is O_TYPE or ty == O_TYPE):
+        return code, ty, mask, None
+    if level == depth - 1:
+        # g V: the table of g is the lane mask.  A constant outside its
+        # domain is left to the loop, which reads one digit of it
+        if fn_mask >> level & 1 or (len(args) == 1 and kind is Const
+                                    and not 0 <= h.interp[head.name] <= lanes):
+            return code, ty, mask, None
+        return code, ty, mask, fn
+    if (kind is Bound and head.index == 0 and len(args) == 1
+            and not arg_mask >> depth - 1 & 1):
+        # V s: the lanes of the functions whose digit s is 1, each mask
+        # worked out when first read
+        size = domain_size(h.n, binders[0].arg)
+        proj: dict = {}
+
+        def lane(env: list) -> int:
+            s = a(env)
+            m = proj.get(s)
+            if m is None:
+                m = proj[s] = _projection(size, s) if s < size else 0
+            return m
+        return code, ty, mask, lane
+    return code, ty, mask, None
+
+
+def _projection(size: int, s: int) -> int:
+    """The lane mask, over D(β>o) with |D(β)| = size, of the functions
+    whose digit s is 1: in each block of 2P lanes, P = 2**s, the upper P."""
+    p = 1 << s
+    full = (1 << (1 << size)) - 1
+    return full // ((1 << 2 * p) - 1) * (((1 << p) - 1) << p)
 
 
 def _digit(fn: Code, arg: Code, base: int, value: int | None,
@@ -252,14 +313,71 @@ def _digit(fn: Code, arg: Code, base: int, value: int | None,
     return lambda env: value >> width * env[level] & mask
 
 
-def _tabulate(n: int, var_ty: HolType, body: Code, res: HolType) -> Code:
-    """Code building a function's number from its body's values."""
-    base = domain_size(n, res)
-    try:
-        dom = enumerate_domain(n, var_ty)[::-1]
-    except EvalError:
-        return _enumerate_when_run(n, var_ty)
+def _binder(h: HenkinModel, alpha: HolType, body_t: HolTerm,
+            binders: tuple[HolType, ...], free: Mapping[str, int],
+            forall: bool) -> tuple[Code, HolType, int]:
+    """Code of a quantifier (`forall`) or abstraction binding V : alpha
+    around `body_t`, the type of the body, and the binder's mask.
 
+    When the body is o-typed and has lane code, or does not read V, the
+    binder is lifted: it pushes a placeholder for V, which nothing then
+    reads, and computes the mask of the values of V where the body
+    holds in one go.  A quantifier is that mask == full, an abstraction
+    that mask.  Every other binder loops over the domain.  A binder
+    over a domain past the budget claims every enclosing level, so no
+    binder around it is lifted: lanes evaluate every operand once,
+    where the loop might skip the one that raises."""
+    n, depth = h.n, len(binders)
+    try:
+        dom = enumerate_domain(n, alpha)
+    except EvalError:
+        dom = None
+    full = (1 << len(dom)) - 1 if dom else 0
+    body, res, mask, lane = _compile(h, body_t, (alpha,) + binders, free,
+                                     full)
+    if dom is None:
+        return _enumerate_when_run(n, alpha), res, (1 << depth) - 1
+    if (lane is None and full and not mask >> depth & 1
+            and (res is O_TYPE or res == O_TYPE)):
+        lane = _broadcast(body, full)
+    mask &= (1 << depth) - 1
+    if lane is not None:
+        code = _lifted(lane, full, forall)
+    elif forall:
+        code = _forall(dom, body)
+    else:
+        code = _tabulate(dom[::-1], body, domain_size(n, res))
+    return _cached(code, mask, depth), res, mask
+
+
+def _lifted(lane: Code, full: int, forall: bool) -> Code:
+    """Code of a lifted binder: its lane mask with a placeholder pushed
+    for the variable, compared with `full` for a quantifier."""
+    def code(env: list) -> int:
+        env.append(0)
+        v = lane(env)
+        env.pop()
+        return int(v == full) if forall else v
+    return code
+
+
+def _forall(dom: range, body: Code) -> Code:
+    """Code of a quantifier that loops over its domain, stopping at the
+    first value where the body is false."""
+    def forall(env: list) -> int:
+        for d in dom:
+            env.append(d)
+            v = body(env)
+            env.pop()
+            if not v:
+                return FALSE
+        return TRUE
+    return forall
+
+
+def _tabulate(dom: range, body: Code, base: int) -> Code:
+    """Code building a function's number from its body's values, over
+    the domain from its last element down."""
     def code(env: list) -> int:
         out = 0
         for d in dom:
@@ -314,55 +432,77 @@ def _eta_expand(c: Const) -> HolTerm:
     return term
 
 
+def _broadcast(code: Code, full: int) -> Code:
+    """Lane code of an o-typed node that does not read the binder: its
+    value in every lane."""
+    return lambda env: -code(env) & full
+
+
+def _connective_lanes(clause: str, operands: list, full: int,
+                      level: int) -> Code | None:
+    """Lane code of a binary connective over compiled operands, one of
+    which has some.  The other one, if it does not read the binder at
+    `level`, is broadcast; if it reads it and has no lane code, neither
+    has the connective."""
+    (a, _, a_mask, la), (b, _, b_mask, lb) = operands
+    if la is None:
+        if a_mask >> level & 1:
+            return None
+        la = _broadcast(a, full)
+    elif lb is None:
+        if b_mask >> level & 1:
+            return None
+        lb = _broadcast(b, full)
+    if clause == "and":
+        return lambda env: la(env) & lb(env)
+    if clause == "imp":
+        return lambda env: la(env) ^ full | lb(env)
+    if clause == "or":
+        return lambda env: la(env) | lb(env)
+    return lambda env: la(env) ^ lb(env) ^ full
+
+
 def _compile_logical(h: HenkinModel, t: HolTerm, head: Const,
                      args: list[HolTerm], binders: tuple[HolType, ...],
-                     free: Mapping[str, int]) -> tuple[Code, int]:
-    """Code and binder mask of `t`, the logical constant `head` applied
-    to all its arguments `args`."""
-    depth = len(binders)
+                     free: Mapping[str, int],
+                     lanes: int) -> tuple[Code, int, Code | None]:
+    """Code, binder mask and lane code of `t`, the logical constant
+    `head` applied to all its arguments `args`.  Only an o-typed node
+    that reads the innermost binder has lane code, so a connective has
+    some when one of its operands has."""
     if head.name == PI_NAME and isinstance(args[0], Abs):
-        n, alpha = h.n, head.ty.arg.arg
-        body, _, mask = _compile(h, args[0].body, (alpha,) + binders, free)
-        mask &= (1 << depth) - 1
-        try:
-            dom = enumerate_domain(n, alpha)
-        except EvalError:
-            return _enumerate_when_run(n, alpha), mask
-
-        def forall(env: list) -> int:
-            for d in dom:
-                env.append(d)
-                v = body(env)
-                env.pop()
-                if not v:
-                    return FALSE
-            return TRUE
-        return _cached(forall, mask, depth), mask
+        code, _, mask = _binder(h, head.ty.arg.arg, args[0].body, binders,
+                                free, True)
+        return code, mask, None
     # a conjunction ¬(¬a ∨ ¬b) and an implication ¬a ∨ b are one clause
     # each, over operands compiled once
     if head.name == NOT_NAME:
         conj = match_and(t)
-        if conj is not None:
-            (a, _, mask), (b, _, b_mask) = [_compile(h, u, binders, free)
-                                            for u in conj]
-            return (lambda env: a(env) and b(env)), mask | b_mask
-        a, _, mask = _compile(h, args[0], binders, free)
-        return (lambda env: 1 - a(env)), mask
-    if head.name == PI_NAME:
-        a, _, mask = _compile(h, args[0], binders, free)
+        if conj is None:
+            a, _, mask, la = _compile(h, args[0], binders, free, lanes)
+            lane = (lambda env: la(env) ^ lanes) if la else None
+            return (lambda env: 1 - a(env)), mask, lane
+        clause, args = "and", conj
+    elif head.name == PI_NAME:
+        a, _, mask, _ = _compile(h, args[0], binders, free)
         full = (1 << domain_size(h.n, head.ty.arg.arg)) - 1
-        return (lambda env: int(a(env) == full)), mask
-    imp = head.name == OR_NAME and _applies(args[0], NOT_NAME)
-    if imp:
-        args = [args[0].arg, args[1]]
-    (a, _, mask), (b, _, b_mask) = [_compile(h, u, binders, free)
-                                    for u in args]
+        return (lambda env: int(a(env) == full)), mask, None
+    elif head.name == OR_NAME and _applies(args[0], NOT_NAME):
+        clause, args = "imp", [args[0].arg, args[1]]
+    else:
+        clause = "or" if head.name == OR_NAME else "iff"
+    ops = [_compile(h, u, binders, free, lanes) for u in args]
+    (a, _, mask, la), (b, _, b_mask, lb) = ops
+    lane = (_connective_lanes(clause, ops, lanes, len(binders) - 1)
+            if la or lb else None)
     mask |= b_mask
-    if imp:
-        return (lambda env: b(env) if a(env) else TRUE), mask
-    if head.name == OR_NAME:
-        return (lambda env: a(env) or b(env)), mask
-    return (lambda env: int(a(env) == b(env))), mask
+    if clause == "and":
+        return (lambda env: a(env) and b(env)), mask, lane
+    if clause == "imp":
+        return (lambda env: b(env) if a(env) else TRUE), mask, lane
+    if clause == "or":
+        return (lambda env: a(env) or b(env)), mask, lane
+    return (lambda env: int(a(env) == b(env))), mask, lane
 
 
 def build_henkin(m: CJModel) -> HenkinModel:

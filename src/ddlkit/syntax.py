@@ -211,6 +211,15 @@ _BINARY = {
 }
 
 
+# Bound on how deeply the parser nests.  Each parenthesis, `O(` and
+# prefix operator opens a level until it closes; each binary operator
+# opens one until its chain ends, so `p | p | p` nests as deep as
+# `p | (p | p)`.  The parser recurses at most twice per level, and
+# `valid`, `check` and `embed --thf` a few times per level; all of them
+# answer at the bound (see README).
+MAX_NESTING = 100
+
+
 def _unexpected(tok: _Token, expected: set[str]) -> ParseError:
     _, text, offset = tok
     return ParseError(f"unexpected {text!r}" if text else
@@ -223,6 +232,7 @@ class _Parser:
         self.pos = 0
         self.saw_tf_at: int | None = None
         self.saw_q0_at: int | None = None
+        self.depth = 0
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -240,15 +250,26 @@ class _Parser:
                 f"atom '{RESERVED_ATOM}' is reserved for desugaring 'T'/'F'; "
                 "a formula may not use both", max(self.saw_tf_at, self.saw_q0_at))
 
+    def enter(self, offset: int) -> None:
+        """Open one more nesting level at `offset`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} "
+                             "levels", offset)
+
     def binary(self, level: int = 0) -> Formula:
         """Operands joined by binary connectives of precedence `level` or
         higher (precedence climbing)."""
+        depth = self.depth
         f = self.operand()
         while True:
-            entry = _BINARY.get(self.tokens[self.pos][0])
+            kind, _, offset = self.tokens[self.pos]
+            entry = _BINARY.get(kind)
             if entry is None or entry[0] < level:
+                self.depth = depth
                 return f
             self.pos += 1
+            self.enter(offset)
             prec, build, right_assoc = entry
             f = build(f, self.binary(prec if right_assoc else prec + 1))
 
@@ -256,7 +277,10 @@ class _Parser:
         tok = self.advance()
         kind, text, offset = tok
         if kind in _PREFIX:
-            return _PREFIX[kind](self.operand())
+            self.enter(offset)
+            f = _PREFIX[kind](self.operand())
+            self.depth -= 1
+            return f
         if kind == "ident":
             if text == RESERVED_ATOM:
                 self.saw_q0_at = offset
@@ -272,20 +296,25 @@ class _Parser:
             return _true() if kind == "T" else _false()
         if kind == "O":
             self.expect("(")
+            self.enter(offset)
             consequent = self.binary()
             self.expect("/")
             antecedent = self.binary()
             self.expect(")")
+            self.depth -= 1
             return ObDyadic(antecedent, consequent)
         if kind == "(":
+            self.enter(offset)
             f = self.binary()
             self.expect(")")
+            self.depth -= 1
             return f
         raise _unexpected(tok, _PRIMARY_STARTERS)
 
 
 def parse(text: str) -> Formula:
-    """Parse a formula, desugaring derived connectives to the nine primitives."""
+    """Parse a formula, desugaring derived connectives to the nine
+    primitives.  Raises ParseError, also past MAX_NESTING levels."""
     if not text.strip():
         raise ParseError("empty input", 0, _PRIMARY_STARTERS)
     p = _Parser(text)

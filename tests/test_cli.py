@@ -13,7 +13,7 @@ from ddlkit import cli
 from ddlkit.cli import main
 from ddlkit.export import to_thf_problem
 from ddlkit.model import save_model
-from ddlkit.syntax import parse
+from ddlkit.syntax import MAX_NESTING, parse
 from helpers import mk_model
 
 VALID_MODEL = mk_model(2, av=[[1], [1]], pv=[[0, 1], [1]], ob=[],
@@ -246,7 +246,38 @@ def test_help_exits_zero(capsys):
 def test_deep_nesting_is_a_one_line_error(argv):
     proc = _cli_process(*argv)
     assert proc.returncode == 1
-    assert proc.stderr.splitlines() == ["error: formula nested too deeply"]
+    assert proc.stderr.splitlines() == [
+        f"error: formula nested deeper than {MAX_NESTING} levels at offset "
+        f"{MAX_NESTING}"]
+
+
+def _command(name, formula):
+    if name == "check":
+        return ["check", "--model", EXAMPLE_MODEL, "--formula", formula]
+    if name == "embed-thf":
+        return ["embed", "--thf", "-", "--formula", formula]
+    return [name, "--formula", formula]
+
+
+@pytest.mark.parametrize("name", ["valid", "check", "embed-thf"])
+def test_every_command_answers_at_the_nesting_cap(name):
+    # parentheses take the parser two frames a level, and a diamond
+    # beside a chain of conjunctions makes the deepest embedded term
+    for formula in ("(" * MAX_NESTING + "p" + ")" * MAX_NESTING,
+                    "<>" * MAX_NESTING + "p" + " & p" * MAX_NESTING):
+        proc = _cli_process(*_command(name, formula))
+        assert (proc.returncode, proc.stderr) == \
+            (3 if name == "valid" else 0, "")
+
+
+@pytest.mark.parametrize("name", ["valid", "check", "embed-thf"])
+def test_one_level_past_the_nesting_cap_is_a_parse_error(name):
+    formula = "p" + " & p" * (MAX_NESTING + 1)
+    proc = _cli_process(*_command(name, formula))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == [
+        f"error: formula nested deeper than {MAX_NESTING} levels at offset "
+        f"{len(formula) - 3}"]
 
 
 def test_embed_past_the_node_bound_is_a_one_line_error():
@@ -310,20 +341,15 @@ def test_unexpected_exception_is_a_one_line_internal_error(monkeypatch,
 
 
 @pytest.mark.parametrize("formula,code,out", [
-    ("~" * 494 + "(p | ~p)", 0, "no counterexample up to 3 worlds\n"),
-    ("[a]" * 494 + "p", 3,
+    ("~" * (MAX_NESTING - 4) + "((p | ~p))", 0,
+     "no counterexample up to 3 worlds\n"),
+    ("[a]" * MAX_NESTING + "p", 3,
      '{"world":0,"model":{"worlds":1,"av":[[0]],"pv":[[0]],"ob":[],'
      '"val":{"p":[]}}}\n'),
 ], ids=["negations", "actual-boxes"])
-def test_valid_answers_at_depth_494(formula, code, out):
+def test_valid_answers_at_the_nesting_cap(formula, code, out):
     proc = _cli_process("valid", "--formula", formula)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
-
-
-def test_valid_answers_inside_250_parentheses():
-    # each parenthesis level costs the parser two stack frames
-    proc = _cli_process("valid", "--formula", "(" * 250 + "p" + ")" * 250)
-    assert (proc.returncode, proc.stderr) == (3, "")
 
 
 @pytest.mark.parametrize("d,code,out", [

@@ -10,8 +10,8 @@ from ddlkit.henkin import (FALSE, TRUE, AxiomCheckError, DomainBudgetError,
                            EvalError, HenkinModel, Mismatch, build_henkin,
                            check_axioms, check_faithfulness, domain_size,
                            enumerate_domain, eval_term, extract_model)
-from ddlkit.hol import (I, NOT, OR, TAU, Abs, App, Arrow, Bound, Free, O,
-                        atom_const, axioms, embed, eq_const, equals, exists,
+from ddlkit.hol import (AV, I, NOT, OB, OR, TAU, Abs, App, Arrow, Bound, Free,
+                        O, atom_const, axioms, embed, eq_const, equals, exists,
                         false_term, forall, land, leibniz_eq, liff, limp, lor,
                         neg, pi_const, pretty_term, true_term, vld)
 from ddlkit.model import _valid_ob_tables, random_model, validate
@@ -365,8 +365,9 @@ def test_embedded_formulas_match_the_earlier_compiler():
                          ids=["compiled", "oracle"])
 def test_domain_budget_error_is_raised_only_where_a_quantifier_runs(
         evaluate):
-    h = build_henkin(mk_model(4, av=[[0], [1], [2], [3]],
-                              pv=[[0, 1, 2, 3]] * 4, ob=[], val={}))
+    m = mk_model(4, av=[[0], [1], [2], [3]], pv=[[0, 1, 2, 3]] * 4, ob=[],
+                 val={"q": [1], "r": []})
+    h = build_henkin(m)
     big = forall(Arrow(TAU, TAU), true_term())
     for reached in (big, lor(false_term(), big), limp(true_term(), big),
                     land(true_term(), big)):
@@ -378,3 +379,141 @@ def test_domain_budget_error_is_raised_only_where_a_quantifier_runs(
     assert evaluate(h, lor(true_term(), big)) == TRUE
     assert evaluate(h, limp(false_term(), big)) == TRUE
     assert evaluate(h, land(false_term(), big)) == FALSE
+    # under a binder the loop stops at the first world, where q V → big
+    # holds without running big and r V fails; lanes would run big
+    q, r = atom_const("q"), atom_const("r")
+    assert evaluate(h, forall(I, land(limp(App(q, Bound(0)), big),
+                                      App(r, Bound(0))))) == FALSE
+    h_q = build_henkin(replace(m, val={"q": 0b1111}))
+    assert evaluate(h_q, forall(I, lor(App(q, Bound(0)), big))) == TRUE
+
+
+# --- lifted binders ------------------------------------------------------
+
+
+def test_projection_masks_match_brute_force():
+    for size in range(1, 5):
+        for s in range(size):
+            assert henkin._projection(size, s) == sum(
+                1 << f for f in range(2 ** size) if f >> s & 1), (size, s)
+
+
+_TAU_O = Arrow(TAU, O)
+
+
+def _closed(rng, ty):
+    """A random term of type ty that reads no bound variable."""
+    if ty == O:
+        return rng.choice([
+            Free("b", O), App(atom_const("p"), Free("w", I)),
+            forall(I, App(atom_const("q"), Bound(0))),
+            App(App(OB, atom_const("p")), atom_const("q")), true_term()])
+    if ty == I:
+        return Free("w", I)
+    if ty == TAU:
+        return rng.choice([atom_const("p"), atom_const("q"), Free("X", TAU),
+                           App(AV, Free("w", I))])
+    if ty == _TAU_O:
+        return rng.choice([App(OB, _closed(rng, TAU)), Free("G", _TAU_O)])
+    if ty == Arrow(_TAU_O, O):
+        return rng.choice([Free("H", ty), pi_const(TAU)])
+    raise ValueError(ty)
+
+
+def _reading_v(rng, alpha):
+    """An o-typed term that reads V (Bound 0) : alpha other than by g V
+    or V s, so that the binder over V cannot be lifted."""
+    if alpha == I:
+        return exists(I, App(App(AV, Bound(1)), Bound(0)))
+    if alpha == TAU:
+        return rng.choice([exists(I, App(Bound(1), Bound(0))),
+                           App(App(OB, Bound(0)), _closed(rng, TAU))])
+    return exists(TAU, App(Bound(1), Bound(0)))
+
+
+def _lane_body(rng, alpha, depth):
+    """A random o-typed body under V : alpha from g V, V s, closed terms
+    and the five connectives, now and then with a term that reads V
+    otherwise."""
+    roll = rng.randrange(10 if depth else 4)
+    if roll == 0:
+        return App(_closed(rng, Arrow(alpha, O)), Bound(0))
+    if roll == 1 and alpha != I:
+        return App(Bound(0), _closed(rng, alpha.arg))
+    if roll <= 2:
+        return _closed(rng, O)
+    if roll == 3:
+        return (_reading_v(rng, alpha) if rng.random() < 0.3
+                else App(_closed(rng, Arrow(alpha, O)), Bound(0)))
+    a, b = _lane_body(rng, alpha, depth - 1), _lane_body(rng, alpha, depth - 1)
+    return [neg(a), land(a, b), lor(a, b), limp(a, b), liff(a, b),
+            equals(O, a, b)][roll - 4]
+
+
+def _count_builds(monkeypatch, names):
+    """Count the calls of each of the named compiler helpers."""
+    built = dict.fromkeys(names, 0)
+    for name in names:
+        monkeypatch.setattr(
+            henkin, name,
+            lambda *a, name=name, run=getattr(henkin, name):
+            built.__setitem__(name, built[name] + 1) or run(*a))
+    return built
+
+
+def test_lifted_binders_match_the_earlier_compiler(monkeypatch):
+    built = _count_builds(monkeypatch, ("_lifted", "_forall", "_tabulate"))
+    rng = random.Random(96)
+    terms = 0
+    free_types = {"b": O, "w": I, "X": TAU, "G": _TAU_O,
+                  "H": Arrow(_TAU_O, O)}
+    for n in (1, 2, 3):
+        for _ in range(12):
+            h = build_henkin(random_model(n, ("p", "q"), rng.getrandbits(63),
+                                          rng.choice((0.0, 0.2, 0.4))))
+            for alpha in (I, TAU, _TAU_O):
+                for wrap in (forall, exists, Abs):
+                    t = wrap(alpha, _lane_body(rng, alpha, 3))
+                    free = {name: rng.randrange(domain_size(n, ty))
+                            for name, ty in free_types.items()}
+                    assert _outcome(eval_term, h, t, free) == \
+                        _outcome(oracle_eval_term, h, t, free), \
+                        (pretty_term(t), free, n)
+                    terms += 1
+    # both paths run; more binders are lifted than there are terms / 2
+    assert built["_lifted"] > terms / 2
+    assert built["_forall"] and built["_tabulate"]
+
+
+def test_a_constant_outside_its_domain_reads_as_in_the_loop():
+    # at n = 2 a world predicate has 2 digits; 0b111 has a third, which
+    # the loop never reads
+    p = atom_const("p")
+    for h in (HenkinModel(2, {"p": 0b111}), HenkinModel(1, {"p": 5})):
+        for t in (forall(I, App(p, Bound(0))), Abs(I, App(p, Bound(0))),
+                  forall(_TAU_O, App(Bound(0), p)),
+                  exists(_TAU_O, App(Bound(0), p))):
+            assert eval_term(h, t) == oracle_eval_term(h, t), pretty_term(t)
+
+
+def test_innermost_binders_of_the_axioms_are_lifted(monkeypatch):
+    built = _count_builds(monkeypatch, ("_lifted", "_forall", "_tabulate"))
+    h = build_henkin(random_model(3, ("p",), 5))
+    per_axiom = {}
+    for name, term in axioms():
+        built.update(dict.fromkeys(built, 0))
+        eval_term(h, term)
+        per_axiom[name] = {k: v for k, v in built.items() if v}
+    # every binder over i, i>o or (i>o)>o whose body reads it only by
+    # g V and V s is lifted: the innermost ∀W of OB2, the ∀Z and ∃Z of
+    # OB3, and so on; the outer ones loop
+    assert per_axiom == {
+        "AV": {"_forall": 1, "_lifted": 1},
+        "PV1": {"_forall": 1, "_lifted": 1},
+        "PV2": {"_forall": 1},
+        "OB1": {"_forall": 1, "_lifted": 1, "_tabulate": 2},
+        "OB2": {"_forall": 3, "_lifted": 1},
+        "OB3": {"_forall": 3, "_lifted": 4, "_tabulate": 1},
+        "OB4": {"_forall": 3, "_lifted": 3},
+        "OB5": {"_forall": 3, "_lifted": 2},
+    }

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from ddlkit.syntax import (RESERVED_ATOMS, Atom, Box, BoxA, BoxP, Formula,
-                           Not, ObA, ObDyadic, ObP, Or, ParseError,
+from ddlkit.syntax import (MAX_NESTING, RESERVED_ATOMS, Atom, Box, BoxA, BoxP,
+                           Formula, Not, ObA, ObDyadic, ObP, Or, ParseError,
                            ReservedAtomError, atoms, children, parse,
                            postorder, pretty, random_formula)
 from helpers import oracle_atoms, oracle_parse
@@ -269,3 +269,37 @@ def test_atoms_match_the_path_walking_oracle():
                 for _ in range(2000)]
     for f in formulas + _shared_formulas(rng, 500):
         assert atoms(f) == oracle_atoms(f)
+
+
+@pytest.mark.parametrize("opener,closer", [("(", ")"), ("~", ""), ("<>", ""),
+                                           ("O(p/", ")")],
+                         ids=["parens", "negations", "diamonds", "dyadic"])
+def test_nesting_is_capped_with_a_parse_error_at_the_offset(opener, closer):
+    assert parse(opener * MAX_NESTING + "p" + closer * MAX_NESTING)
+    text = opener * (MAX_NESTING + 1) + "p" + closer * (MAX_NESTING + 1)
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert e.value.offset == len(opener) * MAX_NESTING
+    assert str(e.value) == (f"formula nested deeper than {MAX_NESTING} "
+                            f"levels at offset {e.value.offset}")
+
+
+@pytest.mark.parametrize("op", ["&", "|", "->", "<->"])
+def test_each_operator_of_a_chain_is_one_level(op):
+    # left associative chains nest their left operand, and `->` its right
+    # one, one level per operator either way
+    chain = "p" + f" {op} p" * MAX_NESTING
+    assert parse(chain)
+    with pytest.raises(ParseError) as e:
+        parse(chain + f" {op} p")
+    assert e.value.offset == len(chain) + 1
+    # a closed group or chain gives its levels back
+    group = "(p" + f" {op} p" * (MAX_NESTING - 1) + ")"
+    assert parse(f"{group} & " + "~" * (MAX_NESTING - 1) + "p")
+
+
+def test_deep_input_raises_no_recursion_error():
+    for text in ("(" * 600 + "p" + ")" * 600, "~" * 5000 + "p",
+                 "p -> " * 5000 + "p"):
+        with pytest.raises(ParseError):
+            parse(text)
