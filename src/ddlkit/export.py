@@ -33,11 +33,7 @@ class ExportError(Exception):
 
 def thf_type(ty: HolType) -> str:
     if isinstance(ty, BaseType):
-        if ty.name == "o":
-            return "$o"
-        if ty.name == "i":
-            return "$i"
-        raise ExportError(f"unrenderable base type {ty.name!r}")
+        return "$" + ty.name
     left = thf_type(ty.arg)
     if isinstance(ty.arg, Arrow):
         left = f"({left})"

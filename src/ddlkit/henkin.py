@@ -80,19 +80,22 @@ class ExtractionError(EvalError):
 
 
 def domain_size(n: int, ty: HolType) -> int:
-    # identity first: the compiler asks for sizes at every node, and a
-    # dataclass comparison is a Python call
+    """|D(ty)| at n worlds.  A size past DOMAIN_BUDGET bits, a power
+    tower like (((i>o)>o)>o)>o at n = 3, raises DomainBudgetError: when
+    run for a binder over it, at compile time for a digit base."""
     if ty is O_TYPE:
         return 2
     if ty is I:
         return n
-    if isinstance(ty, Arrow):
-        return domain_size(n, ty.res) ** domain_size(n, ty.arg)
-    if ty == O_TYPE:
-        return 2
-    if ty == I:
-        return n
-    raise EvalError(f"type {ty!r} has no finite domain")
+    if not isinstance(ty, Arrow):
+        raise EvalError(f"not a type: {ty!r}")
+    base, res = domain_size(n, ty.arg), domain_size(n, ty.res)
+    if base * (res.bit_length() - 1) > DOMAIN_BUDGET:
+        raise DomainBudgetError(
+            f"domain for type {type_str(ty)} has more than "
+            f"2**{DOMAIN_BUDGET} elements, exceeding the budget of "
+            f"{DOMAIN_BUDGET}")
+    return res ** base
 
 
 def enumerate_domain(n: int, ty: HolType) -> range:
@@ -250,8 +253,7 @@ def _compile(h: HenkinModel, t: HolTerm, binders: tuple[HolType, ...],
         elif kind is Free:
             value = free[head.name]
     for u, (a, arg_ty, arg_mask, _) in zip(args, argcode):
-        if not isinstance(ty, Arrow) or (ty.arg is not arg_ty
-                                         and ty.arg != arg_ty):
+        if not isinstance(ty, Arrow) or ty.arg != arg_ty:
             raise EvalError(f"cannot apply a value of type {type_str(ty)} "
                             f"to one of type {type_str(arg_ty)}")
         ty = ty.res
@@ -260,7 +262,7 @@ def _compile(h: HenkinModel, t: HolTerm, binders: tuple[HolType, ...],
         code = _digit(code, a, domain_size(h.n, ty), value, level)
         mask |= arg_mask
         value = None
-    if not lanes or k or not (ty is O_TYPE or ty == O_TYPE):
+    if not lanes or k or ty is not O_TYPE:
         return code, ty, mask, None
     if level == depth - 1:
         # g V: the table of g is the lane mask.  A constant outside its
@@ -337,8 +339,7 @@ def _binder(h: HenkinModel, alpha: HolType, body_t: HolTerm,
                                      full)
     if dom is None:
         return _enumerate_when_run(n, alpha), res, (1 << depth) - 1
-    if (lane is None and full and not mask >> depth & 1
-            and (res is O_TYPE or res == O_TYPE)):
+    if lane is None and full and not mask >> depth & 1 and res is O_TYPE:
         lane = _broadcast(body, full)
     mask &= (1 << depth) - 1
     if lane is not None:
@@ -389,10 +390,9 @@ def _tabulate(dom: range, body: Code, base: int) -> Code:
 
 
 def _enumerate_when_run(n: int, ty: HolType) -> Code:
-    """Code for a binder over a domain that cannot be enumerated (over
-    the budget, or of a type without a finite domain): it raises that
-    error, DomainBudgetError naming the type and size, only if it runs,
-    so a binder that a short circuit skips never raises."""
+    """Code for a binder over a domain past the budget: it raises
+    DomainBudgetError naming the type only if it runs, so a binder that
+    a short circuit skips never raises."""
     return lambda env: len(enumerate_domain(n, ty))
 
 
@@ -400,6 +400,8 @@ def _cached(code: Code, mask: int, depth: int) -> Code:
     """`code` remembering its value per values of the binder levels in
     `mask`, when it sits under binders it does not all read; the table
     lives as long as the compiled term, one `eval_term` call."""
+    # lanes do not cover the nested world loops of [](Oa p | ...): their
+    # bodies read V through ob (av V) ...; this keeps them linear
     if mask == (1 << depth) - 1:
         return code
     levels = [level for level in range(depth) if mask >> level & 1]

@@ -1,7 +1,9 @@
 """A small simply-typed lambda kernel and the formula embedding into it.
 
-Types are freely generated from the base types `o` (booleans) and `i`
-(worlds); `tau` abbreviates i>o, the type of world predicates.  Terms are
+Types are `o` (booleans), `i` (worlds) and arrows; `tau` abbreviates
+i>o, the type of world predicates.  The base types are a closed enum,
+compared by identity, and an arrow a named pair compared as a tuple;
+`henkin` refuses a power tower such as (((i>o)>o)>o)>o.  Terms are
 Church typed with de Bruijn indices for bound variables, so alpha
 equivalence is plain structural equality; binder display names survive
 only as annotations for printing.
@@ -26,9 +28,10 @@ a term evaluates to closures and is read back in normal form.
 
 from __future__ import annotations
 
+import enum
 import functools
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 from .syntax import (Atom, Box, BoxA, BoxP, Formula, Not, ObA, ObDyadic, ObP,
                      Or, children)
@@ -38,18 +41,17 @@ class HolTypeError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class BaseType:
-    name: str
+class BaseType(enum.Enum):
+    o = "o"
+    i = "i"
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Arrow:
-    arg: "HolType"
-    res: "HolType"
+class Arrow(NamedTuple):
+    arg: HolType
+    res: HolType
 
     def __str__(self) -> str:
         return type_str(self)
@@ -57,8 +59,8 @@ class Arrow:
 
 HolType = Union[BaseType, Arrow]
 
-O = BaseType("o")
-I = BaseType("i")
+O = BaseType.o
+I = BaseType.i
 TAU = Arrow(I, O)
 
 

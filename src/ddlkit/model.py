@@ -39,12 +39,11 @@ import functools
 import itertools
 import json
 import random
-import re
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .syntax import RESERVED_ATOMS
+from .syntax import IDENT_RE, RESERVED_ATOMS
 
 
 class ModelError(Exception):
@@ -281,9 +280,6 @@ def canonicalize(raw: Mapping[int, Iterable[int]],
     return out, notes
 
 
-_IDENT = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
-
-
 def _require(cond: bool, path: str, msg: str) -> None:
     if not cond:
         raise ModelFormatError(f"{path}: {msg}")
@@ -343,7 +339,7 @@ def load_model(data: bytes | str, allow_invalid: bool = False) -> CJModel:
     _require(isinstance(val_obj, dict), "val", "expected an object")
     val: dict[str, int] = {}
     for atom in sorted(val_obj):
-        _require(isinstance(atom, str) and _IDENT.match(atom) is not None,
+        _require(isinstance(atom, str) and IDENT_RE.fullmatch(atom) is not None,
                  f"val.{atom}", "atom names must match [a-z][a-zA-Z0-9_]*")
         _require(atom not in RESERVED_ATOMS, f"val.{atom}",
                  "atom name is reserved for a signature constant")

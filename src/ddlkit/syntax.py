@@ -127,7 +127,7 @@ RESERVED_ATOM = "q0"
 # the embedding's constants (see `hol`) whose names an atom could take
 RESERVED_ATOMS = frozenset({"av", "pv", "ob", "not", "or", "eq"})
 
-_IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
+IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 _KEYWORDS = {"T", "F", "O", "Oa", "Op"}
 
 
@@ -157,7 +157,7 @@ def _iff(a: Formula, b: Formula) -> Formula:
 # the end of the text)
 _TOKEN_RE = re.compile(
     r"[ \t\r\n]*(?:(?P<op><->|->|<[ap]?>|\[[ap]?\]|[()/|&~])"
-    rf"|(?P<ident>{_IDENT_RE.pattern})|(?P<word>[A-Z][a-zA-Z0-9_]*)"
+    rf"|(?P<ident>{IDENT_RE.pattern})|(?P<word>[A-Z][a-zA-Z0-9_]*)"
     r"|(?P<other>.?))", re.DOTALL)
 # what a stray '-', '<' or '[' could have started
 _PARTIAL = {"-": {"'->'"}, "<": {"'<->'", "'<>'", "'<a>'", "'<p>'"},

@@ -44,7 +44,7 @@ from ddlkit.model import (DENSITIES, CJModel, enumerate_models, full_mask,
                           ideal_ob, mask_of, random_model, subsets,
                           world_list)
 from ddlkit.search import _certify
-from ddlkit.syntax import (_IDENT_RE, _KEYWORDS, _PREFIX, _PRIMARY_STARTERS,
+from ddlkit.syntax import (IDENT_RE, _KEYWORDS, _PREFIX, _PRIMARY_STARTERS,
                            RESERVED_ATOM, RESERVED_ATOMS, Atom, Box, BoxA,
                            BoxP, Formula, Not, ObA, ObDyadic, ObP, Or,
                            ParseError, ReservedAtomError, _and, _false, _iff,
@@ -532,7 +532,7 @@ def _tokenize(text: str) -> Iterator[_Token]:
                 raise ParseError("unexpected character '['", i,
                                  {"'[]'", "'[a]'", "'[p]'"})
             continue
-        m = _IDENT_RE.match(text, i)
+        m = IDENT_RE.match(text, i)
         if m:
             yield _Token("ident", m.group(), i)
             i = m.end()

@@ -150,6 +150,26 @@ def test_domain_budget_error_names_type_and_size():
     assert "(i>o)>i>o" in msg and str(16 ** 16) in msg
 
 
+def test_power_towers_are_refused_before_their_size_is_built():
+    h = HenkinModel(3, {})
+    b = Arrow(TAU, O)  # 256 elements at n = 3
+    tower = forall(Arrow(Arrow(b, O), O), true_term())
+    with pytest.raises(DomainBudgetError) as e:
+        eval_term(h, tower)
+    assert str(e.value) == (f"domain for type (((i>o)>o)>o)>o has more than "
+                            f"2**{henkin.DOMAIN_BUDGET} elements, exceeding "
+                            f"the budget of {henkin.DOMAIN_BUDGET}")
+    # the binder is still lazy: a short circuit never runs it
+    assert eval_term(h, lor(true_term(), tower)) == TRUE
+    # a tower in the result type: D(b) has 2**16 elements at n = 4, so
+    # D(b>b>o) has (2**2**16)**2**16 = 2**2**32
+    with pytest.raises(DomainBudgetError) as e:
+        domain_size(4, Arrow(b, Arrow(b, O)))
+    assert "type ((i>o)>o)>((i>o)>o)>o has more than" in str(e.value)
+    with pytest.raises(EvalError, match="not a type"):
+        domain_size(3, "o")
+
+
 def test_eval_unassigned_free_variable():
     from ddlkit.henkin import EvalError
 
@@ -494,6 +514,22 @@ def test_a_constant_outside_its_domain_reads_as_in_the_loop():
                   forall(_TAU_O, App(Bound(0), p)),
                   exists(_TAU_O, App(Bound(0), p))):
             assert eval_term(h, t) == oracle_eval_term(h, t), pretty_term(t)
+
+
+@pytest.mark.parametrize("d", [4, 8, 12])
+def test_nested_world_loops_run_linearly(monkeypatch, d):
+    # each [](Oa p | ...) loops over the worlds, and its body reads V
+    # through ob (av V), so no lane covers it; the per-call memo keeps
+    # the inner loops from rerunning per value of the outer ones
+    runs = [0]
+    monkeypatch.setattr(
+        henkin, "_forall", lambda dom, body, run=henkin._forall: run(
+            dom, lambda env: runs.__setitem__(0, runs[0] + 1) or body(env)))
+    m = mk_model(3, av=[[0], [1], [2]], pv=[[0, 1, 2]] * 3, ob=[],
+                 val={"p": [0]})
+    t = vld(embed(parse("[](Oa p | " * d + "(p | ~p)" + ")" * d)))
+    assert eval_term(build_henkin(m), t) == TRUE
+    assert runs[0] == 3 * d
 
 
 def test_innermost_binders_of_the_axioms_are_lifted(monkeypatch):

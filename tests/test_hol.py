@@ -2,18 +2,34 @@ import random
 
 import pytest
 
+from ddlkit.export import thf_type
 from ddlkit.hol import (AV, LOGICAL_NAMES, NOT, OB, PI_NAME, PV, TAU, Abs,
-                        App, Arrow, Bound, Const, Free, HolTypeError, I, O,
-                        MAX_EMBED_NODES, VLD, atom_const, axioms,
-                        beta_eta_normalize, embed, leibniz_eq, lor, neg,
-                        pretty_term, substitute, type_of, type_str, vld)
-from ddlkit.syntax import (_IDENT_RE, RESERVED_ATOMS, Atom, Formula, Not, Or,
+                        App, Arrow, BaseType, Bound, Const, Free,
+                        HolTypeError, I, O, MAX_EMBED_NODES, VLD, atom_const,
+                        axioms, beta_eta_normalize, embed, leibniz_eq, lor,
+                        neg, pretty_term, substitute, type_of, type_str, vld)
+from ddlkit.syntax import (IDENT_RE, RESERVED_ATOMS, Atom, Formula, Not, Or,
                            parse, random_formula)
 from helpers import (beta_eta_normalize_innermost, from_named, nsubst,
                      oracle_embed, oracle_normalize, random_term,
                      substitution_normalize, to_named)
 
 W = Free("w", I)
+
+
+def test_types_are_o_i_and_arrows():
+    assert BaseType("o") is O and BaseType("i") is I
+    with pytest.raises(ValueError):
+        BaseType("x")
+    assert str(O) == "o" and str(TAU) == "i>o"
+    assert Arrow(I, O) == TAU and hash(Arrow(I, O)) == hash(TAU)
+    for ty, text, thf in (
+            (O, "o", "$o"), (I, "i", "$i"), (TAU, "i>o", "$i > $o"),
+            (OB.ty, "(i>o)>(i>o)>o", "($i > $o) > ($i > $o) > $o"),
+            (Arrow(Arrow(TAU, O), Arrow(I, I)), "((i>o)>o)>i>i",
+             "(($i > $o) > $o) > $i > $i")):
+        assert type_str(ty) == str(ty) == text
+        assert thf_type(ty) == thf
 
 
 def test_type_of_basics():
@@ -101,7 +117,7 @@ def test_embedded_disjunction():
 
 def test_reserved_atoms_are_the_signature_names_an_atom_could_take():
     names = {AV.name, PV.name, OB.name} | set(LOGICAL_NAMES)
-    assert RESERVED_ATOMS == {n for n in names if _IDENT_RE.fullmatch(n)}
+    assert RESERVED_ATOMS == {n for n in names if IDENT_RE.fullmatch(n)}
 
 
 def test_embed_types_and_signature():
