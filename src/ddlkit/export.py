@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from . import hol
 from .hol import (EQ_NAME, NOT_NAME, OR_NAME, PI_NAME, Abs, App, Arrow,
-                  BaseType, Bound, Const, Free, HolTerm, HolType, embed,
-                  match_and, match_exists, vld)
+                  BaseType, Bound, Const, Free, HolTerm, HolType, _applies,
+                  embed, vld)
 from .syntax import RESERVED_ATOMS, Formula, atoms
 
 
@@ -31,6 +31,7 @@ class ExportError(Exception):
     pass
 
 
+@functools.cache
 def thf_type(ty: HolType) -> str:
     if isinstance(ty, BaseType):
         return "$" + ty.name
@@ -45,57 +46,70 @@ AV_TYPE, PV_TYPE, OB_TYPE, ATOM_TYPE = (
 
 
 def _render(t: HolTerm, names: tuple[str, ...]) -> str:
-    if isinstance(t, App) and isinstance(t.fn, Const):
-        if t.fn.name == NOT_NAME:
-            ex = match_exists(t)
-            if ex is not None:
+    kind = type(t)  # one type test per node, then only what the node needs
+    if kind is App:
+        fn, arg = t.fn, t.arg
+        fn_kind = type(fn)
+        if fn_kind is Const:
+            if fn.name == NOT_NAME:
+                if type(arg) is App:
+                    inner = arg.fn
+                    inner_kind = type(inner)
+                    # the existential ¬Pi (λx. ¬s)
+                    if (inner_kind is Const and inner.name == PI_NAME
+                            and type(arg.arg) is Abs
+                            and _applies(arg.arg.body, NOT_NAME)):
+                        name = f"V{len(names)}"
+                        return (f"?[{name}:{thf_type(arg.arg.var_ty)}]: "
+                                + _render(arg.arg.body.arg,
+                                          names + (name,)))
+                    # the conjunction ¬(¬a ∨ ¬b)
+                    if (inner_kind is App and type(inner.fn) is Const
+                            and inner.fn.name == OR_NAME
+                            and _applies(inner.arg, NOT_NAME)
+                            and _applies(arg.arg, NOT_NAME)):
+                        return (f"({_render(inner.arg.arg, names)} & "
+                                f"{_render(arg.arg.arg, names)})")
+                return "~" + _delimited(arg, names)
+            if fn.name == PI_NAME:
                 name = f"V{len(names)}"
-                return (f"?[{name}:{thf_type(ex.var_ty)}]: "
-                        + _render(ex.body.arg, names + (name,)))
-            both = match_and(t)
-            if both is not None:
-                a, b = both
-                return f"({_render(a, names)} & {_render(b, names)})"
-            return "~" + _delimited(t.arg, names)
-        if t.fn.name == PI_NAME:
-            name = f"V{len(names)}"
-            alpha = t.fn.ty.arg.arg
-            if isinstance(t.arg, Abs):
+                alpha = fn.ty.arg.arg
+                if type(arg) is Abs:
+                    return (f"![{name}:{thf_type(alpha)}]: "
+                            + _render(arg.body, names + (name,)))
+                # eta-expand so the quantifier still prints in binder form
                 return (f"![{name}:{thf_type(alpha)}]: "
-                        + _render(t.arg.body, names + (name,)))
-            # eta-expand so the quantifier still prints in binder form
-            return (f"![{name}:{thf_type(alpha)}]: "
-                    f"({_delimited(t.arg, names)} @ {name})")
-    if isinstance(t, App) and isinstance(t.fn, App):
-        if isinstance(t.fn.fn, Const) and t.fn.fn.name == OR_NAME:
-            return f"({_render(t.fn.arg, names)} | {_render(t.arg, names)})"
-        if isinstance(t.fn.fn, Const) and t.fn.fn.name == EQ_NAME:
-            return (f"({_delimited(t.fn.arg, names)} = "
-                    f"{_delimited(t.arg, names)})")
-    if isinstance(t, App):
-        return f"({_delimited(t.fn, names)} @ {_delimited(t.arg, names)})"
-    if isinstance(t, Abs):
+                        f"({_delimited(arg, names)} @ {name})")
+        elif fn_kind is App and type(fn.fn) is Const:
+            if fn.fn.name == OR_NAME:
+                return f"({_render(fn.arg, names)} | {_render(arg, names)})"
+            if fn.fn.name == EQ_NAME:
+                return (f"({_delimited(fn.arg, names)} = "
+                        f"{_delimited(arg, names)})")
+        return f"({_delimited(fn, names)} @ {_delimited(arg, names)})"
+    if kind is Abs:
         name = f"V{len(names)}"
         return (f"^[{name}:{thf_type(t.var_ty)}]: "
                 + _render(t.body, names + (name,)))
-    if isinstance(t, Bound):
+    if kind is Bound:
         if t.index >= len(names):
             raise ExportError(f"dangling bound variable index {t.index}")
         return names[len(names) - 1 - t.index]
-    if isinstance(t, Const):
+    if kind is Const:
         if t.name in hol.LOGICAL_NAMES:
             raise ExportError(
                 f"logical constant {t.name!r} occurs unapplied; cannot "
                 "render in THF0")
         return t.name
-    if isinstance(t, Free):
+    if kind is Free:
         raise ExportError(f"free variable {t.name!r} in a closed rendering")
     raise ExportError(f"unrenderable term {t!r}")
 
 
 def _delimited(t: HolTerm, names: tuple[str, ...]) -> str:
     s = _render(t, names)
-    if isinstance(t, (Const, Bound)) or s.startswith("("):
+    kind = type(t)
+    if kind is Const or kind is Bound or s.startswith("("):
         return s
     return f"({s})"
 

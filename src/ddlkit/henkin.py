@@ -615,6 +615,8 @@ def check_faithfulness(n_max: int = 2, samples: int = 1000,
     """
     if not 1 <= n_max <= 4:
         raise ValueError(f"n_max must be in 1..4, got {n_max}")
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     rng = random.Random(seed)
     atom_pool = ("p", "q", "r")
     mismatches: list[Mismatch] = []

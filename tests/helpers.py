@@ -18,7 +18,9 @@ models beyond, shrinking a sampled hit by dropping worlds; its world
 drop squeezes every ob trace rather than relying on the closed form of
 ob tables.  The embedded evaluator oracle is the closure compiler from
 before binder use masks, per-call caches, compile-time domains and
-fused clauses.
+fused clauses.  The THF renderer oracle is the renderer from before it
+tested each node's kind once and matched the existential and
+conjunction patterns inline.
 """
 
 from __future__ import annotations
@@ -31,13 +33,15 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
 from ddlkit import hol
-from ddlkit.hol import (AV, BOX_TAU, BOXA_TAU, BOXP_TAU, LOGICAL_NAMES, I,
-                        NOT, NOT_NAME, NOT_TAU, OB, OB_TAU, OBA_TAU, OBP_TAU,
-                        OR, OR_NAME, OR_TAU, PI_NAME, PV, TAU, Abs, App,
-                        Arrow, Bound, Const, Free, HolTerm, HolType, O,
-                        _subst, atom_const, eq_const, pi_const, shift,
-                        type_str, uses_bound)
+from ddlkit.hol import (AV, BOX_TAU, BOXA_TAU, BOXP_TAU, EQ_NAME,
+                        LOGICAL_NAMES, I, NOT, NOT_NAME, NOT_TAU, OB, OB_TAU,
+                        OBA_TAU, OBP_TAU, OR, OR_NAME, OR_TAU, PI_NAME, PV,
+                        TAU, Abs, App, Arrow, Bound, Const, Free, HolTerm,
+                        HolType, O, _subst, atom_const, eq_const, match_and,
+                        match_exists, pi_const, shift, type_str, uses_bound)
 from ddlkit.checker import truth_set
+from ddlkit.export import (ExportError, ThfProblem, _signature_entries,
+                           thf_type)
 from ddlkit.henkin import (_ARITY, FALSE, TRUE, Code, EvalError, HenkinModel,
                            _eta_expand, domain_size, enumerate_domain)
 from ddlkit.model import (DENSITIES, CJModel, enumerate_models, full_mask,
@@ -994,6 +998,81 @@ def check_thf_problem_text(text: str) -> None:
             if re.fullmatch(r"[a-z][a-zA-Z0-9_]*", tok):
                 assert tok in declared, f"symbol {tok!r} used before declaration"
         del bound
+
+
+# ---------------------------------------------------------------------------
+# THF renderer oracle: the renderer from before one-dispatch rendering,
+# which matched the existential and conjunction patterns through
+# hol.match_exists and hol.match_and at every negation
+
+
+def oracle_render(t: HolTerm, names: tuple[str, ...] = ()) -> str:
+    if isinstance(t, App) and isinstance(t.fn, Const):
+        if t.fn.name == NOT_NAME:
+            ex = match_exists(t)
+            if ex is not None:
+                name = f"V{len(names)}"
+                return (f"?[{name}:{thf_type(ex.var_ty)}]: "
+                        + oracle_render(ex.body.arg, names + (name,)))
+            both = match_and(t)
+            if both is not None:
+                a, b = both
+                return (f"({oracle_render(a, names)} & "
+                        f"{oracle_render(b, names)})")
+            return "~" + _oracle_delimited(t.arg, names)
+        if t.fn.name == PI_NAME:
+            name = f"V{len(names)}"
+            alpha = t.fn.ty.arg.arg
+            if isinstance(t.arg, Abs):
+                return (f"![{name}:{thf_type(alpha)}]: "
+                        + oracle_render(t.arg.body, names + (name,)))
+            # eta-expand so the quantifier still prints in binder form
+            return (f"![{name}:{thf_type(alpha)}]: "
+                    f"({_oracle_delimited(t.arg, names)} @ {name})")
+    if isinstance(t, App) and isinstance(t.fn, App):
+        if isinstance(t.fn.fn, Const) and t.fn.fn.name == OR_NAME:
+            return (f"({oracle_render(t.fn.arg, names)} | "
+                    f"{oracle_render(t.arg, names)})")
+        if isinstance(t.fn.fn, Const) and t.fn.fn.name == EQ_NAME:
+            return (f"({_oracle_delimited(t.fn.arg, names)} = "
+                    f"{_oracle_delimited(t.arg, names)})")
+    if isinstance(t, App):
+        return (f"({_oracle_delimited(t.fn, names)} @ "
+                f"{_oracle_delimited(t.arg, names)})")
+    if isinstance(t, Abs):
+        name = f"V{len(names)}"
+        return (f"^[{name}:{thf_type(t.var_ty)}]: "
+                + oracle_render(t.body, names + (name,)))
+    if isinstance(t, Bound):
+        if t.index >= len(names):
+            raise ExportError(f"dangling bound variable index {t.index}")
+        return names[len(names) - 1 - t.index]
+    if isinstance(t, Const):
+        if t.name in hol.LOGICAL_NAMES:
+            raise ExportError(
+                f"logical constant {t.name!r} occurs unapplied; cannot "
+                "render in THF0")
+        return t.name
+    if isinstance(t, Free):
+        raise ExportError(f"free variable {t.name!r} in a closed rendering")
+    raise ExportError(f"unrenderable term {t!r}")
+
+
+def _oracle_delimited(t: HolTerm, names: tuple[str, ...]) -> str:
+    s = oracle_render(t, names)
+    if isinstance(t, (Const, Bound)) or s.startswith("("):
+        return s
+    return f"({s})"
+
+
+def oracle_thf_problem(f: Formula) -> ThfProblem:
+    """The problem of export.to_thf_problem, every formula rendered by
+    oracle_render."""
+    return ThfProblem((
+        *_signature_entries(sorted(atoms(f))),
+        *((name.lower(), "axiom", oracle_render(term))
+          for name, term in hol.axioms()),
+        ("goal", "conjecture", oracle_render(hol.vld(hol.embed(f))))))
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,15 @@ def test_faithfulness_ok(capsys):
     assert capsys.readouterr().out.strip() == "OK samples=40"
 
 
+@pytest.mark.parametrize("argv", [["faithfulness"],
+                                  ["valid", "--formula", "p"]],
+                         ids=["faithfulness", "valid"])
+def test_negative_samples_is_a_one_line_error(argv, capsys):
+    assert main([*argv, "--samples", "-5"]) == 1
+    assert capsys.readouterr() == ("",
+                                   "error: samples must be nonnegative\n")
+
+
 def test_axioms_listing(capsys):
     assert main(["axioms"]) == 0
     out = capsys.readouterr().out

@@ -6,8 +6,8 @@ import pytest
 from ddlkit.export import (ExportError, ThfProblem, axioms_problem,
                            thf_type, to_thf_problem, to_thf_term)
 from ddlkit.hol import I, TAU, Arrow, Free, O, axioms, embed, vld
-from ddlkit.syntax import Atom, Or, parse, random_formula
-from helpers import check_thf_problem_text, thf_tokens
+from ddlkit.syntax import MAX_NESTING, Atom, Or, parse, random_formula
+from helpers import check_thf_problem_text, oracle_thf_problem, thf_tokens
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = {
@@ -115,3 +115,14 @@ def test_problem_str_matches_text():
     prob = to_thf_problem(parse("p"))
     assert str(prob) == prob.text()
     assert isinstance(prob, ThfProblem)
+
+
+def test_rendering_matches_the_oracle_renderer():
+    rng = random.Random(14)
+    formulas = [random_formula(rng, rng.randint(1, 8), ("p", "q", "r"))
+                for _ in range(2000)]
+    # the deepest formulas test_cli.py feeds `embed --thf` at the cap
+    formulas += [parse("(" * MAX_NESTING + "p" + ")" * MAX_NESTING),
+                 parse("<>" * MAX_NESTING + "p" + " & p" * MAX_NESTING)]
+    for f in formulas:
+        assert to_thf_problem(f).text() == oracle_thf_problem(f).text()

@@ -32,6 +32,30 @@ def test_types_are_o_i_and_arrows():
         assert thf_type(ty) == thf
 
 
+def test_terms_compare_by_kind_and_structure():
+    def sample(hint="A"):
+        return Abs(TAU, App(App(OB, Bound(0)), Free("q", TAU)), hint)
+
+    a, b = sample(), sample()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert sample("A") == sample("Z") and hash(sample("A")) == hash(
+        sample("Z"))
+    assert Const("p", TAU) != Free("p", TAU)
+    assert App(NOT, Bound(0)) != App(NOT, Bound(1))
+    assert Abs(I, Bound(0)) != Abs(O, Bound(0))
+    o_, i_, tau = ("<BaseType.o: 'o'>", "<BaseType.i: 'i'>",
+                   "Arrow(arg=<BaseType.i: 'i'>, res=<BaseType.o: 'o'>)")
+    assert repr(sample()) == (
+        f"Abs(var_ty={tau}, body=App(fn=App(fn=Const(name='ob', "
+        f"ty=Arrow(arg={tau}, res=Arrow(arg={tau}, res={o_}))), "
+        f"arg=Bound(index=0)), arg=Free(name='q', ty={tau})), hint='A')")
+    assert repr(W) == f"Free(name='w', ty={i_})"
+    table = {sample("A"): 1, Const("p", TAU): 2, Free("p", TAU): 3}
+    assert table[sample("Z")] == 1
+    assert (table[Const("p", TAU)], table[Free("p", TAU)]) == (2, 3)
+    assert len({vld(embed(parse("O(p/q)"))) for _ in range(3)}) == 1
+
+
 def test_type_of_basics():
     assert type_of(App(NOT, Const("c", O))) == O
     assert type_of(embed(parse("p"))) == TAU

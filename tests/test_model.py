@@ -1,10 +1,12 @@
+import collections
 import json
 import random
 
 import pytest
 
-from ddlkit.model import (DENSITIES, MAX_WORLDS, CJModel, InvalidModelError,
-                          ModelFormatError, ModelStructureError, ModelWarning,
+from ddlkit.model import (DENSITIES, MAX_WITNESSES, MAX_WORLDS, CJModel,
+                          InvalidModelError, ModelFormatError,
+                          ModelStructureError, ModelWarning,
                           _ob_violations, _valid_ob_tables, canonicalize,
                           enumerate_models, full_mask, ideal_ob, load_model,
                           model_json, ob_member, random_model, save_model,
@@ -59,6 +61,27 @@ def test_validate_reports_ob3_violation():
     m = mk_model(3, av=[[0], [1], [2]], pv=[[0], [1], [2]],
                  ob=[([0, 1, 2], [[0, 2], [1, 2]])], val={})
     assert "ob3" in validate(m).conditions()
+
+
+def test_report_prints_at_most_max_witnesses_per_condition():
+    rng = random.Random(0)
+    ob = {}
+    for x in range(1, 16):
+        traces = frozenset(y for y in subsets(x) if y and rng.random() < 0.5)
+        if traces:
+            ob[x] = traces
+    report = validate(CJModel(4, (1, 2, 4, 8), (1, 2, 4, 8), ob, {}))
+    totals = collections.Counter(v.condition for v in report.violations)
+    assert totals == {"ob5": 63, "ob4": 34, "ob3": 1}
+    assert MAX_WITNESSES == 10
+    lines = str(report).splitlines()
+    assert len(lines) == 10 + 10 + 1 + 2
+    assert lines[-2:] == ["ob4: 24 more violations not shown (34 in all)",
+                          "ob5: 53 more violations not shown (63 in all)"]
+    shown = collections.Counter(line.split(":")[0] for line in lines[:-2])
+    assert shown == {"ob5": 10, "ob4": 10, "ob3": 1}
+    assert str(InvalidModelError(report)).splitlines()[1:] == lines
+    assert len(report.violations) == 98
 
 
 def test_validate_binary_closure_accepts_closed_pair():

@@ -12,3 +12,48 @@ def test_source_parses_as_python_3_10(path):
     # pyproject.toml allows Python 3.10: no syntax from later versions
     ast.parse(path.read_text(encoding="utf-8"), str(path),
               feature_version=(3, 10))
+
+
+# every field of Const, Bound, Free, App and Abs
+TERM_FIELDS = frozenset({"name", "ty", "index", "fn", "arg", "var_ty",
+                         "body", "hint"})
+
+
+def term_field_writes(source: str) -> list[int]:
+    """Lines that assign to or delete an attribute named like a hol term
+    field, directly or through setattr."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in TERM_FIELDS
+                and isinstance(node.ctx, (ast.Store, ast.Del))):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value in TERM_FIELDS
+              and (isinstance(node.func, ast.Name)
+                   and node.func.id == "setattr"
+                   or isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "__setattr__")):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_assigns_to_a_term_field(path):
+    # hol terms are slotted dataclasses, not frozen ones: this is what
+    # keeps them immutable, and so keeps their hashes valid
+    assert term_field_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_term_field_writes_are_found():
+    source = ("t.fn = a\n"
+              "t.body, x = b, 1\n"
+              "t.index += 1\n"
+              "del t.hint\n"
+              "setattr(t, 'arg', c)\n"
+              "object.__setattr__(t, 'var_ty', d)\n"
+              "t.name = e\n"
+              "t.names = f\n"
+              "x = t.fn\n")
+    assert term_field_writes(source) == [1, 2, 3, 4, 5, 6, 7]
