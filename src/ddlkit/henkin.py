@@ -55,6 +55,11 @@ from .syntax import RESERVED_ATOMS, Formula, pretty, random_formula
 
 DOMAIN_BUDGET = 1 << 20
 
+# Bound on the triples `check_faithfulness` draws.  At the bound it took
+# 7.0 s and 17 MB (peak RSS of the CLI process) with --max-worlds 4 on a
+# 2-vCPU machine; memory does not grow with the count.
+MAX_SAMPLES = 10_000
+
 TRUE, FALSE = 1, 0
 VWorld = int
 
@@ -617,6 +622,8 @@ def check_faithfulness(n_max: int = 2, samples: int = 1000,
         raise ValueError(f"n_max must be in 1..4, got {n_max}")
     if samples < 0:
         raise ValueError("samples must be nonnegative")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES:,}")
     rng = random.Random(seed)
     atom_pool = ("p", "q", "r")
     mismatches: list[Mismatch] = []

@@ -7,13 +7,21 @@ type says so explicitly.
 A valid model is a frame (av, pv), an ob table, which is empty or ob_S
 for one set S of ideal worlds (see `ddlkit.model`), and a valuation.
 The formula is compiled once into post-order operations, one per
-distinct subformula.  For one frame and table they run over all
-2**(n*k) valuations of its k atoms at once: each world holds one
-integer, whose bit v is the truth at that world under valuation v
-(bit-slicing, after Biham, "A fast new DES implementation in software",
-FSE 1997).  Lane v gives the i-th atom in sorted order the worlds
-(v >> (k-1-i)*n) & W, which is the order of itertools.product with the
-first atom most significant.
+distinct subformula.  They run over all 2**(n*k) valuations of its k
+atoms and a chunk of C consecutive (frame, table) pairs at once: each
+world holds one integer, whose bit v*C + c (the lane) is the truth at
+that world under valuation v of pair c (bit-slicing, after Biham, "A
+fast new DES implementation in software", FSE 1997, applied to the
+pairs as well as the valuations).  Valuation v gives the i-th atom in
+sorted order the worlds (v >> (k-1-i)*n) & W, which is the order of
+itertools.product with the first atom most significant.  The chunk's
+frames and tables enter as masks with one bit per pair, such as the
+pairs whose av(s) holds t, replicated to every valuation by one
+multiplication; [a]x at s is then the AND over t of (x at t) OR (the
+lanes of the pairs without t in av(s)).  A mask of no pair is skipped
+and one of every pair needs no lanes, so a chunk of one pair costs what
+sweeping one pair alone did.  A chunk holds at most LANE_BUDGET lanes,
+so C is 1 once one pair's valuations fill the budget.
 
 Only the components the formula mentions vary: av if it has [a] or Oa,
 pv if it has [p] or Op, the table if it has O, Oa or Op.  The others
@@ -27,9 +35,9 @@ model finding", 2003): the least frame of its orbit, then the least S
 under the permutations that fix that frame.
 
 At four worlds the search draws `samples` frames and tables, S uniform
-over the 2**n + 1 tables; each draw still covers every valuation.  As
-every smaller model was swept, a four-world hit has no countermodel on
-fewer worlds.
+over the 2**n + 1 tables, and sweeps them in order in the same chunks;
+each draw still covers every valuation.  As every smaller model was
+swept, a four-world hit has no countermodel on fewer worlds.
 """
 
 from __future__ import annotations
@@ -47,9 +55,27 @@ from .syntax import (Atom, Box, BoxA, BoxP, Formula, Not, ObA, ObDyadic, ObP,
 
 # Bound on n_max times the number of atoms: a model on n worlds has
 # 2**(n*k) valuations, one bit each.  The theorem ([p]x -> [a]x) | Op x,
-# x the disjunction of k atoms, took 1.4 s at k = 6 on 3 worlds, and
-# 32 s and 55 MB at k = 7, on a 2-vCPU machine.
+# x the disjunction of k atoms, took 0.9-1.1 s at k = 6 on 3 worlds, and
+# 10 s and 46 MB at k = 7, on a 2-vCPU machine (1.2-1.3 s and 28 s
+# sweeping one pair at a time).
 MAX_LANE_BITS = 18
+
+# Lanes (bits) per chunk of pairs swept at once.  The 25 verdicts of
+# perfbench/search_corpus.tsv took 2.7-2.9 ms in all at this budget, in
+# one process on a 2-vCPU machine: 2.5-3.2 ms at 2**10 and 2**11,
+# 2.8-3.3 ms at 2**13, 3.3-4.0 ms at 2**14 and 5.1-6.3 ms at 2**16, as a
+# larger chunk sweeps more pairs past an early hit (`Oa p -> Op p`:
+# 0.3 ms here, 2.9 ms at 2**16).  Larger budgets do speed up long
+# sweeps: ([p]x -> [a]x) | Op x, x the disjunction of 4 atoms, took
+# 43 ms here and 24 ms at 2**16.
+LANE_BUDGET = 1 << 12
+
+# Bound on the draws of the sampled tier, whose repeats are remembered
+# to be skipped.  At the bound, on a 2-vCPU machine, `Oa p -> <a>~p`
+# took 1.2 s and 41 MB (peak RSS of the process) at 4 worlds, and
+# ([p]x -> [a]x) | Op x, x the disjunction of 4 atoms (the lane bound at
+# 4 worlds), 10-12 s and 44 MB.
+MAX_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -87,7 +113,8 @@ def find_countermodel(f: Formula, n_max: int = 3, samples: int = 1000,
     Sweeps one frame and table per orbit of world permutations, with
     every valuation, on 1 to min(3, n_max) worlds; with n_max = 4 it then
     draws `samples` frames and tables on four worlds.  The first hit is
-    returned: the lowest falsified valuation lane, then the lowest world.
+    returned: the first frame and table in sweep order with one, then
+    its lowest falsified valuation lane, then the lowest world.
     Deterministic for fixed arguments; every returned countermodel is
     re-checked before being reported.
     """
@@ -95,24 +122,29 @@ def find_countermodel(f: Formula, n_max: int = 3, samples: int = 1000,
         raise ValueError(f"n_max must be in 1..4, got {n_max}")
     if samples < 0:
         raise ValueError("samples must be nonnegative")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES:,}")
     names = sorted(atoms(f))
-    if n_max * len(names) > MAX_LANE_BITS:
+    k = len(names)
+    if n_max * k > MAX_LANE_BITS:
         raise ValueError(
-            f"{len(names)} atoms on up to {n_max} worlds: the search takes "
+            f"{k} atoms on up to {n_max} worlds: the search takes "
             f"at most {MAX_LANE_BITS // n_max} atoms at this world bound")
     ops, uses = _compile(f, names)
     for n in range(1, n_max + 1):
-        candidates = (_representatives(n, *uses) if n <= EXHAUSTIVE_WORLDS
-                      else _sampled(n, *uses, samples, seed))
-        for av, pv, ideal, missed in _sweep(ops, len(names), n, candidates):
-            union = 0
-            for lanes in missed:
-                union |= lanes
-            if union:
-                lane = (union & -union).bit_length() - 1
-                s = next(w for w in range(n) if missed[w] >> lane & 1)
+        if n <= EXHAUSTIVE_WORLDS:
+            size = _chunk_size(n, k, len(_representatives(n, *uses)))
+            chunks = _orbit_chunks(n, uses, size)
+        else:
+            size = _chunk_size(n, k, samples)
+            chunks = _drawn_chunks(n, uses, samples, seed, size)
+        for pairs, missed in _sweep(ops, k, n, size, chunks):
+            hit = _first_miss(missed, k, n, size)
+            if hit is not None:
+                c, v, s = hit
+                av, pv, ideal = pairs[c]
                 full = full_mask(n)
-                val = {a: lane >> (len(names) - 1 - i) * n & full
+                val = {a: v >> (k - 1 - i) * n & full
                        for i, a in enumerate(names)}
                 ob = {} if ideal is None else ideal_ob(n, ideal)
                 return _certify(CJModel(n, av, pv, ob, val), s, f)
@@ -168,36 +200,155 @@ def _compile(f: Formula, names: list[str]):
     return ops, uses
 
 
-def _sweep(ops, k: int, n: int, candidates):
-    """For each candidate frame and table, yield (av, pv, ideal, missed):
-    missed[w] holds the lanes where the last operation is false at world
-    w.  `candidates` yields (av, pv, ideals), ideal None standing for the
-    empty table."""
-    every = (1 << (1 << n * k)) - 1
-    vals: list[list[int]] = [[] for _ in ops]
+def _chunk_size(n: int, k: int, count: int) -> int:
+    """Pairs per chunk for `count` pairs on n worlds and k atoms: as few
+    chunks as keep each within LANE_BUDGET lanes (or one pair), with
+    the pairs spread evenly over them, so the last chunk is nearly full."""
+    most = max(1, LANE_BUDGET >> n * k)
+    chunks = -(-count // most)
+    return -(-count // chunks) if chunks else 1
+
+
+def _orbit_chunks(n: int, uses: tuple[bool, bool, bool], size: int):
+    """The `_representatives` pairs in chunks of `size`, with their masks."""
+    pairs = _representatives(n, *uses)
+    for start in range(0, len(pairs), size):
+        yield pairs[start:start + size], _orbit_masks(n, *uses, size, start)
+
+
+@functools.cache
+def _orbit_masks(n: int, use_av: bool, use_pv: bool, use_ob: bool,
+                 size: int, start: int):
+    """`_masks` of the `size` orbit pairs from `start` on.  Built when a
+    sweep first reaches them, so a search that hits early builds only
+    the chunks it swept."""
+    pairs = _representatives(n, use_av, use_pv, use_ob)
+    return _masks(n, pairs[start:start + size])
+
+
+def _drawn_chunks(n: int, uses: tuple[bool, bool, bool], samples: int,
+                  seed: int, size: int):
+    """The `_sampled` draws, in order, in chunks of `size`, with their
+    masks."""
+    draws = _sampled(n, *uses, samples, seed)
+    while chunk := tuple(itertools.islice(draws, size)):
+        yield chunk, _masks(n, chunk)
+
+
+# Per set of worlds (a mask on up to 4 worlds), (t, 1) for each world t
+# in it: the rows of `_masks` for a chunk of one pair.
+_UNIT_ROWS = tuple(tuple((t, 1) for t in world_list(m)) for m in range(16))
+
+
+def _masks(n: int, pairs) -> tuple:
+    """(av, pv, ideal, has) for a chunk of (av, pv, ideal) pairs, as masks
+    with bit c for pairs[c]: av[s] lists (t, mask) for each world t in
+    av(s) of some pair, the mask marking those pairs, and pv[s] likewise;
+    ideal[t] marks the pairs with a table ob_S and t in S, and has the
+    pairs with a table (ideal not None)."""
+    if len(pairs) == 1:
+        [(a, p, i)] = pairs
+        return (tuple(_UNIT_ROWS[m] for m in a),
+                tuple(_UNIT_ROWS[m] for m in p),
+                tuple(0 if i is None else i >> t & 1 for t in range(n)),
+                int(i is not None))
+    # first mark the pairs by the value each component takes (ideal None
+    # as -1), then give each world the union over the values holding it
+    by_value = [{} for _ in range(2 * n)]  # av(0..n-1), then pv(0..n-1)
+    by_ideal = {}
+    for c, (a, p, i) in enumerate(pairs):
+        bit = 1 << c
+        for s in range(n):
+            by_av, by_pv = by_value[s], by_value[n + s]
+            by_av[a[s]] = by_av.get(a[s], 0) | bit
+            by_pv[p[s]] = by_pv.get(p[s], 0) | bit
+        i = -1 if i is None else i
+        by_ideal[i] = by_ideal.get(i, 0) | bit
+    no_table = by_ideal.pop(-1, 0)
+    rows = []
+    for values in (*by_value, by_ideal):
+        row = [0] * n
+        for value, m in values.items():
+            for t in world_list(value):
+                row[t] |= m
+        rows.append(row)
+    return (tuple(tuple((t, m) for t, m in enumerate(row) if m)
+                  for row in rows[:n]),
+            tuple(tuple((t, m) for t, m in enumerate(row) if m)
+                  for row in rows[n:-1]),
+            tuple(rows[-1]), ((1 << len(pairs)) - 1) ^ no_table)
+
+
+def _tile(unit: int, width: int, lanes: int) -> int:
+    """The `width`-bit pattern `unit` repeated over `lanes` bits, lanes
+    being width times a power of two."""
+    while width < lanes:
+        unit |= unit << width
+        width <<= 1
+    return unit
+
+
+# The 25 formulas of perfbench/search_corpus.tsv read 24 entries.
+@functools.lru_cache(maxsize=64)
+def _lanes(k: int, n: int, size: int):
+    """(every, rep, patterns) for chunks of `size` pairs on n worlds and k
+    atoms: every lane, the lanes v*size of pair 0, and per atom x the
+    lanes where it holds at each world w, those whose valuation has bit
+    b = (k-1-x)*n + w set."""
+    lanes = size << n * k
+    patterns = []
+    for x in range(k):
+        # the upper halves of runs of 2*h lanes, h = size << b
+        patterns.append(tuple(_tile(((1 << h) - 1) << h, 2 * h, lanes)
+                              for h in (size << b
+                                        for b in range((k - 1 - x) * n,
+                                                       (k - x) * n))))
+    return (1 << lanes) - 1, _tile(1, size, lanes), tuple(patterns)
+
+
+def _sweep(ops, k: int, n: int, size: int, chunks):
+    """For each chunk of (frame, table) pairs, yield (pairs, missed):
+    missed[w] holds the lanes v*size + c where the last operation is
+    false at world w under valuation v of pairs[c].  `chunks` yields
+    (pairs, masks), at most `size` pairs with their `_masks`."""
+    every, rep, patterns = _lanes(k, n, size)
+    full = (1 << size) - 1
+    lifted: dict[int, int] = {}  # cleared per chunk, to bound its size
+
+    def lift(mask: int) -> int:
+        # a mask over the pairs, neither 0 nor `full`, replicated to
+        # every valuation
+        if mask not in lifted:
+            lifted[mask] = mask * rep
+        return lifted[mask]
+
+    vals: list = [()] * len(ops)
     fixed, varying = [], []  # varying: at or above [a], [p], O, Oa or Op
     moving: set[int] = set()
     for i, (code, x, y) in enumerate(ops):
         if code == _ATOM:
-            # lanes where bit b of the lane index is set, b = (k-1-x)*n + w
-            vals[i] = [every // ((1 << (1 << b)) + 1) << (1 << b)
-                       for b in range((k - 1 - x) * n, (k - x) * n)]
+            vals[i] = patterns[x]
         elif code >= _BOXA or x in moving or y in moving:
             moving.add(i)
             varying.append((i, code, x, y))
         else:
             fixed.append((i, code, x, y))
-    _run(fixed, vals, n, every, None, None)
-    for av, pv, ideals in candidates:
-        # frame[0][s] lists av(s), frame[1][s] lists pv(s)
-        frame = ([world_list(a) for a in av], [world_list(p) for p in pv])
-        for ideal in ideals:
-            _run(varying, vals, n, every, frame, ideal)
-            yield av, pv, ideal, [every ^ lanes for lanes in vals[-1]]
+    _run(fixed, vals, n, every, None, full, lift)
+    for pairs, masks in chunks:
+        lifted.clear()
+        _run(varying, vals, n, every, masks, full, lift)
+        missed = [every ^ lanes for lanes in vals[-1]]
+        if len(pairs) < size:
+            live = lift((1 << len(pairs)) - 1)
+            missed = [lanes & live for lanes in missed]
+        yield pairs, missed
 
 
-def _run(ops, vals, n: int, every: int, frame, ideal: int | None) -> None:
-    """Evaluate the operations (index, code, x, y) into `vals`."""
+def _run(ops, vals, n: int, every: int, masks, full: int, lift) -> None:
+    """Evaluate the operations (index, code, x, y) into `vals`.  `masks`
+    are the chunk's `_masks`: a mask of 0 is skipped, one of `full` (all
+    pairs) needs no lanes, and any other is read through `lift`."""
+    av, pv, ideal, has = masks or (None,) * 4
     for i, code, x, y in ops:
         sub = vals[x]
         if code == _NOT:
@@ -210,37 +361,73 @@ def _run(ops, vals, n: int, every: int, frame, ideal: int | None) -> None:
                 a &= b
             out = [a] * n
         elif code == _BOXA or code == _BOXP:
+            # [a]x at s: x at each t in av(s), the lanes of the pairs
+            # without t excepted
             out = []
-            for ws in frame[code == _BOXP]:
+            for row in (pv if code == _BOXP else av):
                 a = every
-                for t in ws:
-                    a &= sub[t]
+                for t, m in row:
+                    a &= sub[t] if m == full else sub[t] | lift(full ^ m)
                 out.append(a)
-        elif ideal is None:
-            out = [0] * n  # the empty table obliges nothing
+        elif not has:
+            out = [0] * n  # no pair has a table: the empty one obliges nothing
         elif code == _OB:
             # O(y/x): y meets x somewhere, and no ideal x-world lacks y
             cons = vals[y]
             meets = lacks = 0
-            for w in range(n):
+            for w, m in enumerate(ideal):
                 meets |= sub[w] & cons[w]
-                if ideal >> w & 1:
-                    lacks |= sub[w] & ~cons[w]
-            out = [meets & ~lacks] * n
+                if m:
+                    a = sub[w] & ~cons[w]
+                    lacks |= a if m == full else a & lift(m)
+            a = meets & ~lacks
+            out = [a if has == full else a & lift(has)] * n
         else:
             # Oa x at s: x meets av(s), misses part of it, and holds at
             # every ideal world of it; Op x the same with pv(s)
             out = []
-            for ws in frame[code == _OBP]:
+            for row in (pv if code == _OBP else av):
                 meets, all_of, ideal_part = 0, every, every
-                for t in ws:
+                for t, m in row:
                     a = sub[t]
-                    meets |= a
-                    all_of &= a
-                    if ideal >> t & 1:
+                    if m == full:
+                        meets |= a
+                        all_of &= a
+                    else:
+                        meets |= a & lift(m)
+                        all_of &= a | lift(full ^ m)
+                    m &= ideal[t]
+                    if m == full:
                         ideal_part &= a
-                out.append(meets & ~all_of & ideal_part)
+                    elif m:
+                        ideal_part &= a | lift(full ^ m)
+                a = meets & ~all_of & ideal_part
+                out.append(a if has == full else a & lift(has))
         vals[i] = out
+
+
+def _first_miss(missed: list[int], k: int, n: int,
+                size: int) -> tuple[int, int, int] | None:
+    """(c, v, s) for the first miss of a chunk's `_sweep` lanes: the first
+    pair c with one, its lowest valuation v, then the lowest world s."""
+    union = 0
+    for m in missed:
+        union |= m
+    if not union:
+        return None
+    every, rep, _ = _lanes(k, n, size)
+    # fold the valuations onto bits 0..size-1, bit c marking a miss of
+    # pair c, then keep the lanes of the first such pair
+    folded, width = union, every.bit_length()
+    while width > size:
+        width >>= 1
+        folded = folded & (1 << width) - 1 | folded >> width
+    c = (folded & -folded).bit_length() - 1
+    union = union >> c & rep
+    lane = (union & -union).bit_length() - 1 + c
+    for s, m in enumerate(missed):
+        if m >> lane & 1:
+            return c, lane // size, s
 
 
 def _world_options(n: int, use_av: bool,
@@ -256,10 +443,11 @@ def _world_options(n: int, use_av: bool,
 @functools.cache
 def _representatives(n: int, use_av: bool, use_pv: bool,
                      use_ob: bool) -> tuple[tuple, ...]:
-    """One (av, pv, ideals) per canonical frame: the frame is the least
-    of its orbit under world permutations, and `ideals` holds None (the
-    empty table) and then each S least under the permutations fixing
-    the frame.  Together they meet every orbit of (frame, table) once."""
+    """(av, pv, ideal) pairs, per canonical frame in order: the frame is
+    the least of its orbit under world permutations, and ideal is None
+    (the empty table) and then each S least under the permutations
+    fixing the frame.  Together they meet every orbit of (frame, table)
+    once."""
     perms = list(itertools.permutations(range(n)))
     images = [[mask_of(perm[w] for w in world_list(mask))
                for mask in range(1 << n)] for perm in perms]
@@ -277,9 +465,9 @@ def _representatives(n: int, use_av: bool, use_pv: bool,
             if moved == frame:
                 fixing.append(image)
         else:
-            out.append((tuple(a for a, _ in frame), tuple(p for _, p in frame),
-                        (None, *(i for i in ideals
-                                 if all(image[i] >= i for image in fixing)))))
+            av, pv = tuple(a for a, _ in frame), tuple(p for _, p in frame)
+            out += ((av, pv, i) for i in (None, *ideals)
+                    if i is None or all(image[i] >= i for image in fixing))
     return tuple(out)
 
 
@@ -299,4 +487,4 @@ def _sampled(n: int, use_av: bool, use_pv: bool, use_ob: bool,
                  rng.choice(tables))
         if drawn not in seen:
             seen.add(drawn)
-            yield drawn[0], drawn[1], drawn[2:]
+            yield drawn

@@ -16,11 +16,13 @@ substitution on de Bruijn terms (two strategies), and a countermodel
 search that evaluates every model of up to two worlds and random
 models beyond, shrinking a sampled hit by dropping worlds; its world
 drop squeezes every ob trace rather than relying on the closed form of
-ob tables.  The embedded evaluator oracle is the closure compiler from
-before binder use masks, per-call caches, compile-time domains and
-fused clauses.  The THF renderer oracle is the renderer from before it
-tested each node's kind once and matched the existential and
-conjunction patterns inline.
+ob tables.  The sweep oracle is the bit-sliced sweep from before the
+(frame, table) pairs were sliced as well: one pair per run.  The
+embedded evaluator oracle is the closure compiler from before binder
+use masks, per-call caches, compile-time domains and fused clauses.
+The THF renderer oracle is the renderer from before it tested each
+node's kind once and matched the existential and conjunction patterns
+inline.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ from ddlkit.henkin import (_ARITY, FALSE, TRUE, Code, EvalError, HenkinModel,
 from ddlkit.model import (DENSITIES, CJModel, enumerate_models, full_mask,
                           ideal_ob, mask_of, random_model, subsets,
                           world_list)
-from ddlkit.search import _certify
+from ddlkit.search import (_ATOM, _BOX, _BOXA, _BOXP, _NOT, _OB, _OBP, _OR,
+                           _certify)
 from ddlkit.syntax import (IDENT_RE, _KEYWORDS, _PREFIX, _PRIMARY_STARTERS,
                            RESERVED_ATOM, RESERVED_ATOMS, Atom, Box, BoxA,
                            BoxP, Formula, Not, ObA, ObDyadic, ObP, Or,
@@ -942,6 +945,83 @@ def drop_world_oracle(m: CJModel, k: int) -> CJModel | None:
             ob[c] = ob.get(c, frozenset()) | kept
     val = {a: squeeze(mask) for a, mask in m.val.items()}
     return CJModel(m.n - 1, tuple(av), tuple(pv), ob, val)
+
+
+def sweep_oracle(ops, k: int, n: int, candidates):
+    """The earlier `_sweep`, one (frame, table) pair at a time.  For each
+    candidate frame and table, yield (av, pv, ideal, missed): missed[w]
+    holds the lanes where the last operation is false at world w.
+    `candidates` yields (av, pv, ideals), ideal None standing for the
+    empty table."""
+    every = (1 << (1 << n * k)) - 1
+    vals: list[list[int]] = [[] for _ in ops]
+    fixed, varying = [], []  # varying: at or above [a], [p], O, Oa or Op
+    moving: set[int] = set()
+    for i, (code, x, y) in enumerate(ops):
+        if code == _ATOM:
+            # lanes where bit b of the lane index is set, b = (k-1-x)*n + w
+            vals[i] = [every // ((1 << (1 << b)) + 1) << (1 << b)
+                       for b in range((k - 1 - x) * n, (k - x) * n)]
+        elif code >= _BOXA or x in moving or y in moving:
+            moving.add(i)
+            varying.append((i, code, x, y))
+        else:
+            fixed.append((i, code, x, y))
+    _oracle_run(fixed, vals, n, every, None, None)
+    for av, pv, ideals in candidates:
+        # frame[0][s] lists av(s), frame[1][s] lists pv(s)
+        frame = ([world_list(a) for a in av], [world_list(p) for p in pv])
+        for ideal in ideals:
+            _oracle_run(varying, vals, n, every, frame, ideal)
+            yield av, pv, ideal, [every ^ lanes for lanes in vals[-1]]
+
+
+def _oracle_run(ops, vals, n: int, every: int, frame,
+                ideal: int | None) -> None:
+    """Evaluate the operations (index, code, x, y) into `vals`."""
+    for i, code, x, y in ops:
+        sub = vals[x]
+        if code == _NOT:
+            out = [every ^ a for a in sub]
+        elif code == _OR:
+            out = [a | b for a, b in zip(sub, vals[y])]
+        elif code == _BOX:
+            a = every
+            for b in sub:
+                a &= b
+            out = [a] * n
+        elif code == _BOXA or code == _BOXP:
+            out = []
+            for ws in frame[code == _BOXP]:
+                a = every
+                for t in ws:
+                    a &= sub[t]
+                out.append(a)
+        elif ideal is None:
+            out = [0] * n  # the empty table obliges nothing
+        elif code == _OB:
+            # O(y/x): y meets x somewhere, and no ideal x-world lacks y
+            cons = vals[y]
+            meets = lacks = 0
+            for w in range(n):
+                meets |= sub[w] & cons[w]
+                if ideal >> w & 1:
+                    lacks |= sub[w] & ~cons[w]
+            out = [meets & ~lacks] * n
+        else:
+            # Oa x at s: x meets av(s), misses part of it, and holds at
+            # every ideal world of it; Op x the same with pv(s)
+            out = []
+            for ws in frame[code == _OBP]:
+                meets, all_of, ideal_part = 0, every, every
+                for t in ws:
+                    a = sub[t]
+                    meets |= a
+                    all_of &= a
+                    if ideal >> t & 1:
+                        ideal_part &= a
+                out.append(meets & ~all_of & ideal_part)
+        vals[i] = out
 
 
 # ---------------------------------------------------------------------------

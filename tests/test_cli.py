@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ddlkit
-from ddlkit import cli
+from ddlkit import cli, henkin, search
 from ddlkit.cli import main
 from ddlkit.export import to_thf_problem
 from ddlkit.model import save_model
@@ -161,6 +161,19 @@ def test_negative_samples_is_a_one_line_error(argv, capsys):
     assert main([*argv, "--samples", "-5"]) == 1
     assert capsys.readouterr() == ("",
                                    "error: samples must be nonnegative\n")
+
+
+@pytest.mark.parametrize("argv,cap", [
+    (["faithfulness"], henkin.MAX_SAMPLES),
+    (["valid", "--formula", "Oa p -> <a>~p", "--max-worlds", "4"],
+     search.MAX_SAMPLES),
+], ids=["faithfulness", "valid"])
+def test_samples_beyond_the_cap_is_a_one_line_error(argv, cap, capsys):
+    assert main([*argv, "--samples", str(cap + 1)]) == 1
+    assert capsys.readouterr() == ("",
+                                   f"error: samples must be at most {cap:,}\n")
+    assert main([*argv, "--samples", "100000000"]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_axioms_listing(capsys):

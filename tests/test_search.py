@@ -15,7 +15,7 @@ from ddlkit.search import (CounterModel, NoCounterexampleUpTo, _sampled,
                            find_countermodel, verdict)
 from ddlkit.syntax import (Not, ObDyadic, Or, atoms, parse, postorder,
                            random_formula)
-from helpers import drop_world_oracle, sampled_search_oracle
+from helpers import drop_world_oracle, sampled_search_oracle, sweep_oracle
 
 VALID = ["[]p -> [p]p", "[p]p -> [a]p", "[p]p -> p", "~Oa(F)",
          "O(p/q) -> []O(p/q)", "~p|p"]
@@ -135,13 +135,18 @@ def _lane(m, names):
 
 
 def _missed(ops, names, m):
-    [(*_, missed)] = search._sweep(ops, len(names), m.n,
-                                   [(m.av, m.pv, (_ideal(m),))])
+    # m's frame and table as the second pair of a chunk of two, after the
+    # default frame with the empty table: m's lanes are 2*v + 1
+    default = (tuple(1 << s for s in range(m.n)), (full_mask(m.n),) * m.n,
+               None)
+    pairs = (default, (m.av, m.pv, _ideal(m)))
+    [(_, missed)] = search._sweep(ops, len(names), m.n, 2,
+                                  [(pairs, search._masks(m.n, pairs))])
     return missed
 
 
 def _assert_lane_agrees(names, missed, m, f):
-    lane = _lane(m, names)
+    lane = 2 * _lane(m, names) + 1
     ts = truth_set(m, f)
     assert [lanes >> lane & 1 for lanes in missed] \
         == [1 - (ts >> w & 1) for w in range(m.n)], (f, model_json(m))
@@ -294,23 +299,165 @@ def test_representatives_meet_every_orbit_once():
                                  for c, ts in t) for t in tables}))
 
             reps = search._representatives(n, *uses)
-            covered, pairs = set(), 0
-            for av, pv, ideals in reps:
-                for ideal in ideals:
-                    table = frozenset(
-                        ({} if ideal is None else ideal_ob(n, ideal)).items())
-                    assert (av, pv, table) in projections
-                    orbit = set()
-                    for perm, move, move_table in moves:
-                        moved_av, moved_pv = [0] * n, [0] * n
-                        for s in range(n):
-                            moved_av[perm[s]] = move[av[s]]
-                            moved_pv[perm[s]] = move[pv[s]]
-                        orbit.add((tuple(moved_av), tuple(moved_pv),
-                                   move_table[table]))
-                    assert not orbit & covered, (uses, n, av, pv, ideal)
-                    covered |= orbit
-                    pairs += 1
+            covered = set()
+            for av, pv, ideal in reps:
+                table = frozenset(
+                    ({} if ideal is None else ideal_ob(n, ideal)).items())
+                assert (av, pv, table) in projections
+                orbit = set()
+                for perm, move, move_table in moves:
+                    moved_av, moved_pv = [0] * n, [0] * n
+                    for s in range(n):
+                        moved_av[perm[s]] = move[av[s]]
+                        moved_pv[perm[s]] = move[pv[s]]
+                    orbit.add((tuple(moved_av), tuple(moved_pv),
+                               move_table[table]))
+                assert not orbit & covered, (uses, n, av, pv, ideal)
+                covered |= orbit
             assert covered == projections, (uses, n)
-            counts[uses].append((len(reps), pairs))
+            frames = {(av, pv) for av, pv, _ in reps}
+            counts[uses].append((len(frames), len(reps)))
     assert counts == ORBIT_COUNTS
+
+
+def _oracle_misses(ops, k, n, pairs):
+    # per pair, the oracle's missed lanes (lane v) and its first hit:
+    # the first pair with a miss, its lowest lane, then its lowest world
+    candidates = [(av, pv, (ideal,)) for av, pv, ideal in pairs]
+    per_pair = [missed for *_, missed in sweep_oracle(ops, k, n, candidates)]
+    for j, missed in enumerate(per_pair):
+        union = 0
+        for lanes in missed:
+            union |= lanes
+        if union:
+            lane = (union & -union).bit_length() - 1
+            s = next(w for w in range(n) if missed[w] >> lane & 1)
+            return per_pair, (j, lane, s)
+    return per_pair, None
+
+
+def _chunked_misses(ops, k, n, size, chunks):
+    # the same from `_sweep`, its lanes v*size + c read back per pair c
+    lanes = size << n * k
+    per_pair, hit = [], None
+    for pairs, missed in search._sweep(ops, k, n, size, chunks):
+        found = search._first_miss(missed, k, n, size)
+        if hit is None and found is not None:
+            c, v, s = found
+            hit = (len(per_pair) + c, v, s)
+        bits = [format(m, f"0{lanes}b")[::-1] for m in missed]
+        per_pair += [[int(b[c::size][::-1], 2) for b in bits]
+                     for c in range(len(pairs))]
+    return per_pair, hit
+
+
+def test_chunked_sweep_matches_the_sweep_oracle():
+    rng = random.Random(64)
+    formulas = [parse(text) for text in
+                [*REFUTED3, "Oa p -> <a>~p", "Op p -> Oa p", "[p]p -> [a]p",
+                 "<p>p & <p>~p & <p>q -> [a]p | [a]~p",
+                 "O(p/q) & O(r/q) -> O(p & r / q)"]]
+    for pool in [("p",), ("p", "q"), ("p", "q", "r")] * 8:
+        formulas.append(random_formula(rng, 4, pool))
+    covered = set()
+    for f in formulas:
+        names = sorted(atoms(f))
+        k = len(names)
+        ops, uses = search._compile(f, names)
+        for n in (1, 2, 3):
+            pairs = search._representatives(n, *uses)
+            expected = _oracle_misses(ops, k, n, pairs)
+            sizes = {1, 2, 3, len(pairs), search._chunk_size(n, k, len(pairs))}
+            if expected[1] is not None:
+                j = expected[1][0]
+                sizes |= {j + 1, (j + 1) // 2 or 1, j // 3 or 1}
+            for size in sizes:
+                chunks = search._orbit_chunks(n, uses, size)
+                assert _chunked_misses(ops, k, n, size, chunks) == expected, \
+                    (f, n, size)
+                if expected[1] is not None and size > 1:
+                    j = expected[1][0]
+                    if j >= size:
+                        covered.add("past the first chunk")
+                        if j % size == size - 1:
+                            covered.add("on a later chunk's last pair")
+    assert covered == {"past the first chunk", "on a later chunk's last pair"}
+
+
+def test_chunks_of_one_pair_match_the_sweep_oracle():
+    # n*k = 18: one pair fills the lane budget, so each chunk holds one
+    x = "(a|b|c|d|e|g)"
+    for text in (f"([p]{x} -> [a]{x}) | Op {x}", f"Oa {x} -> Op {x}",
+                 f"O(a/b) & <>(c & d & e & g) -> O(a/b) & Oa {x}"):
+        f = parse(text)
+        names = sorted(atoms(f))
+        ops, uses = search._compile(f, names)
+        pairs = search._representatives(3, *uses)[:6]
+        size = search._chunk_size(3, len(names), len(pairs))
+        assert size == 1
+        chunks = ((pairs[c:c + 1], search._masks(3, pairs[c:c + 1]))
+                  for c in range(len(pairs)))
+        assert _chunked_misses(ops, len(names), 3, size, chunks) \
+            == _oracle_misses(ops, len(names), 3, pairs), text
+
+
+def test_four_world_draws_match_the_sweep_oracle():
+    rng = random.Random(65)
+    formulas = [parse(text) for text in ["Oa p -> Op p", *NEEDS_FOUR[1:]]]
+    formulas += [random_formula(rng, 4, ("p", "q")) for _ in range(6)]
+    for f in formulas:
+        names = sorted(atoms(f))
+        ops, uses = search._compile(f, names)
+        for seed in range(3):
+            draws = list(_sampled(4, *uses, 200, seed))
+            expected = _oracle_misses(ops, len(names), 4, draws)
+            for size in {1, 7, search._chunk_size(4, len(names), 200)}:
+                chunks = search._drawn_chunks(4, uses, 200, seed, size)
+                assert _chunked_misses(ops, len(names), 4, size, chunks) \
+                    == expected, (f, seed, size)
+
+
+@pytest.mark.parametrize("budget", [1, 16, 1 << 12])
+def test_lane_budget_does_not_move_the_answer(monkeypatch, budget):
+    expected = [find_countermodel(parse(text), 4, 200, seed)
+                for text in REFUTED3 + NEEDS_FOUR for seed in range(2)]
+    monkeypatch.setattr(search, "LANE_BUDGET", budget)
+    assert [find_countermodel(parse(text), 4, 200, seed)
+            for text in REFUTED3 + NEEDS_FOUR for seed in range(2)] == expected
+
+
+def test_orbit_masks_match_their_pairs():
+    for uses in ORBIT_COUNTS:
+        for n in (1, 2, 3):
+            pairs = search._representatives(n, *uses)
+            for size in sorted({1, 5, len(pairs)}):
+                for start in range(0, len(pairs), size):
+                    av, pv, ideal, has = search._orbit_masks(n, *uses, size,
+                                                             start)
+                    # the rows list (t, mask) for the nonzero masks, t rising
+                    assert all(m and [t for t, _ in row] == sorted(dict(row))
+                               for row in av + pv for _, m in row)
+                    av, pv = ([[dict(row).get(t, 0) for t in range(n)]
+                               for row in rel] for rel in (av, pv))
+                    chunk = pairs[start:start + size]
+                    assert not any(m >> len(chunk) for m in
+                                   (*sum(av + pv, []), *ideal, has))
+                    for c, (a, p, i) in enumerate(chunk):
+                        for s in range(n):
+                            assert [m >> c & 1 for m in av[s]] \
+                                == [a[s] >> t & 1 for t in range(n)]
+                            assert [m >> c & 1 for m in pv[s]] \
+                                == [p[s] >> t & 1 for t in range(n)]
+                        assert has >> c & 1 == (i is not None)
+                        assert [m >> c & 1 for m in ideal] \
+                            == [0 if i is None else i >> t & 1
+                                for t in range(n)]
+
+
+
+def test_a_search_builds_only_the_masks_of_the_chunks_it_swept():
+    # refuted on 3 worlds in the first of 9 chunks of 475 pairs there
+    search._orbit_masks.cache_clear()
+    m, _ = find_countermodel(parse("Oa p -> Op p"), 3, 0)
+    assert m.n == 3 and search._chunk_size(3, 1, 4270) == 475
+    assert search._orbit_masks.cache_info().currsize == 3  # one chunk per n
