@@ -11,7 +11,7 @@ from .export import ThfProblem, axioms_problem, to_thf_problem, to_thf_term
 from .henkin import (HenkinModel, build_henkin, check_faithfulness, eval_term,
                      extract_model)
 from .hol import (HolTypeError, axioms, beta_eta_normalize, embed,
-                  leibniz_eq, pretty_term, substitute, type_of, vld)
+                  pretty_term, type_of, vld)
 from .model import (CJModel, ValidationReport, canonicalize, load_model,
                     random_model, save_model, validate)
 from .search import (CounterModel, NoCounterexampleUpTo, find_countermodel,
@@ -24,10 +24,9 @@ __all__ = [
     "atoms", "axioms", "axioms_problem", "beta_eta_normalize",
     "build_henkin", "canonicalize", "check_faithfulness", "embed",
     "eval_formula", "eval_term", "extract_model", "find_countermodel",
-    "leibniz_eq", "load_model", "parse", "pretty", "pretty_term",
-    "random_model", "save_model", "substitute", "to_thf_problem",
-    "to_thf_term", "truth_set", "type_of", "vld", "valid_in_model",
-    "validate", "verdict",
+    "load_model", "parse", "pretty", "pretty_term", "random_model",
+    "save_model", "to_thf_problem", "to_thf_term", "truth_set", "type_of",
+    "vld", "valid_in_model", "validate", "verdict",
 ]
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from __future__ import annotations
 import sys
 import warnings
 
-from .model import CJModel, full_mask, ob_member
+from .model import CJModel, full_mask, mask_of, ob_member
 from .syntax import (RESERVED_ATOM, Atom, Box, BoxA, BoxP, Formula, Not, ObA,
                      ObDyadic, ObP, Or)
 
@@ -65,14 +65,14 @@ def truth_set(m: CJModel, f: Formula) -> int:
             v = full if go(g.sub) == full else 0
         elif isinstance(g, (BoxA, BoxP)):
             sub, rel = go(g.sub), m.av if isinstance(g, BoxA) else m.pv
-            v = mask_where(m.n, lambda s: not rel[s] & ~sub)
+            v = mask_of(s for s in range(m.n) if not rel[s] & ~sub)
         elif isinstance(g, ObDyadic):
             context = go(g.antecedent)
             v = full if ob_member(m, context, go(g.consequent)) else 0
         elif isinstance(g, (ObA, ObP)):
             sub, rel = go(g.sub), m.av if isinstance(g, ObA) else m.pv
-            v = mask_where(m.n, lambda s: ob_member(m, rel[s], sub)
-                           and rel[s] & ~sub)
+            v = mask_of(s for s in range(m.n)
+                        if ob_member(m, rel[s], sub) and rel[s] & ~sub)
         else:
             raise TypeError(f"not a formula: {g!r}")
         cache[id(g)] = v
@@ -88,14 +88,6 @@ def truth_set(m: CJModel, f: Formula) -> int:
         warnings.warn(f"atom {name!r} has no valuation, defaulting to the "
                       "empty set", MissingAtomWarning, stacklevel=level)
     return out
-
-
-def mask_where(n: int, pred) -> int:
-    mask = 0
-    for s in range(n):
-        if pred(s):
-            mask |= 1 << s
-    return mask
 
 
 def eval_formula(m: CJModel, s: int, f: Formula) -> bool:

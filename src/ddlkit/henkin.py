@@ -49,8 +49,8 @@ from .hol import (EQ_NAME, I, LOGICAL_NAMES, NOT_NAME, OR_NAME, PI_NAME, TAU,
                   Abs, App, Arrow, Bound, Const, Free, HolTerm, HolType,
                   O as O_TYPE, _applies, axioms, embed, match_and, type_str,
                   vld)
-from .model import (DENSITIES, CJModel, model_json, ob_member, random_model,
-                    subsets, validate)
+from .model import (DENSITIES, CJModel, full_mask, model_json, ob_member,
+                    random_model, subsets, validate)
 from .syntax import RESERVED_ATOMS, Formula, pretty, random_formula
 
 DOMAIN_BUDGET = 1 << 20
@@ -561,7 +561,7 @@ def extract_model(h: HenkinModel, atoms: Iterable[str]) -> CJModel:
         val = {a: h.interp[a] for a in sorted(set(atoms))}
     except KeyError as e:
         raise ExtractionError(f"interpretation missing constant {e}") from e
-    full = (1 << n) - 1
+    full = full_mask(n)
     av = tuple(av_t >> n * s & full for s in range(n))
     pv = tuple(pv_t >> n * s & full for s in range(n))
     ob = {}

@@ -171,32 +171,6 @@ def shift(t: HolTerm, by: int, cutoff: int = 0) -> HolTerm:
     return t
 
 
-def _subst(t: HolTerm, depth: int, repl: HolTerm) -> HolTerm:
-    if isinstance(t, Bound):
-        if t.index == depth:
-            return shift(repl, depth)
-        if t.index > depth:
-            return Bound(t.index - 1)
-        return t
-    if isinstance(t, App):
-        return App(_subst(t.fn, depth, repl), _subst(t.arg, depth, repl))
-    if isinstance(t, Abs):
-        return Abs(t.var_ty, _subst(t.body, depth + 1, repl), t.hint)
-    return t
-
-
-def substitute(t: HolTerm, replacement: HolTerm) -> HolTerm:
-    """Capture-avoiding substitution of `replacement` for binder index 0.
-
-    Indices referring past the eliminated binder move down by one; the
-    index arithmetic makes capture impossible.  Raises HolTypeError when
-    the replacement's type disagrees with how the variable is used.
-    """
-    repl_ty = type_of(replacement)
-    type_of(t, (repl_ty,))
-    return _subst(t, 0, replacement)
-
-
 def uses_bound(t: HolTerm, index: int) -> bool:
     if isinstance(t, Bound):
         return t.index == index
@@ -296,22 +270,24 @@ NOT_TAU = Abs(TAU, Abs(I, neg(App(Bound(1), Bound(0))), "X"), "A")
 OR_TAU = Abs(TAU, Abs(TAU, Abs(I, lor(App(Bound(2), Bound(0)),
                                       App(Bound(1), Bound(0))), "X"), "B"), "A")
 BOX_TAU = Abs(TAU, Abs(I, forall(I, App(Bound(2), Bound(0)), "Y"), "X"), "A")
-BOXA_TAU = Abs(TAU, Abs(I, forall(
-    I, lor(neg(App(App(AV, Bound(1)), Bound(0))),
-           App(Bound(2), Bound(0))), "Y"), "X"), "A")
-BOXP_TAU = Abs(TAU, Abs(I, forall(
-    I, lor(neg(App(App(PV, Bound(1)), Bound(0))),
-           App(Bound(2), Bound(0))), "Y"), "X"), "A")
 OB_TAU = Abs(TAU, Abs(TAU, Abs(I, App(App(OB, Bound(2)), Bound(1)), "X"),
                       "B"), "A")
-OBA_TAU = Abs(TAU, Abs(I, land(
-    App(App(OB, App(AV, Bound(0))), Bound(1)),
-    exists(I, land(App(App(AV, Bound(1)), Bound(0)),
-                   neg(App(Bound(2), Bound(0)))), "Y")), "X"), "A")
-OBP_TAU = Abs(TAU, Abs(I, land(
-    App(App(OB, App(PV, Bound(0))), Bound(1)),
-    exists(I, land(App(App(PV, Bound(1)), Bound(0)),
-                   neg(App(Bound(2), Bound(0)))), "Y")), "X"), "A")
+
+
+def _relative(rel: Const) -> tuple[HolTerm, HolTerm]:
+    # the box and the monadic obligation over rel, av or pv: λA. λX. with
+    # ∀Y. rel X Y → A Y, and with ob (rel X) A ∧ ∃Y. rel X Y ∧ ¬A Y
+    box = Abs(TAU, Abs(I, forall(
+        I, lor(neg(App(App(rel, Bound(1)), Bound(0))),
+               App(Bound(2), Bound(0))), "Y"), "X"), "A")
+    ob = Abs(TAU, Abs(I, land(
+        App(App(OB, App(rel, Bound(0))), Bound(1)),
+        exists(I, land(App(App(rel, Bound(1)), Bound(0)),
+                       neg(App(Bound(2), Bound(0)))), "Y")), "X"), "A")
+    return box, ob
+
+
+(BOXA_TAU, OBA_TAU), (BOXP_TAU, OBP_TAU) = _relative(AV), _relative(PV)
 
 
 # each connective's definitional term, applied to its children's
@@ -365,17 +341,6 @@ def vld(t: HolTerm) -> HolTerm:
         raise HolTypeError(f"vld expects a term of type {type_str(TAU)}, "
                            f"got {type_str(ty)}")
     return beta_eta_normalize(App(VLD, t))
-
-
-def leibniz_eq(a: HolTerm, b: HolTerm) -> HolTerm:
-    """Indiscernibility form of equality: every predicate carries a to b."""
-    ty_a, ty_b = type_of(a), type_of(b)
-    if ty_a != ty_b:
-        raise HolTypeError(f"cannot compare {type_str(ty_a)} with "
-                           f"{type_str(ty_b)}")
-    return forall(Arrow(ty_a, O),
-                  lor(neg(App(Bound(0), shift(a, 1))),
-                      App(Bound(0), shift(b, 1))), "P")
 
 
 def _ob3_member_lambda(beta_index: int) -> HolTerm:

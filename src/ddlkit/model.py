@@ -303,13 +303,11 @@ def _require(cond: bool, path: str, msg: str) -> None:
 
 def _mask_from_json(worlds, n: int, path: str) -> int:
     _require(isinstance(worlds, list), path, "expected a list of world indices")
-    mask = 0
     for i, w in enumerate(worlds):
         _require(isinstance(w, int) and not isinstance(w, bool),
                  f"{path}[{i}]", "expected an integer world index")
         _require(0 <= w < n, f"{path}[{i}]", f"world {w} out of range 0..{n - 1}")
-        mask |= 1 << w
-    return mask
+    return mask_of(worlds)
 
 
 def load_model(data: bytes | str, allow_invalid: bool = False) -> CJModel:
@@ -438,25 +436,15 @@ def random_model(n: int, atom_names: Iterable[str], seed: int,
     pv = []
     av = []
     for s in range(n):
-        p = 1 << s
-        for t in range(n):
-            if t != s and rng.random() < 0.5:
-                p |= 1 << t
-        a = 0
-        for t in world_list(p):
-            if rng.random() < 0.5:
-                a |= 1 << t
+        p = 1 << s | mask_of(t for t in range(n)
+                             if t != s and rng.random() < 0.5)
+        a = mask_of(t for t in world_list(p) if rng.random() < 0.5)
         if a == 0:
             a = 1 << rng.choice(world_list(p))
         pv.append(p)
         av.append(a)
-    val = {}
-    for atom in sorted(set(atom_names)):
-        mask = 0
-        for t in range(n):
-            if rng.random() < 0.5:
-                mask |= 1 << t
-        val[atom] = mask
+    val = {atom: mask_of(t for t in range(n) if rng.random() < 0.5)
+           for atom in sorted(set(atom_names))}
     outside, drawn = 0, False  # outside: the union of context - trace
     for context in range(1, full + 1):
         for trace in subsets(context):

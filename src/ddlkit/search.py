@@ -221,7 +221,12 @@ def _orbit_masks(n: int, use_av: bool, use_pv: bool, use_ob: bool,
                  size: int, start: int):
     """`_masks` of the `size` orbit pairs from `start` on.  Built when a
     sweep first reaches them, so a search that hits early builds only
-    the chunks it swept."""
+    the chunks it swept.
+
+    The cache is unbounded.  Orbit sweeps stop at 3 worlds, so its key
+    set is finite: every chunk of all eight component mixes at 1-6
+    atoms, built in one process, made 6,502 entries and took peak RSS
+    from 16.8 to 20.6 MB.  A 4-world orbit tier needs a bound first."""
     pairs = _representatives(n, use_av, use_pv, use_ob)
     return _masks(n, pairs[start:start + size])
 
@@ -236,7 +241,10 @@ def _drawn_chunks(n: int, uses: tuple[bool, bool, bool], samples: int,
 
 
 # Per set of worlds (a mask on up to 4 worlds), (t, 1) for each world t
-# in it: the rows of `_masks` for a chunk of one pair.
+# in it: the rows of `_masks` for a chunk of one pair, which every chunk
+# is from 4 atoms on 3 worlds.  Without this fork, building such a chunk
+# took 6 times as long, and a first search over 4 atoms 2 times as long
+# and 5 MB more, as no chunk shared its rows.
 _UNIT_ROWS = tuple(tuple((t, 1) for t in world_list(m)) for m in range(16))
 
 

@@ -7,22 +7,22 @@ triple and every member family, straight from the definitions, for any
 membership predicate (a table or an interpreted `ob`), and the
 ob-closure oracle grows a table rule by rule to a fixpoint.  The earlier
 `close_ob` and `random_model`, which drew a raw trace table and closed
-it, stay as oracles for the model sampler.  The parser,
-formula walk, normalization and search oracles are the package's earlier
+it, stay as oracles for the model sampler.  The parser, formula walk,
+normalization and search oracles are the package's earlier
 implementations: a scanner with a branch per token start and a
-recursive-descent parser with a method per binary level, an `atoms`
-that follows every path and an `embed` with a branch per constructor,
-substitution on de Bruijn terms (two strategies), and a countermodel
-search that evaluates every model of up to two worlds and random
-models beyond, shrinking a sampled hit by dropping worlds; its world
-drop squeezes every ob trace rather than relying on the closed form of
-ob tables.  The sweep oracle is the bit-sliced sweep from before the
-(frame, table) pairs were sliced as well: one pair per run.  The
-embedded evaluator oracle is the closure compiler from before binder
-use masks, per-call caches, compile-time domains and fused clauses.
-The THF renderer oracle is the renderer from before it tested each
-node's kind once and matched the existential and conjunction patterns
-inline.
+recursive-descent parser with a method per binary level, an `atoms` that
+follows every path and an `embed` with a branch per constructor,
+normalization by substitution on de Bruijn terms (two strategies, over
+`substitute`), and a countermodel search that evaluates every model of
+up to two worlds and random models beyond, shrinking a sampled hit by
+dropping worlds; its world drop squeezes every ob trace rather than
+relying on the closed form of ob tables.  The sweep oracle is the
+bit-sliced sweep from before the (frame, table) pairs were sliced as
+well: one pair per run.  The embedded evaluator oracle is the closure
+compiler from before binder use masks, per-call caches, compile-time
+domains and fused clauses.  The THF renderer oracle is the renderer from
+before it tested each node's kind once and matched the existential and
+conjunction patterns inline.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ from ddlkit.hol import (AV, BOX_TAU, BOXA_TAU, BOXP_TAU, EQ_NAME,
                         LOGICAL_NAMES, I, NOT, NOT_NAME, NOT_TAU, OB, OB_TAU,
                         OBA_TAU, OBP_TAU, OR, OR_NAME, OR_TAU, PI_NAME, PV,
                         TAU, Abs, App, Arrow, Bound, Const, Free, HolTerm,
-                        HolType, O, _subst, atom_const, eq_const, match_and,
-                        match_exists, pi_const, shift, type_str, uses_bound)
+                        HolType, HolTypeError, O, atom_const, eq_const,
+                        forall, lor, match_and, match_exists, neg, pi_const,
+                        shift, type_of, type_str, uses_bound)
 from ddlkit.checker import truth_set
 from ddlkit.export import (ExportError, ThfProblem, _signature_entries,
                            thf_type)
@@ -220,7 +221,45 @@ def oracle_normalize(t: HolTerm) -> HolTerm:
 
 # ---------------------------------------------------------------------------
 # substitution normalizers: the de Bruijn strategies the package used
-# before normalization by evaluation
+# before normalization by evaluation, the substitution they build on, and
+# Leibniz equality; the package itself needs neither term operation
+
+
+def _subst(t: HolTerm, depth: int, repl: HolTerm) -> HolTerm:
+    if isinstance(t, Bound):
+        if t.index == depth:
+            return shift(repl, depth)
+        if t.index > depth:
+            return Bound(t.index - 1)
+        return t
+    if isinstance(t, App):
+        return App(_subst(t.fn, depth, repl), _subst(t.arg, depth, repl))
+    if isinstance(t, Abs):
+        return Abs(t.var_ty, _subst(t.body, depth + 1, repl), t.hint)
+    return t
+
+
+def substitute(t: HolTerm, replacement: HolTerm) -> HolTerm:
+    """Capture-avoiding substitution of `replacement` for binder index 0.
+
+    Indices referring past the eliminated binder move down by one; the
+    index arithmetic makes capture impossible.  Raises HolTypeError when
+    the replacement's type disagrees with how the variable is used.
+    """
+    repl_ty = type_of(replacement)
+    type_of(t, (repl_ty,))
+    return _subst(t, 0, replacement)
+
+
+def leibniz_eq(a: HolTerm, b: HolTerm) -> HolTerm:
+    """Indiscernibility form of equality: every predicate carries a to b."""
+    ty_a, ty_b = type_of(a), type_of(b)
+    if ty_a != ty_b:
+        raise HolTypeError(f"cannot compare {type_str(ty_a)} with "
+                           f"{type_str(ty_b)}")
+    return forall(Arrow(ty_a, O),
+                  lor(neg(App(Bound(0), shift(a, 1))),
+                      App(Bound(0), shift(b, 1))), "P")
 
 
 def _whnf(t: HolTerm) -> HolTerm:

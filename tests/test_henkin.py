@@ -12,12 +12,12 @@ from ddlkit.henkin import (FALSE, TRUE, AxiomCheckError, DomainBudgetError,
                            enumerate_domain, eval_term, extract_model)
 from ddlkit.hol import (AV, I, NOT, OB, OR, TAU, Abs, App, Arrow, Bound, Free,
                         O, atom_const, axioms, embed, eq_const, equals, exists,
-                        false_term, forall, land, leibniz_eq, liff, limp, lor,
-                        neg, pi_const, pretty_term, true_term, vld)
+                        false_term, forall, land, liff, limp, lor, neg,
+                        pi_const, pretty_term, true_term, vld)
 from ddlkit.model import _valid_ob_tables, random_model, validate
 from ddlkit.syntax import parse, pretty, random_formula
-from helpers import (interpreted_frame_failures, mk_model, oracle_eval_term,
-                     random_term)
+from helpers import (interpreted_frame_failures, leibniz_eq, mk_model,
+                     oracle_eval_term, random_term)
 
 MINIMAL = mk_model(1, av=[[0]], pv=[[0]], ob=[], val={"p": [0]})
 

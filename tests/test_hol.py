@@ -6,13 +6,13 @@ from ddlkit.export import thf_type
 from ddlkit.hol import (AV, LOGICAL_NAMES, NOT, OB, PI_NAME, PV, TAU, Abs,
                         App, Arrow, BaseType, Bound, Const, Free,
                         HolTypeError, I, O, MAX_EMBED_NODES, VLD, atom_const,
-                        axioms, beta_eta_normalize, embed, leibniz_eq, lor,
-                        neg, pretty_term, substitute, type_of, type_str, vld)
+                        axioms, beta_eta_normalize, embed, lor, neg,
+                        pretty_term, type_of, type_str, vld)
 from ddlkit.syntax import (IDENT_RE, RESERVED_ATOMS, Atom, Formula, Not, Or,
                            parse, random_formula)
-from helpers import (beta_eta_normalize_innermost, from_named, nsubst,
-                     oracle_embed, oracle_normalize, random_term,
-                     substitution_normalize, to_named)
+from helpers import (beta_eta_normalize_innermost, from_named, leibniz_eq,
+                     nsubst, oracle_embed, oracle_normalize, random_term,
+                     substitute, substitution_normalize, to_named)
 
 W = Free("w", I)
 

@@ -3,7 +3,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ddlkit"
+import ddlkit
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ddlkit"
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
@@ -57,3 +61,19 @@ def test_term_field_writes_are_found():
               "t.names = f\n"
               "x = t.fn\n")
     assert term_field_writes(source) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_every_exported_name_has_a_reader_outside_the_tests():
+    # a public name that neither another module of the package nor the
+    # benchmark reads is test support, and belongs under tests/
+    # (extract_model's only reader outside the tests is the benchmark)
+    readers = [p for p in SRC.rglob("*.py") if p.name != "__init__.py"]
+    readers += sorted(PERFBENCH.glob("*.py"))
+    used = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(ddlkit.__all__) - used) == []
