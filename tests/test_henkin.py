@@ -7,13 +7,14 @@ from ddlkit import henkin
 from ddlkit.checker import eval_formula, valid_in_model
 from ddlkit.cli import main
 from ddlkit.henkin import (FALSE, TRUE, AxiomCheckError, DomainBudgetError,
-                           EvalError, HenkinModel, Mismatch, build_henkin,
-                           check_axioms, check_faithfulness, domain_size,
-                           enumerate_domain, eval_term, extract_model)
-from ddlkit.hol import (AV, I, NOT, OB, OR, TAU, Abs, App, Arrow, Bound, Free,
-                        O, atom_const, axioms, embed, eq_const, equals, exists,
-                        false_term, forall, land, liff, limp, lor, neg,
-                        pi_const, pretty_term, true_term, vld)
+                           EvalError, ExtractionError, HenkinModel, Mismatch,
+                           build_henkin, check_axioms, check_faithfulness,
+                           domain_size, enumerate_domain, eval_term,
+                           extract_model)
+from ddlkit.hol import (AV, I, NOT, OB, OR, PV, TAU, Abs, App, Arrow, Bound,
+                        Free, O, atom_const, axioms, embed, eq_const, equals,
+                        exists, false_term, forall, land, liff, limp, lor,
+                        neg, pi_const, pretty_term, true_term, vld)
 from ddlkit.model import _valid_ob_tables, random_model, validate
 from ddlkit.syntax import parse, pretty, random_formula
 from helpers import (interpreted_frame_failures, leibniz_eq, mk_model,
@@ -116,6 +117,44 @@ def test_extract_validates_result():
     for m in random_models(10, seed=36):
         out = extract_model(build_henkin(m), m.val.keys())
         assert validate(out).ok
+
+
+def test_extract_refuses_what_no_model_gives_back():
+    h = build_henkin(MINIMAL)
+    # atoms named like signature constants: build_henkin rejects them
+    with pytest.raises(ExtractionError, match="'av' is reserved"):
+        extract_model(h, ["av", "pv"])
+    # an atom's table past the worlds
+    with pytest.raises(ExtractionError, match="'p' has bits past entry 0"):
+        extract_model(HenkinModel(1, {**h.interp, "p": 0b10}), ["p"])
+    # bits of av, pv or ob past their domain
+    m = random_model(2, ("p",), 3)
+    h = build_henkin(m)
+    for name, size in (("av", 4), ("pv", 4), ("ob", 16)):
+        bad = HenkinModel(2, {**h.interp, name: h.interp[name] | 1 << size})
+        with pytest.raises(ExtractionError, match=f"'{name}' has bits past "
+                                                  f"entry {size - 1}$"):
+            extract_model(bad, m.val.keys())
+    assert extract_model(h, m.val.keys()) == m
+
+
+def test_four_worlds_round_trip_and_axioms_match_frame_conditions():
+    rng = random.Random(99)
+    named = set()
+    for density in (0.0, 0.2, 0.4):
+        m = random_model(4, ("p",), rng.getrandbits(63), density)
+        h = build_henkin(m)
+        assert check_axioms(h) is None
+        assert extract_model(h, m.val.keys()) == m
+        for _ in range(3):
+            image = _flipped(h, rng)
+            failing = check_axioms(image)
+            frame = interpreted_frame_failures(image)
+            assert (failing is None) == (frame == []), (failing, frame)
+            if failing is not None:
+                assert failing.lower() in frame, (failing, frame)
+                named.add(failing)
+    assert named  # the flips reach the failing side
 
 
 def test_leibniz_equality_in_standard_models():
@@ -481,6 +520,9 @@ def _count_builds(monkeypatch, names):
     return built
 
 
+_LOOPS = ("_forall", "_tabulate", "_lane_forall", "_lane_table")
+
+
 def test_lifted_binders_match_the_earlier_compiler(monkeypatch):
     built = _count_builds(monkeypatch, ("_lifted", "_forall", "_tabulate"))
     rng = random.Random(96)
@@ -503,6 +545,142 @@ def test_lifted_binders_match_the_earlier_compiler(monkeypatch):
     # both paths run; more binders are lifted than there are terms / 2
     assert built["_lifted"] > terms / 2
     assert built["_forall"] and built["_tabulate"]
+
+
+def _nested_body(rng, alpha, depth, v=0, inner=()):
+    """A random o-typed term under V = Bound(v) : alpha and, inside V,
+    binders of the types `inner` (innermost first): the `_lane_body`
+    leaves, reads of the inner variables, inner ∀, ∃ and λ over i and
+    i>o that read V, and functions applied to a predicate that reads V
+    (the multiplexer), now and then with a read of V that no lane takes."""
+    leaves = [lambda: App(_closed(rng, Arrow(alpha, O)), Bound(v)),
+              lambda: _closed(rng, O)]
+    if alpha != I:
+        leaves.append(lambda: App(Bound(v), _closed(rng, alpha.arg)))
+    if inner:
+        leaves.append(lambda: _reading_inner(rng, alpha, v, inner))
+    if not depth:
+        return rng.choice(leaves)()
+    roll = rng.randrange(9)
+    if roll < 2:
+        return rng.choice(leaves)()
+    if roll == 2:
+        return (equals(alpha, Bound(v), _closed(rng, alpha))
+                if rng.random() < 0.2 else rng.choice(leaves)())
+    if roll == 3:
+        if rng.random() < 0.3:
+            return App(Free("F", Arrow(O, O)), rng.choice(leaves)())
+        fns = [_closed(rng, _TAU_O)]
+        if alpha == _TAU_O:
+            fns.append(Bound(v))
+        if alpha == TAU:
+            fns.append(App(OB, Bound(v)))
+        return App(rng.choice(fns), _predicate_reading_v(rng, alpha, depth,
+                                                         v, inner))
+    if roll <= 5:
+        beta = rng.choice((I, TAU))
+        body = _nested_body(rng, alpha, depth - 1, v + 1, (beta,) + inner)
+        return (forall, exists)[roll - 4](beta, body)
+    a = _nested_body(rng, alpha, depth - 1, v, inner)
+    b = _nested_body(rng, alpha, depth - 1, v, inner)
+    return rng.choice([neg(a), land(a, b), lor(a, b), limp(a, b),
+                       liff(a, b)])
+
+
+def _reading_inner(rng, alpha, v, inner):
+    """An o-typed read of a variable bound inside V, with V or without."""
+    j = rng.randrange(len(inner))
+    beta = inner[j]
+    reads = [App(_closed(rng, Arrow(beta, O)), Bound(j))]
+    if alpha == Arrow(beta, O):
+        reads.append(App(Bound(v), Bound(j)))
+    if beta == TAU:
+        reads.append(App(Bound(j), _closed(rng, I)))
+    if alpha == I and beta == I:
+        reads.append(App(App(AV, Bound(v)), Bound(j)))
+    return rng.choice(reads)
+
+
+def _predicate_reading_v(rng, alpha, depth, v, inner):
+    """A term of type i>o that reads V: a λ over worlds, av V or pv V,
+    or V itself."""
+    options = [Abs(I, _nested_body(rng, alpha, depth - 1, v + 1,
+                                   (I,) + inner))]
+    if alpha == I:
+        options += [App(AV, Bound(v)), App(PV, Bound(v))]
+    if alpha == TAU:
+        options.append(Bound(v))
+    return rng.choice(options)
+
+
+def _nested_terms(seed, per_n):
+    """(interpretation, term, free values) with a binder over nested
+    binders that read it, under ∀, ∃ and λ, for n = 1..3."""
+    rng = random.Random(seed)
+    free_types = {"b": O, "w": I, "X": TAU, "G": _TAU_O,
+                  "H": Arrow(_TAU_O, O), "F": Arrow(O, O)}
+    for n in (1, 2, 3):
+        for _ in range(per_n):
+            h = build_henkin(random_model(n, ("p", "q"), rng.getrandbits(63),
+                                          rng.choice((0.0, 0.2, 0.4))))
+            for alpha in (I, TAU, _TAU_O):
+                for wrap in (forall, exists, Abs):
+                    free = {name: rng.randrange(domain_size(n, ty))
+                            for name, ty in free_types.items()}
+                    yield h, wrap(alpha, _nested_body(rng, alpha, 3)), free
+
+
+def test_nested_binders_match_the_earlier_compiler(monkeypatch):
+    built = _count_builds(monkeypatch, ("_lifted", "_mux", "_diagonal"))
+    loops = dict.fromkeys(_LOOPS, 0)
+    _count_runs(monkeypatch, loops)
+    for h, t, free in _nested_terms(97, 8):
+        assert _outcome(eval_term, h, t, free) == \
+            _outcome(oracle_eval_term, h, t, free), \
+            (pretty_term(t), free, h.n)
+    # binders are lifted over inner loops, which return lane masks, and
+    # multiplexers run
+    assert built["_lifted"] and built["_mux"]
+    assert loops["_lane_forall"] and loops["_lane_table"]
+
+
+def test_functions_of_terms_that_read_two_lifted_binders():
+    # ∀B:(i>o)>o is lifted with ∀X:i>o, over fewer values, alive inside
+    # it; an argument that reads both has lane code for each level
+    F, G = Free("F", Arrow(O, O)), Free("G", _TAU_O)
+    b_x = App(Bound(1), Bound(0))
+    bodies = (App(F, b_x), lor(App(F, b_x), App(Bound(0), Free("w", I))),
+              App(G, Abs(I, land(App(Bound(1), Bound(0)),
+                                 App(Bound(2), App(AV, Bound(0)))))))
+    rng = random.Random(100)
+    for n in (1, 2, 3):
+        for _ in range(3):
+            h = build_henkin(random_model(n, ("p",), rng.getrandbits(63)))
+            for body in bodies:
+                for wrap in (forall, exists):
+                    t = wrap(_TAU_O, wrap(TAU, body))
+                    for f in range(4):
+                        free = {"F": f, "w": 0,
+                                "G": rng.randrange(domain_size(n, _TAU_O))}
+                        assert eval_term(h, t, free) == \
+                            oracle_eval_term(h, t, free), (pretty_term(t), n)
+
+
+def test_binders_past_the_lane_cap_loop(monkeypatch):
+    monkeypatch.setattr(henkin, "LANE_CAP", 4)
+    widths = []
+    monkeypatch.setattr(
+        henkin, "_lifted", lambda lane, full, forall, run=henkin._lifted:
+        widths.append(full.bit_length()) or run(lane, full, forall))
+    loops = dict.fromkeys(_LOOPS, 0)
+    runs = _count_runs(monkeypatch, loops)
+    for h, t, free in _nested_terms(98, 4):
+        assert _outcome(eval_term, h, t, free) == \
+            _outcome(oracle_eval_term, h, t, free), \
+            (pretty_term(t), free, h.n)
+    # i>o at n = 3 (8 values) and (i>o)>o from n = 2 loop
+    assert widths and max(widths) <= 4
+    assert loops["_forall"] and loops["_tabulate"] and runs[0]
 
 
 def test_a_constant_outside_its_domain_reads_as_in_the_loop():
@@ -532,24 +710,49 @@ def test_nested_world_loops_run_linearly(monkeypatch, d):
     assert runs[0] == 3 * d
 
 
+def _count_runs(monkeypatch, built):
+    """Count, in `built`, the builds of each looping helper it names
+    and, in runs[0], the runs of the bodies they loop over."""
+    runs = [0]
+
+    def counted(body):
+        return lambda env: runs.__setitem__(0, runs[0] + 1) or body(env)
+    for name in built:
+        monkeypatch.setattr(
+            henkin, name,
+            lambda dom, body, *rest, name=name, run=getattr(henkin, name):
+            built.__setitem__(name, built[name] + 1)
+            or run(dom, counted(body), *rest))
+    return runs
+
+
 def test_innermost_binders_of_the_axioms_are_lifted(monkeypatch):
-    built = _count_builds(monkeypatch, ("_lifted", "_forall", "_tabulate"))
+    built = _count_builds(monkeypatch, ("_lifted",))
+    loops = dict.fromkeys(_LOOPS, 0)
+    runs = _count_runs(monkeypatch, loops)
     h = build_henkin(random_model(3, ("p",), 5))
     per_axiom = {}
     for name, term in axioms():
         built.update(dict.fromkeys(built, 0))
+        loops.update(dict.fromkeys(loops, 0))
+        runs[0] = 0
         eval_term(h, term)
-        per_axiom[name] = {k: v for k, v in built.items() if v}
-    # every binder over i, i>o or (i>o)>o whose body reads it only by
-    # g V and V s is lifted: the innermost ∀W of OB2, the ∀Z and ∃Z of
-    # OB3, and so on; the outer ones loop
+        per_axiom[name] = ({k: v for k, v in {**built, **loops}.items()
+                            if v}, runs[0])
+    # the binder with the most lanes is lifted, and the ones inside it
+    # loop over masks of its lanes (_lane_forall, _lane_table): ∀B in
+    # OB3 and the ∀Z of OB2, OB4 and OB5; ∀W:i in PV2, over pv W W, and
+    # ∀X in OB1.  Bodies run at n = 3: OB3 ran 3,324 before (256 for B,
+    # 2,048 for X and 1,020 inside), OB2 584
     assert per_axiom == {
-        "AV": {"_forall": 1, "_lifted": 1},
-        "PV1": {"_forall": 1, "_lifted": 1},
-        "PV2": {"_forall": 1},
-        "OB1": {"_forall": 1, "_lifted": 1, "_tabulate": 2},
-        "OB2": {"_forall": 3, "_lifted": 1},
-        "OB3": {"_forall": 3, "_lifted": 4, "_tabulate": 1},
-        "OB4": {"_forall": 3, "_lifted": 3},
-        "OB5": {"_forall": 3, "_lifted": 2},
+        "AV": ({"_forall": 1, "_lifted": 1}, 3),
+        "PV1": ({"_forall": 1, "_lifted": 1}, 3),
+        "PV2": ({"_lifted": 1}, 0),
+        "OB1": ({"_lifted": 2, "_tabulate": 2}, 6),
+        "OB2": ({"_forall": 2, "_lifted": 2, "_lane_forall": 1}, 264),
+        "OB3": ({"_forall": 2, "_lifted": 5, "_tabulate": 1,
+                 "_lane_forall": 6, "_lane_table": 1}, 152),
+        "OB4": ({"_forall": 2, "_lifted": 4, "_lane_forall": 1,
+                 "_lane_table": 1}, 150),
+        "OB5": ({"_forall": 2, "_lifted": 3, "_lane_forall": 1}, 96),
     }
