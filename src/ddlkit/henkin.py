@@ -14,11 +14,11 @@ holds.  Application reads one digit, and abstraction writes the digits
 of its body.
 
 `eval_term` compiles a term once per call into closures over a binder
-stack.  Each compiled node carries the mask of the binder levels it
-reads, so a quantifier or abstraction that ignores some enclosing
-binders is cached per values of the ones it reads, for that call only.
-The domain of each binder is fixed at compile time; one that is over
-the budget raises DomainBudgetError only if the binder runs.
+stack, one closure per node.  Each compiled node carries the mask of
+the binder levels it reads, so a quantifier or abstraction that ignores
+some enclosing binders is cached per values of the ones it reads, for
+that call only.  The domain of each binder is fixed at compile time;
+one that is over the budget raises DomainBudgetError only if it runs.
 
 Since an element of D(a>o) is the |D(a)|-bit mask of where it holds, a
 binder V : a can run once for all values of V, one bit (lane) per
@@ -28,9 +28,11 @@ binder inside loops over its own values and ANDs (∀) or lists (λ) its
 body's masks, a term of type b>o is a list of masks, one per digit, and
 applying a function to such a term is a multiplexer over the term's
 value in each lane.  A quantifier is then `mask == full` and an
-abstraction the mask itself.  Of nested binders the one with the most
-lanes is lifted; a binder past LANE_CAP lanes, or whose body reads it
-otherwise, loops over its domain.
+abstraction the mask itself.  A truth value that does not read V is a
+mask over one lane, so each connective and the looping quantifier has
+one clause for both.  Binders are lifted from the outside in; one past
+LANE_CAP lanes, or whose body reads V where no lane code exists, or
+reads a lifted binder around it, loops over its domain.
 
 `build_henkin` turns a valid finite model into such an interpretation
 (characteristic-function tables for each atom, av, pv, and ob), and
@@ -50,8 +52,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .checker import eval_formula, valid_in_model
-from .hol import (EQ_NAME, I, LOGICAL_NAMES, NOT_NAME, OR_NAME, PI_NAME, TAU,
-                  Abs, App, Arrow, Bound, Const, Free, HolTerm, HolType,
+from .hol import (EQ_NAME, I, LOGICAL_NAMES, NOT_NAME, OR, OR_NAME, PI_NAME,
+                  TAU, Abs, App, Arrow, Bound, Const, Free, HolTerm, HolType,
                   O as O_TYPE, _applies, axioms, embed, match_and, type_str,
                   vld)
 from .model import (DENSITIES, CJModel, full_mask, model_json, ob_member,
@@ -142,8 +144,8 @@ class HenkinModel:
 
 # A compiled term: reads the binder stack (innermost binder last).
 Code = Callable[[list], int]
-# Its lane code, per alive binder level it reads (see `_compile`).
-Lanes = dict[int, Code]
+# The (level, full mask) of the enclosing lifted binder, or None.
+Lane = tuple[int, int] | None
 
 _ARITY = {NOT_NAME: 1, OR_NAME: 2, EQ_NAME: 2, PI_NAME: 1}
 
@@ -161,98 +163,54 @@ def eval_term(h: HenkinModel, t: HolTerm,
     The term is first compiled once, so types, radices and the domain
     of each quantifier and abstraction are worked out per node rather
     than per step.  Quantifiers and the boolean connectives are applied
-    without materializing their tables, enumerating lazily with early
-    exit; a conjunction and an implication ¬a ∨ b are one clause each,
-    and a digit read from a constant or at a bound variable reads it
-    directly.  A domain over the budget raises DomainBudgetError only
-    when a binder over it runs, so a short-circuited one never does.
+    without materializing their tables, with early exit; a conjunction
+    and an implication ¬a ∨ b are one clause each, and a digit read from
+    a constant or at a bound variable reads it directly.  A domain over
+    the budget raises DomainBudgetError only when a binder over it runs,
+    so a short-circuited one never does.
 
     A quantifier, or an abstraction with an o-typed body, over V runs
     once for all values of V, one bit (lane) per value, when each part
-    of its body that reads V has lane code (see `_compile`), binders
-    inside it included: they loop, returning masks over V's lanes.  In
-    OB3, ∀B over 256 values at n = 3 runs once, and its ∀X, ∀Z and λW
-    loop inside.
-
-    Each compiled node knows which binder levels it reads.  A quantifier
-    or abstraction under binders it does not all read keeps its values
-    per values of the levels it does read, for this call only: in OB3,
-    ∃Z. B Z depends on B alone and is computed once per B, not once per
-    B and X.  The resulting value is the same, only cheaper.
+    of its body that reads V has lane code (see `_compile`, `_binder`):
+    in OB3, ∀B over 256 values at n = 3 runs once, and its ∀X, ∀Z and
+    λW loop inside, returning masks over its lanes.  A quantifier or
+    abstraction under binders it does not all read keeps its values per
+    values of the levels it does read, for this call only: in OB3, ∃Z.
+    B Z is computed once per B, not once per B and X.
     """
-    code, _, _, _ = _compile(h, t, (), free or {}, _Alive())
+    code, _, _ = _compile(_Call(h, free or {}), t, (), None)
     return code([])
 
 
-class _Alive:
-    """The enclosing binder levels that may yet be lifted: bit l of
-    `bits` is set for each, and `full` maps each to its full mask, as
-    well as the levels an inner binder has set aside (see `enter`)."""
-
-    __slots__ = ("bits", "full")
-
-    def __init__(self) -> None:
-        self.bits = 0
-        self.full: dict[int, int] = {}
-
-    def levels(self, mask: int) -> tuple[int, ...] | list[int]:
-        """The alive levels in `mask`."""
-        mask &= self.bits
-        if not mask & mask - 1:
-            return (mask.bit_length() - 1,) if mask else ()
-        return [level for level in self.full if mask >> level & 1]
-
-    def drop(self, mask: int) -> None:
-        """Remove the levels in `mask`: their binders loop."""
-        for level in self.levels(mask):
-            del self.full[level]
-        self.bits &= ~mask
-
-    def enter(self, level: int, full: int) -> int:
-        """Add a binder's level.  It claims the alive levels with no more
-        lanes than it has, which are set aside while its body compiles;
-        their mask is returned for `leave`."""
-        claimed = 0
-        if self.bits:
-            for outer in self.levels(self.bits):
-                if self.full[outer] <= full:
-                    claimed |= 1 << outer
-        self.bits ^= claimed | 1 << level
-        self.full[level] = full
-        return claimed
-
-    def leave(self, level: int, claimed: int, mask: int) -> bool:
-        """Remove a binder's level, returning whether it is still alive.
-        The claimed levels its body reads (`mask`) are dropped, so that
-        the binder with more lanes is the one lifted; the others are set
-        back."""
-        alive = self.bits >> level & 1
-        if alive:
-            self.bits ^= 1 << level
-            del self.full[level]
-        if claimed:
-            read = claimed & mask
-            for outer in [outer for outer in self.full if read >> outer & 1]:
-                del self.full[outer]
-            self.bits |= claimed & ~mask
-        return bool(alive)
+class _Unlifted(Exception):
+    """A node has no lane code: the binder whose lanes they are, which is
+    the nearest one compiling its body in its own lanes, loops."""
 
 
-def _compile(h: HenkinModel, t: HolTerm, binders: tuple[HolType, ...],
-             free: Mapping[str, int], alive: _Alive
-             ) -> tuple[Code, HolType, int, Lanes | None]:
+class _Call:
+    """One `eval_term` call: world count, interpretation, free variables,
+    and memos of binder compiles (`_binder`) and loose indices."""
+
+    __slots__ = ("n", "interp", "free", "memo", "loose")
+
+    def __init__(self, h: HenkinModel, free: Mapping[str, int]) -> None:
+        self.n, self.interp, self.free = h.n, h.interp, free
+        self.memo, self.loose = {}, {}
+
+
+def _compile(call: _Call, t: HolTerm, binders: tuple[HolType, ...],
+             lane: Lane) -> tuple[Code, HolType, int]:
     """Code computing `t` under binders of the given types (innermost
-    first), the type of `t`, the mask of the binder levels the code
-    reads (bit l stands for env[l], the l-th binder from the outside),
-    and the lane code of `t` per alive level it reads, or None.
+    first), the type of `t`, and the mask of the binder levels the code
+    reads (bit l stands for env[l], the l-th binder from the outside).
 
-    The lane code of a node for the level of a binder V runs with a
-    placeholder for V and computes the node for all values of V at
-    once: an o-typed node gives the mask of the values where it holds,
-    a β>o-typed one the list of those masks per digit of β.  A node
-    that reads an alive level and cannot have lane code for it drops
-    the level from `alive`, and the binder over V then loops.  A node
-    that does not read the level needs none: it is broadcast."""
+    `lane` is the (level, full mask) of the enclosing lifted binder V,
+    or None.  A node that reads V computes its value for all values of
+    V at once, one bit (lane) per value: an o-typed node the mask of the
+    values where it holds, a β>o-typed one the list of those masks per
+    digit of β.  Every other node computes its plain value, a truth
+    value being a mask over one lane.  A node that reads V and has no
+    lane code raises _Unlifted, and V's binder loops instead."""
     # one type test per node: this runs for every node of every term
     kind = type(t)
     if kind is Bound:
@@ -260,30 +218,38 @@ def _compile(h: HenkinModel, t: HolTerm, binders: tuple[HolType, ...],
         if level < 0:
             raise EvalError(f"dangling bound variable index {t.index}")
         ty = binders[t.index]
-        lanes = _variable_lanes(h.n, ty, level) \
-            if alive.bits >> level & 1 and ty is not I else None
-        return _read(level), ty, 1 << level, lanes
+        if not lane or level != lane[0]:
+            return _read(level), ty, 1 << level
+        # V itself: lane v holds the value v, so an o-typed V is the mask
+        # 0b10 and a β>o-typed one has, per digit s of β, the mask of the
+        # functions whose digit s is 1; `g V` reads V of other types
+        if ty is O_TYPE:
+            return (lambda env: 2), ty, 1 << level
+        if isinstance(ty, Arrow) and ty.res is O_TYPE:
+            size = domain_size(call.n, ty.arg)
+            return (lambda env: _projections(size)), ty, 1 << level
+        raise _Unlifted
     if kind is Free:
-        if t.name not in free:
+        if t.name not in call.free:
             raise EvalError(f"unassigned free variable {t.name}:"
                             f"{type_str(t.ty)}")
-        v = free[t.name]
-        if not 0 <= v < domain_size(h.n, t.ty):
+        v = call.free[t.name]
+        if not 0 <= v < domain_size(call.n, t.ty):
             raise EvalError(f"value {v} of {t.name} is outside the domain "
                             f"of type {type_str(t.ty)}")
-        return (lambda env: v), t.ty, 0, None
+        return (lambda env: v), t.ty, 0
     if kind is Const:
         if t.name in LOGICAL_NAMES:
-            return _compile(h, _eta_expand(t), binders, free, alive)
-        if t.name not in h.interp:
+            return _compile(call, _eta_expand(t), binders, lane)
+        if t.name not in call.interp:
             raise EvalError(f"constant {t.name} has no interpretation")
-        v = h.interp[t.name]
-        return (lambda env: v), t.ty, 0, None
+        v = call.interp[t.name]
+        return (lambda env: v), t.ty, 0
     depth = len(binders)
     if kind is Abs:
-        code, res, mask, lanes = _binder(h, t.var_ty, t.body, binders, free,
-                                         alive, False)
-        return code, Arrow(t.var_ty, res), mask, lanes
+        code, res, mask = _binder(call, t.var_ty, t.body, binders, lane,
+                                  False)
+        return code, Arrow(t.var_ty, res), mask
     # application: flatten the spine so logical heads can short-circuit
     head, args = t, []
     while isinstance(head, App):
@@ -293,99 +259,71 @@ def _compile(h: HenkinModel, t: HolTerm, binders: tuple[HolType, ...],
     kind = type(head)
     if kind is Const and head.name in LOGICAL_NAMES:
         if len(args) == _ARITY[head.name]:
-            code, mask, lanes = _compile_logical(h, t, head, args, binders,
-                                                 free, alive)
-            return code, O_TYPE, mask, lanes
+            code, mask = _compile_logical(call, t, head, args, binders, lane)
+            return code, O_TYPE, mask
         head = _eta_expand(head)
         kind = Abs
-    # an argument's lane code serves only an application of type o
-    ty = (head.ty if kind is Const or kind is Free
-          else binders[head.index] if kind is Bound and head.index < depth
-          else None)
+    # V itself as an argument needs no code of its own: see _lane_apply
+    v_index = depth - 1 - lane[0] if lane else -1
     argcode = []
     for a in args:
-        ty = ty.res if isinstance(ty, Arrow) else None
-        argcode.append((_compile if ty is O_TYPE else _compile_plain)(
-            h, a, binders, free, alive))
-    value = lanes = None
+        argcode.append((None, binders[v_index], 1 << lane[0])
+                       if type(a) is Bound and a.index == v_index
+                       else _compile(call, a, binders, lane))
+    value = None
     if kind is Abs:
         # apply syntactic lambdas by extending the environment rather
         # than building their tables; arguments are evaluated in the
-        # current environment first.  Such a node has no lane code
+        # current environment first, to plain values
         inner = binders
         k = 0
         while isinstance(head, Abs) and k < len(args):
             inner = (head.var_ty,) + inner
             head = head.body
             k += 1
-        body, ty, mask, _ = _compile_plain(h, head, inner, free, alive)
+        body, ty, mask = _compile(call, head, inner, lane)
         mask &= (1 << depth) - 1
         pushed = []
-        for a, _, arg_mask, _ in argcode[:k]:
+        for a, _, arg_mask in argcode[:k]:
+            if lane and arg_mask >> lane[0] & 1:
+                raise _Unlifted
             pushed.append(a)
             mask |= arg_mask
-        alive.drop(mask)
 
         def code(env: list) -> int:
             env.extend([a(env) for a in pushed])
             out = body(env)
             del env[-k:]
             return out
-        if k == len(args):
-            return code, ty, mask, None
         args, argcode = args[k:], argcode[k:]
     else:
-        code, ty, mask, lanes = _compile(h, head, binders, free, alive)
+        code, ty, mask = _compile(call, head, binders, lane)
         if kind is Const:
-            value = h.interp[head.name]
+            value = call.interp[head.name]
         elif kind is Free:
-            value = free[head.name]
-    for u, (a, arg_ty, arg_mask, arg_lanes) in zip(args, argcode):
-        if not isinstance(ty, Arrow) or ty.arg != arg_ty:
-            raise EvalError(f"cannot apply a value of type {type_str(ty)} "
-                            f"to one of type {type_str(arg_ty)}")
-        ty = ty.res
-        level = depth - 1 - u.index if isinstance(u, Bound) else None
-        read = (mask | arg_mask) & alive.bits
-        if not read:
-            lanes = None
-        elif (level is not None and read == 1 << level and not mask & read
-              and ty is O_TYPE
-              and (value is None or value & alive.full[level] == value)):
-            # g V, the commonest case: the table of g is the lane mask
-            lanes = {level: code}
+            value = call.free[head.name]
+    for u, (a, arg_ty, arg_mask) in zip(args, argcode):
+        ty = ty.res if type(ty) is Arrow and ty.arg == arg_ty \
+            else _expect(ty, arg_ty)
+        level = depth - 1 - u.index if type(u) is Bound else None
+        if lane and (mask | arg_mask) >> lane[0] & 1:
+            code = _lane_apply(call.n, (code, value, mask),
+                               (a, arg_ty, arg_mask), level, ty, lane)
         else:
-            lanes = _apply_lanes(h.n, (code, value, mask, lanes),
-                                 (a, arg_ty, arg_mask, arg_lanes, level), ty,
-                                 alive, read)
-        code = _digit(code, a, 2 if ty is O_TYPE else domain_size(h.n, ty),
-                      value, level)
+            code = _digit(code, a, 2 if ty is O_TYPE
+                          else domain_size(call.n, ty), value, level)
         mask |= arg_mask
         value = None
-    return code, ty, mask, lanes
+    return code, ty, mask
 
 
-def _compile_plain(h: HenkinModel, t: HolTerm, binders: tuple[HolType, ...],
-                   free: Mapping[str, int], alive: _Alive) -> tuple:
-    """`_compile` with no enclosing level alive, so with no lane code for
-    them; the binders inside `t` are lifted as usual."""
-    bits, alive.bits = alive.bits, 0
-    out = _compile(h, t, binders, free, alive)
-    alive.bits = bits
-    return out
-
-
-def _variable_lanes(n: int, ty: HolType, level: int) -> Lanes | None:
-    """Lane code of the variable V at an alive `level`: lane v holds the
-    value v, so an o-typed V is the mask 0b10 and a β>o-typed V has, per
-    digit s of β, the mask of the functions whose digit s is 1.  V of
-    another type has none; only an application `g V` reads it."""
-    if ty is O_TYPE:
-        return {level: lambda env: 2}
-    if isinstance(ty, Arrow) and ty.res is O_TYPE:
-        size = domain_size(n, ty.arg)
-        return {level: lambda env: _projections(size)}
-    return None
+def _expect(fn_ty: HolType, arg_ty: HolType) -> HolType:
+    """The type of a value of type `fn_ty` applied to one of `arg_ty`;
+    EvalError if it takes no such argument."""
+    if not isinstance(fn_ty, Arrow) or fn_ty.arg != arg_ty:
+        raise EvalError(f"cannot apply a value of type {type_str(fn_ty)} "
+                        f"to one of type {type_str(arg_ty)}")
+    return fn_ty.res
 
 
 @functools.lru_cache(maxsize=32)
@@ -403,69 +341,46 @@ def _projection(size: int, s: int) -> int:
     return full // ((1 << 2 * p) - 1) * (((1 << p) - 1) << p)
 
 
-def _apply_lanes(n: int, fn: tuple, arg: tuple, res: HolType,
-                 alive: _Alive, read: int) -> Lanes | None:
-    """Lane code of a function, compiled as (code, value known at compile
-    time or None, mask, lanes), applied to an argument, compiled as (code,
-    type, mask, lanes, level if it is a variable), per alive level in
-    `read`; the levels without any are dropped from `alive`.
-
-    At V itself, a function that does not read V is its own table (cut
-    to V's domain), or with a β>o result the masks of its digits, and
-    one that does is its diagonal.  A function that reads V at an
-    argument that does not gives the argument's digit of its masks.
-    Otherwise an o-typed application is the multiplexer `_mux` of the
+def _lane_apply(n: int, fn: tuple, arg: tuple, level: int | None,
+                res: HolType, lane: tuple[int, int]) -> Code:
+    """Code applying a function, compiled as (code, value known at
+    compile time or None, mask), to an argument, compiled as (code,
+    type, mask), when either reads the lifted binder V; `level` is the
+    argument's binder level if it is a bound variable, `res` the type
+    of the result.  At V itself, a function that does not read V is its
+    own table (cut to V's domain), or with a β>o result the masks of its
+    digits, and one that does is its diagonal.  A function that reads V
+    at an argument that does not gives the argument's digit of its
+    masks.  Otherwise an o-typed application multiplexes (`_mux`) the
     function over the masks of the argument's digits."""
-    fn_code, value, fn_mask, fn_lanes = fn
-    arg_code, arg_ty, arg_mask, arg_lanes, arg_level = arg
-    lanes = {}
-    for level in alive.levels(read):
-        full = alive.full[level]
-        f = fn_lanes.get(level) if fn_lanes else None
-        lane = None
-        if arg_level == level:
-            if f is not None:
-                lane = _diagonal(f)
-            elif not fn_mask >> level & 1:
-                if res is not O_TYPE:
-                    lane = _transposed(n, fn_code, full, res)
-                elif value is None:
-                    lane = fn_code
-                else:
-                    # cut a constant's digits past V's domain, which the
-                    # loop never reads
-                    lane = (lambda v: lambda env: v)(value & full)
-        elif not arg_mask >> level & 1:
-            if f is not None:
-                lane = _digit_lanes(f, arg_code)
-        elif (arg_lanes and level in arg_lanes and res is O_TYPE
-              and (f is not None or not fn_mask >> level & 1)):
-            lane = _mux_lanes(fn_code if f is None else f, arg_lanes[level],
-                              arg_ty is O_TYPE, full)
-        if lane is None:
-            alive.drop(1 << level)
-        else:
-            lanes[level] = lane
-    return lanes or None
+    fn_code, value, fn_mask = fn
+    arg_code, arg_ty, arg_mask = arg
+    v, full = lane
+    if level == v:
+        if fn_mask >> v & 1:
+            return _diagonal(fn_code)
+        if res is O_TYPE:
+            # a constant's digits past V's domain, which the loop never
+            # reads, are cut
+            return fn_code if value is None else lambda env: value & full
+        if isinstance(res, Arrow) and res.res is O_TYPE:
+            count, width = full.bit_length(), domain_size(n, res.arg)
+            return lambda env: _transpose(fn_code(env), count, width)
+    elif not arg_mask >> v & 1:
+        def digit(env: list) -> int:
+            # f's mask at s, or none past f's digits, as in the loop
+            masks, s = fn_code(env), arg_code(env)
+            return masks[s] if s < len(masks) else 0
+        return digit
+    elif res is O_TYPE:
+        # an o-typed argument has one digit, its value
+        slices = (lambda env: (arg_code(env),)) if arg_ty is O_TYPE \
+            else arg_code
+        return lambda env: _mux(fn_code(env), slices(env), full)
+    raise _Unlifted
 
 
-def _transposed(n: int, fn: Code, full: int, res: HolType) -> Code | None:
-    """Lane code of `g V` for a g that does not read V and a result of
-    type β>o: per digit of β, the mask of the values of V where it is 1."""
-    if not (isinstance(res, Arrow) and res.res is O_TYPE):
-        return None
-    count, width = full.bit_length(), domain_size(n, res.arg)
-    memo: dict = {}
-
-    def lane(env: list) -> tuple[int, ...]:
-        table = fn(env)
-        masks = memo.get(table)
-        if masks is None:
-            masks = memo[table] = _transpose(table, count, width)
-        return masks
-    return lane
-
-
+@functools.lru_cache(maxsize=64)
 def _transpose(table: int, count: int, width: int) -> tuple[int, ...]:
     """Per digit z < width, the mask of the v < count whose width-bit
     field v in `table` has bit z set."""
@@ -478,24 +393,6 @@ def _transpose(table: int, count: int, width: int) -> tuple[int, ...]:
 def _diagonal(fn: Code) -> Code:
     """Lane code of `f V` for an f that reads V: bit v of f's mask at v."""
     return lambda env: sum(m & 1 << v for v, m in enumerate(fn(env)))
-
-
-def _digit_lanes(fn: Code, arg: Code) -> Code:
-    """Lane code of `f s` for an f that reads V and an s that does not:
-    f's mask at s, or none past f's digits, as in the loop."""
-    def lane(env: list) -> int:
-        masks, s = fn(env), arg(env)
-        return masks[s] if s < len(masks) else 0
-    return lane
-
-
-def _mux_lanes(fn: Code, arg: Code, boolean: bool, full: int) -> Code:
-    """Lane code of `f a` for an argument a that reads V: `_mux` of f's
-    table or masks over the masks of a's digits, or over a's own mask
-    when a is `boolean`, of type o, whose one digit is its value."""
-    if boolean:
-        return lambda env: _mux(fn(env), (arg(env),), full)
-    return lambda env: _mux(fn(env), arg(env), full)
 
 
 def _mux(f: int | list[int], slices: tuple[int, ...], full: int) -> int:
@@ -539,76 +436,95 @@ def _digit(fn: Code, arg: Code, base: int, value: int | None,
     return lambda env: value >> width * env[level] & mask
 
 
-def _binder(h: HenkinModel, alpha: HolType, body_t: HolTerm,
-            binders: tuple[HolType, ...], free: Mapping[str, int],
-            alive: _Alive, forall: bool
-            ) -> tuple[Code, HolType, int, Lanes | None]:
+def _binder(call: _Call, alpha: HolType, body_t: HolTerm,
+            binders: tuple[HolType, ...], lane: Lane, forall: bool
+            ) -> tuple[Code, HolType, int]:
     """Code of a quantifier (`forall`) or abstraction binding V : alpha
-    around `body_t`, the type of the body, the binder's mask and its
-    lane code per enclosing alive level.
+    around `body_t`, the type of the body and the binder's mask.
 
-    A binder over 2..LANE_CAP values is lifted when its body is o-typed
-    and has lane code for V, or does not read V: it pushes a placeholder
-    for V and computes the mask of the values of V where the body holds
-    in one go.  A quantifier is that mask == full, an abstraction that
-    mask.  Every other binder loops over its domain.  Inner binders
-    claim V if they have as many values (see `_Alive.enter`).
-
-    For an enclosing level, the binder loops over V, ANDing the body's
-    masks for a quantifier and listing them, one per digit, for an
-    abstraction.  A binder over a domain past the budget claims every
-    enclosing level, so no binder around it is lifted: lanes evaluate
-    every operand once, where the loop might skip the one that raises."""
-    n, depth = h.n, len(binders)
+    A binder over 2..LANE_CAP values whose body is no abstraction and
+    does not read the enclosing lifted binder first compiles its body in
+    its own lanes.  If that body is o-typed, the binder pushes a
+    placeholder for V and computes the mask of the values of V where
+    the body holds in one go: a quantifier is that mask == full, an
+    abstraction that mask.  Any other binder, or one whose body raised
+    _Unlifted, reading V where no lane code exists (ob (av V) ...),
+    loops over its domain, in the lanes of the enclosing lifted binder
+    if its body reads it: it ANDs its body's values for a quantifier
+    (`_all`) and writes them as digits or lists them as masks for an
+    abstraction.  A binder over a domain past the budget makes every
+    binder around it loop: lanes evaluate every operand once, where the
+    loop might skip the one that raises.  A binder under a lifted one
+    whose variable it does not read is kept in `call.memo` for a retry:
+    the compile of [](... | Oa q) stays linear."""
+    depth = len(binders)
+    inner = (alpha,) + binders
+    key = id(body_t), forall
+    hit = call.memo.get(key)
+    # a shared body may sit under binders of other types elsewhere
+    if (hit is not None and hit[1] == inner
+            and not (lane and hit[2][2] >> lane[0] & 1)):
+        return hit[2]
     try:
-        dom = enumerate_domain(n, alpha)
-    except EvalError:
-        dom = None
+        dom = enumerate_domain(call.n, alpha)
+    except DomainBudgetError:
+        if lane:
+            raise _Unlifted
+        _, res, _ = _compile(call, body_t, inner, None)
+        # raises, naming the type, only if it runs
+        return ((lambda env: len(enumerate_domain(call.n, alpha))), res,
+                (1 << depth) - 1)
+    full = (1 << len(dom)) - 1
+    code = None
     # one value gains nothing from lanes, and an abstraction whose body
     # is one is no predicate: neither is lifted
-    full = claimed = 0
-    if (dom is not None and 1 < len(dom) <= LANE_CAP
-            and (forall or type(body_t) is not Abs)):
-        full = (1 << len(dom)) - 1
-        claimed = alive.enter(depth, full)
-    body, res, mask, lanes = _compile(h, body_t, (alpha,) + binders, free,
-                                      alive)
-    lane = None
-    if full and alive.leave(depth, claimed, mask) and lanes \
-            and res is O_TYPE:
-        lane = lanes.get(depth)
-    outer = mask & (1 << depth) - 1
-    if dom is None:
-        alive.drop(alive.bits)
-        return _enumerate_when_run(n, alpha), res, (1 << depth) - 1, None
-    lanes = _loop_lanes(dom, lanes, res, outer, depth, alive, forall) \
-        if outer & alive.bits else None
-    if lane is None and full and not mask >> depth & 1 and res is O_TYPE:
-        lane = _broadcast(body, full)
-    if lane is not None:
-        code = _lifted(lane, full, forall)
-    elif forall:
-        code = _forall(dom, body)
-    else:
-        code = _tabulate(dom[::-1], body, domain_size(n, res))
-    return _cached(code, outer, depth), res, outer, lanes
-
-
-def _loop_lanes(dom: range, lanes: Lanes | None, res: HolType, outer: int,
-                depth: int, alive: _Alive, forall: bool) -> Lanes | None:
-    """Lane code of a binder over `dom` at `depth` per enclosing alive
-    level its body reads, looping over the domain.  The levels for which
-    the body has none are dropped from `alive`."""
-    out = {}
-    for level in alive.levels(outer):
-        body = lanes.get(level) if lanes else None
-        if body is None or res is not O_TYPE:
-            alive.drop(1 << level)
+    if (1 < len(dom) <= LANE_CAP and (forall or type(body_t) is not Abs)
+            and not (lane and _loose(call, body_t) >> depth - lane[0] & 1)):
+        try:
+            body, res, mask = _compile(call, body_t, inner, (depth, full))
+            if res is not O_TYPE:
+                raise _Unlifted
+            code = _lifted(body if mask >> depth & 1
+                           else _broadcast(body, full), full, forall)
+        except _Unlifted:
+            pass
+    if code is None:
+        body, res, mask = _compile(call, body_t, inner, lane)
+        lanes = _full(lane, mask)
+        if forall:
+            code = _all(dom, body, lanes)
+        elif lanes == TRUE:
+            code = _tabulate(dom[::-1], body, domain_size(call.n, res))
+        elif res is O_TYPE:
+            code = _lane_table(dom, body)
         else:
-            lane = _lane_forall(dom, body, alive.full[level]) if forall \
-                else _lane_table(dom, body)
-            out[level] = _cached(lane, outer, depth)
-    return out or None
+            raise _Unlifted
+    outer = mask & (1 << depth) - 1
+    out = _cached(code, outer, depth), res, outer
+    # retries follow a compile in lanes; a binder past the budget reads
+    # every level, so one holding it is never reused in lanes
+    if lane and not outer >> lane[0] & 1:
+        call.memo[key] = body_t, inner, out
+    return out
+
+
+def _loose(call: _Call, t: HolTerm) -> int:
+    """The mask of the loose de Bruijn indices of `t`, bit i standing
+    for Bound(i), kept per abstraction body for the call."""
+    hit = call.loose.get(id(t))
+    if hit is None:
+        mask, stack = 0, [t]
+        while stack:
+            u = stack.pop()
+            kind = type(u)
+            if kind is App:
+                stack += u.fn, u.arg
+            elif kind is Bound:
+                mask |= 1 << u.index
+            elif kind is Abs:
+                mask |= _loose(call, u.body) >> 1
+        hit = call.loose[id(t)] = t, mask
+    return hit[1]
 
 
 def _lifted(lane: Code, full: int, forall: bool) -> Code:
@@ -622,18 +538,19 @@ def _lifted(lane: Code, full: int, forall: bool) -> Code:
     return code
 
 
-def _forall(dom: range, body: Code) -> Code:
-    """Code of a quantifier that loops over its domain, stopping at the
-    first value where the body is false."""
-    def forall(env: list) -> int:
+def _all(dom: range, body: Code, full: int) -> Code:
+    """Code of a quantifier that loops over its domain: the AND of its
+    body's masks over `full`'s lanes, stopping once no lane is left."""
+    def code(env: list) -> int:
+        out = full
         for d in dom:
             env.append(d)
-            v = body(env)
+            out &= body(env)
             env.pop()
-            if not v:
-                return FALSE
-        return TRUE
-    return forall
+            if not out:
+                break
+        return out
+    return code
 
 
 def _tabulate(dom: range, body: Code, base: int) -> Code:
@@ -649,21 +566,6 @@ def _tabulate(dom: range, body: Code, base: int) -> Code:
     return code
 
 
-def _lane_forall(dom: range, lane: Code, full: int) -> Code:
-    """Lane code of a quantifier that loops under a lifted binder: the
-    AND of its body's masks, stopping once no lane is left."""
-    def code(env: list) -> int:
-        out = full
-        for d in dom:
-            env.append(d)
-            out &= lane(env)
-            env.pop()
-            if not out:
-                break
-        return out
-    return code
-
-
 def _lane_table(dom: range, lane: Code) -> Code:
     """Lane code of an abstraction that loops under a lifted binder: its
     body's mask per value of its variable."""
@@ -675,13 +577,6 @@ def _lane_table(dom: range, lane: Code) -> Code:
             env.pop()
         return out
     return code
-
-
-def _enumerate_when_run(n: int, ty: HolType) -> Code:
-    """Code for a binder over a domain past the budget: it raises
-    DomainBudgetError naming the type only if it runs, so a binder that
-    a short circuit skips never raises."""
-    return lambda env: len(enumerate_domain(n, ty))
 
 
 def _cached(code: Code, mask: int, depth: int) -> Code:
@@ -723,108 +618,79 @@ def _eta_expand(c: Const) -> HolTerm:
     return term
 
 
+def _full(lane: Lane, mask: int) -> int:
+    """The mask of every lane of a truth value that reads the levels in
+    `mask`: the lifted binder's if it reads that, else one lane."""
+    return lane[1] if lane and mask >> lane[0] & 1 else TRUE
+
+
 def _broadcast(code: Code, full: int) -> Code:
     """Lane code of an o-typed node that does not read the binder: its
     value in every lane."""
     return lambda env: -code(env) & full
 
 
-def _clause_lanes(clause: str, la: Code, lb: Code, full: int) -> Code:
-    """Lane code of a binary connective over the operands' lane codes.
-    As in the loop, the second operand is skipped when the first fixes
-    the result, here in every lane."""
-    if clause == "and":
-        return lambda env: (a := la(env)) and a & lb(env)
-    if clause == "imp":
-        return lambda env: a if (a := la(env) ^ full) == full else \
-            a | lb(env)
-    if clause == "or":
-        return lambda env: a if (a := la(env)) == full else a | lb(env)
-    return lambda env: la(env) ^ lb(env) ^ full
-
-
-def _connective_lanes(clause: str, operands: tuple, alive: _Alive,
-                      read: int) -> Lanes | None:
-    """Lane code of a binary connective over o-typed compiled operands,
-    per alive level either reads.  An operand that does not read the
-    level is broadcast; one that reads it without lane code drops the
-    level from `alive`."""
-    (a, a_ty, a_mask, la), (b, b_ty, b_mask, lb) = operands
-    lanes = {}
-    for level in alive.levels(read):
-        full = alive.full[level]
-        x = la.get(level) if la else None
-        y = lb.get(level) if lb else None
-        if (a_ty is not O_TYPE or b_ty is not O_TYPE
-                or x is None and a_mask >> level & 1
-                or y is None and b_mask >> level & 1):
-            alive.drop(1 << level)
-            continue
-        lanes[level] = _clause_lanes(clause, x or _broadcast(a, full),
-                                     y or _broadcast(b, full), full)
-    return lanes or None
-
-
-def _compile_logical(h: HenkinModel, t: HolTerm, head: Const,
+def _compile_logical(call: _Call, t: HolTerm, head: Const,
                      args: list[HolTerm], binders: tuple[HolType, ...],
-                     free: Mapping[str, int], alive: _Alive
-                     ) -> tuple[Code, int, Lanes | None]:
-    """Code, binder mask and lane code of `t`, the logical constant
-    `head` applied to all its arguments `args`."""
-    if head.name == PI_NAME and isinstance(args[0], Abs):
-        code, _, mask, lanes = _binder(h, head.ty.arg.arg, args[0].body,
-                                       binders, free, alive, True)
-        return code, mask, lanes
+                     lane: Lane) -> tuple[Code, int]:
+    """Code and binder mask of `t`, the logical constant `head` applied
+    to all its arguments `args`, whose types are checked against it.
+    ¬, ∧, ∨, → and equality at o act on masks, over the lifted binder's
+    lanes if the node reads it and over one lane otherwise; an operand
+    that does not read it is broadcast.  The second operand is skipped
+    when the first fixes the result in every lane."""
+    if head.name == PI_NAME:
+        f = args[0]
+        if type(f) is Abs:
+            code, res, mask = _binder(call, f.var_ty, f.body, binders, lane,
+                                      True)
+            _expect(head.ty, Arrow(f.var_ty, res))
+            return code, mask
+        a, ty, mask = _compile(call, f, binders, lane)
+        _expect(head.ty, ty)
+        if _full(lane, mask) != TRUE:
+            raise _Unlifted
+        full = (1 << domain_size(call.n, ty.arg)) - 1
+        return (lambda env: int(a(env) == full)), mask
     # a conjunction ¬(¬a ∨ ¬b) and an implication ¬a ∨ b are one clause
     # each, over operands compiled once
     if head.name == NOT_NAME:
         conj = match_and(t)
         if conj is None:
-            a, ty, mask, la = _compile(h, args[0], binders, free, alive)
-            if la and ty is not O_TYPE:
-                alive.drop(mask)
-                la = None
-            lanes = None
-            if la:
-                lanes = {}
-                for level, x in la.items():
-                    lanes[level] = _negated(x, alive.full[level])
-            return (lambda env: 1 - a(env)), mask, lanes
+            a, ty, mask = _compile(call, args[0], binders, lane)
+            if ty is not O_TYPE:
+                _expect(head.ty, ty)
+            full = _full(lane, mask)
+            return (lambda env: a(env) ^ full), mask
         clause, args = "and", conj
-    elif head.name == PI_NAME:
-        a, _, mask, la = _compile(h, args[0], binders, free, alive)
-        full = (1 << domain_size(h.n, head.ty.arg.arg)) - 1
-        lanes = {level: _all_lanes(x, alive.full[level])
-                 for level, x in la.items()} if la else None
-        return (lambda env: int(a(env) == full)), mask, lanes
     elif head.name == OR_NAME and _applies(args[0], NOT_NAME):
         clause, args = "imp", [args[0].arg, args[1]]
     else:
         clause = "or" if head.name == OR_NAME else "iff"
-    ops = _compile(h, args[0], binders, free, alive), \
-        _compile(h, args[1], binders, free, alive)
-    (a, _, mask, _), (b, _, b_mask, _) = ops
-    mask |= b_mask
-    read = mask & alive.bits
-    lanes = _connective_lanes(clause, ops, alive, read) if read else None
+    a, a_ty, a_mask = _compile(call, args[0], binders, lane)
+    b, b_ty, b_mask = _compile(call, args[1], binders, lane)
+    if clause == "iff" or a_ty is not O_TYPE or b_ty is not O_TYPE:
+        _expect(_expect(head.ty if clause == "iff" else OR.ty, a_ty), b_ty)
+    mask = a_mask | b_mask
+    full = _full(lane, mask)
+    if a_ty is not O_TYPE:
+        # equality of worlds or functions has no lane code
+        if full != TRUE:
+            raise _Unlifted
+        return (lambda env: int(a(env) == b(env))), mask
+    if full != TRUE:
+        if not a_mask >> lane[0] & 1:
+            a = _broadcast(a, full)
+        if not b_mask >> lane[0] & 1:
+            b = _broadcast(b, full)
     if clause == "and":
-        return (lambda env: a(env) and b(env)), mask, lanes
+        return (lambda env: (x := a(env)) and x & b(env)), mask
     if clause == "imp":
-        return (lambda env: b(env) if a(env) else TRUE), mask, lanes
+        return (lambda env: x if (x := a(env) ^ full) == full
+                else x | b(env)), mask
     if clause == "or":
-        return (lambda env: a(env) or b(env)), mask, lanes
-    return (lambda env: int(a(env) == b(env))), mask, lanes
-
-
-def _negated(lane: Code, full: int) -> Code:
-    """Lane code of a negation: the lanes where the operand fails."""
-    return lambda env: lane(env) ^ full
-
-
-def _all_lanes(lane: Code, full: int) -> Code:
-    """Lane code of Pi f for an f that reads the binder: the lanes where
-    every digit's mask holds."""
-    return lambda env: functools.reduce(operator.and_, lane(env), full)
+        return (lambda env: x if (x := a(env)) == full else x | b(env)), mask
+    return (lambda env: a(env) ^ b(env) ^ full), mask
 
 
 def build_henkin(m: CJModel) -> HenkinModel:

@@ -408,16 +408,59 @@ def test_random_terms_match_the_earlier_compiler():
             _outcome(oracle_eval_term, h, t, free), (pretty_term(t), free)
 
 
+def _nest(form, d):
+    """The formula `form`, (before, innermost, after), nested d deep."""
+    before, inner, after = form
+    return parse(before * d + inner + after * d)
+
+
+# nests whose world binders fail to lift late, at `ob (av V)` inside Oa
+# or Op, after their inner binders have been compiled in their lanes; in
+# the last, the retry of each box lifts the outer [a] inside it, over an
+# inner [a] kept from the first try, which must be compiled anew
+FAILED_LIFTS = (("[](", "q", " | Oa q)"), ("[a](", "q", " | Oa q)"),
+                ("[](", "q", " | [](q) | Oa q)"),
+                ("[a](Op q -> ", "<p>p", ")"),
+                ("[](", "[a]([a](q | Oa q))", " | Oa q)"))
+
+
 def test_embedded_formulas_match_the_earlier_compiler():
     rng = random.Random(94)
-    for m in random_models(60, seed=95, atoms=("p", "q", "r")):
+    fixed = [_nest(form, d) for form in FAILED_LIFTS for d in range(1, 5)]
+    for k, m in enumerate(random_models(60, seed=95, atoms=("p", "q", "r"))):
         h = build_henkin(m)
-        t = embed(random_formula(rng, 6, ("p", "q", "r")))
-        at_world = App(t, Free("S", I))
-        for s in range(m.n):
-            assert eval_term(h, at_world, {"S": s}) == \
-                oracle_eval_term(h, at_world, {"S": s})
-        assert eval_term(h, vld(t)) == oracle_eval_term(h, vld(t))
+        formulas = [random_formula(rng, 6, ("p", "q", "r"))]
+        if k % 4 == 0:
+            formulas += fixed
+        for f in formulas:
+            t = embed(f)
+            at_world = App(t, Free("S", I))
+            for s in range(m.n):
+                assert eval_term(h, at_world, {"S": s}) == \
+                    oracle_eval_term(h, at_world, {"S": s}), (pretty(f), s)
+            assert eval_term(h, vld(t)) == oracle_eval_term(h, vld(t)), \
+                pretty(f)
+
+
+@pytest.mark.parametrize("form", FAILED_LIFTS[:3],
+                         ids=lambda form: form[0] + "..." + form[2])
+def test_compile_stays_linear_when_a_lift_fails_late(monkeypatch, form):
+    # a world binder compiles its body in its own lanes, fails at Oa and
+    # compiles it again to loop; the binders inside it that read no
+    # lifted variable are reused, not compiled anew, so the compiles
+    # double with d rather than with each level
+    calls = [0]
+    monkeypatch.setattr(
+        henkin, "_compile", lambda *a, run=henkin._compile:
+        calls.__setitem__(0, calls[0] + 1) or run(*a))
+    h = build_henkin(mk_model(3, av=[[0], [1], [2]], pv=[[0, 1, 2]] * 3,
+                              ob=[], val={"q": [1]}))
+    counts = []
+    for d in (8, 16):
+        calls[0] = 0
+        eval_term(h, vld(embed(_nest(form, d))))
+        counts.append(calls[0])
+    assert counts[1] <= 2.25 * counts[0], counts
 
 
 @pytest.mark.parametrize("evaluate", [eval_term, oracle_eval_term],
@@ -445,6 +488,23 @@ def test_domain_budget_error_is_raised_only_where_a_quantifier_runs(
                                       App(r, Bound(0))))) == FALSE
     h_q = build_henkin(replace(m, val={"q": 0b1111}))
     assert evaluate(h_q, forall(I, lor(App(q, Bound(0)), big))) == TRUE
+
+
+def test_logical_heads_check_their_operand_types():
+    # a mistyped operand of ¬, ∨ or Pi is refused when the term is
+    # compiled, as for any other constant, before any value is computed
+    h = build_henkin(mk_model(2, av=[[0], [1]], pv=[[0], [1]], ob=[],
+                              val={"p": [0, 1]}))
+    p = atom_const("p")
+    for t, message in (
+            (App(NOT, p), "o>o to one of type i>o"),
+            (App(App(OR, p), p), "o>o>o to one of type i>o"),
+            (App(pi_const(I), AV), "(i>o)>o to one of type i>i>o"),
+            (App(pi_const(I), Abs(TAU, App(Bound(0), Bound(0)))),
+             "i>o to one of type i>o")):
+        with pytest.raises(EvalError) as e:
+            henkin._compile(henkin._Call(h, {}), t, (), None)
+        assert str(e.value) == f"cannot apply a value of type {message}"
 
 
 # --- lifted binders ------------------------------------------------------
@@ -520,11 +580,11 @@ def _count_builds(monkeypatch, names):
     return built
 
 
-_LOOPS = ("_forall", "_tabulate", "_lane_forall", "_lane_table")
+_LOOPS = ("_all", "_tabulate", "_lane_table")
 
 
 def test_lifted_binders_match_the_earlier_compiler(monkeypatch):
-    built = _count_builds(monkeypatch, ("_lifted", "_forall", "_tabulate"))
+    built = _count_builds(monkeypatch, ("_lifted", "_all", "_tabulate"))
     rng = random.Random(96)
     terms = 0
     free_types = {"b": O, "w": I, "X": TAU, "G": _TAU_O,
@@ -544,7 +604,7 @@ def test_lifted_binders_match_the_earlier_compiler(monkeypatch):
                     terms += 1
     # both paths run; more binders are lifted than there are terms / 2
     assert built["_lifted"] > terms / 2
-    assert built["_forall"] and built["_tabulate"]
+    assert built["_all"] and built["_tabulate"]
 
 
 def _nested_body(rng, alpha, depth, v=0, inner=()):
@@ -641,12 +701,12 @@ def test_nested_binders_match_the_earlier_compiler(monkeypatch):
     # binders are lifted over inner loops, which return lane masks, and
     # multiplexers run
     assert built["_lifted"] and built["_mux"]
-    assert loops["_lane_forall"] and loops["_lane_table"]
+    assert loops["_all"] and loops["_lane_table"]
 
 
 def test_functions_of_terms_that_read_two_lifted_binders():
-    # ∀B:(i>o)>o is lifted with ∀X:i>o, over fewer values, alive inside
-    # it; an argument that reads both has lane code for each level
+    # ∀B:(i>o)>o is lifted and ∀X:i>o, which reads B, loops in its
+    # lanes; an argument that reads both is lane-valued over B's lanes
     F, G = Free("F", Arrow(O, O)), Free("G", _TAU_O)
     b_x = App(Bound(1), Bound(0))
     bodies = (App(F, b_x), lor(App(F, b_x), App(Bound(0), Free("w", I))),
@@ -680,7 +740,7 @@ def test_binders_past_the_lane_cap_loop(monkeypatch):
             (pretty_term(t), free, h.n)
     # i>o at n = 3 (8 values) and (i>o)>o from n = 2 loop
     assert widths and max(widths) <= 4
-    assert loops["_forall"] and loops["_tabulate"] and runs[0]
+    assert loops["_all"] and loops["_tabulate"] and runs[0]
 
 
 def test_a_constant_outside_its_domain_reads_as_in_the_loop():
@@ -701,8 +761,9 @@ def test_nested_world_loops_run_linearly(monkeypatch, d):
     # the inner loops from rerunning per value of the outer ones
     runs = [0]
     monkeypatch.setattr(
-        henkin, "_forall", lambda dom, body, run=henkin._forall: run(
-            dom, lambda env: runs.__setitem__(0, runs[0] + 1) or body(env)))
+        henkin, "_all", lambda dom, body, full, run=henkin._all: run(
+            dom, lambda env: runs.__setitem__(0, runs[0] + 1) or body(env),
+            full))
     m = mk_model(3, av=[[0], [1], [2]], pv=[[0, 1, 2]] * 3, ob=[],
                  val={"p": [0]})
     t = vld(embed(parse("[](Oa p | " * d + "(p | ~p)" + ")" * d)))
@@ -739,20 +800,20 @@ def test_innermost_binders_of_the_axioms_are_lifted(monkeypatch):
         eval_term(h, term)
         per_axiom[name] = ({k: v for k, v in {**built, **loops}.items()
                             if v}, runs[0])
-    # the binder with the most lanes is lifted, and the ones inside it
-    # loop over masks of its lanes (_lane_forall, _lane_table): ∀B in
-    # OB3 and the ∀Z of OB2, OB4 and OB5; ∀W:i in PV2, over pv W W, and
-    # ∀X in OB1.  Bodies run at n = 3: OB3 ran 3,324 before (256 for B,
-    # 2,048 for X and 1,020 inside), OB2 584
+    # binders are lifted from the outside in, and the ones inside a lifted
+    # binder that read its variable loop over masks of its lanes (_all,
+    # _lane_table): ∀W in AV and PV1, ∀B in OB3 and the ∀X of OB2, OB4
+    # and OB5, where a world binder that reads no ∀X is lifted as well;
+    # ∀W:i in PV2, over pv W W, and ∀X in OB1.  Bodies run at n = 3: OB3
+    # ran 3,324 before lanes (256 for B, 2,048 for X and 1,020 inside),
+    # OB2 584
     assert per_axiom == {
-        "AV": ({"_forall": 1, "_lifted": 1}, 3),
-        "PV1": ({"_forall": 1, "_lifted": 1}, 3),
+        "AV": ({"_all": 1, "_lifted": 1}, 2),
+        "PV1": ({"_all": 1, "_lifted": 1}, 3),
         "PV2": ({"_lifted": 1}, 0),
         "OB1": ({"_lifted": 2, "_tabulate": 2}, 6),
-        "OB2": ({"_forall": 2, "_lifted": 2, "_lane_forall": 1}, 264),
-        "OB3": ({"_forall": 2, "_lifted": 5, "_tabulate": 1,
-                 "_lane_forall": 6, "_lane_table": 1}, 152),
-        "OB4": ({"_forall": 2, "_lifted": 4, "_lane_forall": 1,
-                 "_lane_table": 1}, 150),
-        "OB5": ({"_forall": 2, "_lifted": 3, "_lane_forall": 1}, 96),
+        "OB2": ({"_all": 3, "_lifted": 1}, 264),
+        "OB3": ({"_all": 6, "_lifted": 1, "_lane_table": 1}, 152),
+        "OB4": ({"_all": 4, "_lifted": 1, "_lane_table": 1}, 177),
+        "OB5": ({"_all": 3, "_lifted": 2}, 96),
     }

@@ -77,3 +77,51 @@ def test_every_exported_name_has_a_reader_outside_the_tests():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(ddlkit.__all__) - used) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The `_private` names that a module of `sources` defines at module
+    level and that no top-level statement of any module but the
+    definition itself reads, as "module:name"."""
+    defined, reads = {}, {}
+    for module, source in sources.items():
+        for i, stmt in enumerate(ast.parse(source).body):
+            where = (module, i)
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                        and node is stmt:
+                    defined[module, node.name] = where
+                elif isinstance(node, ast.Name):
+                    if isinstance(node.ctx, ast.Load):
+                        reads.setdefault(node.id, set()).add(where)
+                    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                        defined[module, node.id] = where
+                elif isinstance(node, ast.Attribute):
+                    reads.setdefault(node.attr, set()).add(where)
+    return sorted(f"{module}:{name}"
+                  for (module, name), where in defined.items()
+                  if name.startswith("_") and not name.startswith("__")
+                  and not reads.get(name, set()) - {where})
+
+
+def test_every_private_name_has_a_reader_in_the_package():
+    # a helper that no code of the package reads any more is dead: it
+    # must go, or move under tests/ if only a test still uses it
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.rglob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_unread_private_names_are_found():
+    sources = {"a": ("_LIMIT = 3\n"
+                     "_used, _spare = 1, 2\n"
+                     "def _loop(x):\n"
+                     "    return _loop(x - 1) if x else _used\n"
+                     "class _Box:\n"
+                     "    _field = 0\n"
+                     "def public():\n"
+                     "    return b._helper()\n"),
+               "b": ("def _helper():\n"
+                     "    return _LIMIT\n"
+                     "__all__ = []\n")}
+    assert unread_private_names(sources) == ["a:_Box", "a:_loop", "a:_spare"]
