@@ -21,18 +21,19 @@ that call only.  The domain of each binder is fixed at compile time;
 one that is over the budget raises DomainBudgetError only if it runs.
 
 Since an element of D(a>o) is the |D(a)|-bit mask of where it holds, a
-binder V : a can run once for all values of V, one bit (lane) per
-value, when each part of its body that reads V can: `g V` is the table
-of g, `V s` a fixed projection mask, the connectives act on masks, a
-binder inside loops over its own values and ANDs (∀) or lists (λ) its
-body's masks, a term of type b>o is a list of masks, one per digit, and
-applying a function to such a term is a multiplexer over the term's
-value in each lane.  A quantifier is then `mask == full` and an
-abstraction the mask itself.  A truth value that does not read V is a
-mask over one lane, so each connective and the looping quantifier has
-one clause for both.  Binders are lifted from the outside in; one past
-LANE_CAP lanes, or whose body reads V where no lane code exists, or
-reads a lifted binder around it, loops over its domain.
+binder over a predicate V : β>o can run once for all values of V, one
+bit (lane) per value, when each part of its body that reads V can:
+`g V` is the table of g, `V s` a fixed projection mask, the connectives
+act on masks, a binder inside loops over its own values and ANDs (∀) or
+lists (λ) its body's masks, a term of type b>o is a list of masks, one
+per digit, and applying a function to such a term is a multiplexer over
+the term's value in each lane.  A quantifier is then `mask == full` and
+an abstraction the mask itself.  A truth value that does not read V is
+a mask over one lane, so each connective and the looping quantifier
+has one clause for both.  Predicate binders are lifted from the outside
+in; one past LANE_CAP lanes, whose body reads V where no lane code
+exists or reads a lifted binder around it, loops, as do binders over
+worlds (few values, read by ob (av V) under Oa) and truth values.
 
 `build_henkin` turns a valid finite model into such an interpretation
 (characteristic-function tables for each atom, av, pv, and ob), and
@@ -62,10 +63,10 @@ from .syntax import RESERVED_ATOMS, Formula, pretty, random_formula
 
 DOMAIN_BUDGET = 1 << 20
 
-# Most lanes a binder is lifted over, one per value of its variable; past
-# it the binder loops.  2**16 covers B : (i>o)>o at n = 4, where all
-# eight axioms took 6-12 ms per model, against 1.0-1.9 s with B looped
-# (2-vCPU machine).
+# Most lanes a predicate binder is lifted over, one per value; past it
+# the binder loops.  2**16 covers B : (i>o)>o at n = 4, where all eight
+# axioms took 6-12 ms per model, against 1.0-1.9 s with B looped (2-vCPU
+# machine).
 LANE_CAP = 1 << 16
 
 # Bound on the triples `check_faithfulness` draws.  At the bound it took
@@ -169,9 +170,9 @@ def eval_term(h: HenkinModel, t: HolTerm,
     the budget raises DomainBudgetError only when a binder over it runs,
     so a short-circuited one never does.
 
-    A quantifier, or an abstraction with an o-typed body, over V runs
-    once for all values of V, one bit (lane) per value, when each part
-    of its body that reads V has lane code (see `_compile`, `_binder`):
+    A quantifier, or an abstraction with an o-typed body, over a
+    predicate V runs once for all values of V, one bit (lane) per value,
+    when each part of its body that reads V has lane code (see `_binder`):
     in OB3, ∀B over 256 values at n = 3 runs once, and its ∀X, ∀Z and
     λW loop inside, returning masks over its lanes.  A quantifier or
     abstraction under binders it does not all read keeps its values per
@@ -220,15 +221,10 @@ def _compile(call: _Call, t: HolTerm, binders: tuple[HolType, ...],
         ty = binders[t.index]
         if not lane or level != lane[0]:
             return _read(level), ty, 1 << level
-        # V itself: lane v holds the value v, so an o-typed V is the mask
-        # 0b10 and a β>o-typed one has, per digit s of β, the mask of the
-        # functions whose digit s is 1; `g V` reads V of other types
-        if ty is O_TYPE:
-            return (lambda env: 2), ty, 1 << level
-        if isinstance(ty, Arrow) and ty.res is O_TYPE:
-            size = domain_size(call.n, ty.arg)
-            return (lambda env: _projections(size)), ty, 1 << level
-        raise _Unlifted
+        # V itself, a predicate: lane v holds the value v, so per digit s
+        # of β it is the mask of the functions whose digit s is 1
+        size = domain_size(call.n, ty.arg)
+        return (lambda env: _projections(size)), ty, 1 << level
     if kind is Free:
         if t.name not in call.free:
             raise EvalError(f"unassigned free variable {t.name}:"
@@ -442,21 +438,22 @@ def _binder(call: _Call, alpha: HolType, body_t: HolTerm,
     """Code of a quantifier (`forall`) or abstraction binding V : alpha
     around `body_t`, the type of the body and the binder's mask.
 
-    A binder over 2..LANE_CAP values whose body is no abstraction and
-    does not read the enclosing lifted binder first compiles its body in
-    its own lanes.  If that body is o-typed, the binder pushes a
-    placeholder for V and computes the mask of the values of V where
-    the body holds in one go: a quantifier is that mask == full, an
-    abstraction that mask.  Any other binder, or one whose body raised
-    _Unlifted, reading V where no lane code exists (ob (av V) ...),
-    loops over its domain, in the lanes of the enclosing lifted binder
-    if its body reads it: it ANDs its body's values for a quantifier
-    (`_all`) and writes them as digits or lists them as masks for an
-    abstraction.  A binder over a domain past the budget makes every
-    binder around it loop: lanes evaluate every operand once, where the
-    loop might skip the one that raises.  A binder under a lifted one
-    whose variable it does not read is kept in `call.memo` for a retry:
-    the compile of [](... | Oa q) stays linear."""
+    A binder over a predicate V : β>o with at most LANE_CAP values,
+    whose body is no abstraction and does not read the enclosing lifted
+    binder, first compiles its body in its own lanes.  If that body is
+    o-typed, the binder pushes a placeholder for V and computes the mask
+    of the values of V where the body holds in one go: a quantifier is
+    that mask == full, an abstraction that mask.  Any other binder (over
+    worlds or truth values, say), or one whose body raised _Unlifted,
+    reading V where no lane code exists (V = V), loops over its domain,
+    in the lanes of the enclosing lifted binder if its body reads it: it
+    ANDs its body's values for a quantifier (`_all`) and writes them as
+    digits or lists them as masks for an abstraction.  A binder over a
+    domain past the budget makes every binder around it loop: lanes
+    evaluate every operand once, where the loop might skip the one that
+    raises.  A binder under a lifted one whose variable it does not read
+    is kept in `call.memo` for a retry: the compile of nested predicate
+    binders that fail late stays linear."""
     depth = len(binders)
     inner = (alpha,) + binders
     key = id(body_t), forall
@@ -476,9 +473,9 @@ def _binder(call: _Call, alpha: HolType, body_t: HolTerm,
                 (1 << depth) - 1)
     full = (1 << len(dom)) - 1
     code = None
-    # one value gains nothing from lanes, and an abstraction whose body
-    # is one is no predicate: neither is lifted
-    if (1 < len(dom) <= LANE_CAP and (forall or type(body_t) is not Abs)
+    # an abstraction whose body is one is no predicate: it is not lifted
+    if (type(alpha) is Arrow and alpha.res is O_TYPE
+            and len(dom) <= LANE_CAP and (forall or type(body_t) is not Abs)
             and not (lane and _loose(call, body_t) >> depth - lane[0] & 1)):
         try:
             body, res, mask = _compile(call, body_t, inner, (depth, full))
@@ -584,8 +581,8 @@ def _cached(code: Code, mask: int, depth: int) -> Code:
     `mask`, when it sits under binders it does not all read; the table
     lives as long as the compiled term, one `eval_term` call.  Under a
     lifted binder its level holds a placeholder, the same in each run."""
-    # lanes do not cover the nested world loops of [](Oa p | ...): their
-    # bodies read V through ob (av V) ...; this keeps them linear
+    # world binders loop, so [](Oa p | ...) nests loops that read no
+    # outer world; this keeps their runs linear in the depth
     if mask == (1 << depth) - 1:
         return code
     levels = [level for level in range(depth) if mask >> level & 1]
@@ -731,12 +728,14 @@ def extract_model(h: HenkinModel, atoms: Iterable[str]) -> CJModel:
     are fixed by its traces: ob(X) is read at the subsets of X only,
     which gives the trace-canonical form.  Raises ExtractionError,
     naming the constant, for an atom named like a signature constant and
-    for a table that is missing or has bits past its domain, none of
-    which a model could give back; then AxiomCheckError (naming the
-    axiom) if the interpretation does not satisfy all eight axioms,
-    since only then is a valid model guaranteed.
+    for a table that is missing or has bits past its domain, and for no
+    worlds, none of which a model could give back; then AxiomCheckError
+    (naming the axiom) if the interpretation does not satisfy all eight
+    axioms, since only then is a valid model guaranteed.
     """
     n = h.n
+    if n < 1:
+        raise ExtractionError(f"interpretation has {n} worlds, not 1 or more")
     names = sorted(set(atoms))
     reserved = RESERVED_ATOMS.intersection(names)
     if reserved:

@@ -127,6 +127,9 @@ def test_extract_refuses_what_no_model_gives_back():
     # an atom's table past the worlds
     with pytest.raises(ExtractionError, match="'p' has bits past entry 0"):
         extract_model(HenkinModel(1, {**h.interp, "p": 0b10}), ["p"])
+    # no worlds: its tables pass, but a model has at least one world
+    with pytest.raises(ExtractionError, match="has 0 worlds"):
+        extract_model(HenkinModel(0, {"av": 0, "pv": 0, "ob": 0}), [])
     # bits of av, pv or ob past their domain
     m = random_model(2, ("p",), 3)
     h = build_henkin(m)
@@ -414,10 +417,11 @@ def _nest(form, d):
     return parse(before * d + inner + after * d)
 
 
-# nests whose world binders fail to lift late, at `ob (av V)` inside Oa
-# or Op, after their inner binders have been compiled in their lanes; in
-# the last, the retry of each box lifts the outer [a] inside it, over an
-# inner [a] kept from the first try, which must be compiled anew
+# nests of world binders that read their variable through `ob (av V)`
+# inside Oa or Op, which has no lane code: a lift of such a binder would
+# fail late, after its inner binders were compiled in its lanes.  World
+# binders are never lifted, so each compiles its body once, as a loop;
+# in the last, the [a] inside each box reads that box's world
 FAILED_LIFTS = (("[](", "q", " | Oa q)"), ("[a](", "q", " | Oa q)"),
                 ("[](", "q", " | [](q) | Oa q)"),
                 ("[a](Op q -> ", "<p>p", ")"),
@@ -442,25 +446,70 @@ def test_embedded_formulas_match_the_earlier_compiler():
                 pretty(f)
 
 
-@pytest.mark.parametrize("form", FAILED_LIFTS[:3],
-                         ids=lambda form: form[0] + "..." + form[2])
-def test_compile_stays_linear_when_a_lift_fails_late(monkeypatch, form):
-    # a world binder compiles its body in its own lanes, fails at Oa and
-    # compiles it again to loop; the binders inside it that read no
-    # lifted variable are reused, not compiled anew, so the compiles
-    # double with d rather than with each level
+def _predicate_nest(d):
+    """∀X:i>o. (inner ∧ X = X) nested d deep around ∀x:i. p x: each ∀X
+    is lifted, and fails late, at X = X (equality at i>o has no lane
+    code), after the ∀X inside it was compiled in its lanes."""
+    t = forall(I, App(atom_const("p"), Bound(0)))
+    for _ in range(d):
+        t = forall(TAU, land(t, equals(TAU, Bound(0), Bound(0))))
+    return t
+
+
+_WORLDS_3 = mk_model(3, av=[[0], [1], [2]], pv=[[0, 1, 2]] * 3, ob=[],
+                     val={"q": [1]})
+_WORLDS_2 = mk_model(2, av=[[0], [1]], pv=[[0, 1]] * 2, ob=[],
+                     val={"p": [0, 1]})
+
+
+@pytest.mark.parametrize("m, nest, d", [
+    (_WORLDS_2, _predicate_nest, 4),
+    *((_WORLDS_3, lambda d, form=form: vld(embed(_nest(form, d))), 8)
+      for form in FAILED_LIFTS[:3])],
+    ids=["forall X. (... & X = X)"]
+    + [form[0] + "..." + form[2] for form in FAILED_LIFTS[:3]])
+def test_compile_stays_linear_when_a_lift_fails_late(monkeypatch, m, nest,
+                                                     d):
+    # a predicate binder compiles its body in its own lanes, fails at
+    # X = X and compiles it again to loop; the binders inside it that
+    # read no lifted variable are kept in `call.memo` and reused, not
+    # compiled anew, so the compiles double with d rather than with each
+    # level.  The world nests never lift and compile each body once
     calls = [0]
     monkeypatch.setattr(
         henkin, "_compile", lambda *a, run=henkin._compile:
         calls.__setitem__(0, calls[0] + 1) or run(*a))
-    h = build_henkin(mk_model(3, av=[[0], [1], [2]], pv=[[0, 1, 2]] * 3,
-                              ob=[], val={"q": [1]}))
+    h = build_henkin(m)
     counts = []
-    for d in (8, 16):
+    for depth in (d, 2 * d):
         calls[0] = 0
-        eval_term(h, vld(embed(_nest(form, d))))
+        eval_term(h, nest(depth))
         counts.append(calls[0])
     assert counts[1] <= 2.25 * counts[0], counts
+
+
+def test_no_lift_is_retried_on_the_embedded_routes_terms(monkeypatch):
+    # only predicate binders are lifted, and every one in the axioms and
+    # in embedded formulas has lane code for its whole body, so none
+    # raises _Unlifted and compiles its body again
+    raised = [0]
+    monkeypatch.setattr(henkin._Unlifted, "__init__",
+                        lambda self, *a: raised.__setitem__(0, raised[0] + 1))
+    rng = random.Random(99)
+    for n in (1, 2, 3, 4):
+        h = build_henkin(random_model(n, ("p",), rng.getrandbits(63), 0.3))
+        for name, term in axioms():
+            eval_term(h, term)
+            assert raised[0] == 0, (name, n)
+    formulas = [_nest(form, d) for form in FAILED_LIFTS for d in (1, 3)]
+    formulas += [random_formula(rng, 6, ("p", "q")) for _ in range(30)]
+    for k, f in enumerate(formulas):
+        m = random_model(1 + k % 3, ("p", "q"), rng.getrandbits(63), 0.3)
+        h, t = build_henkin(m), embed(f)
+        eval_term(h, vld(t))
+        for s in range(m.n):
+            eval_term(h, App(t, Free("S", I)), {"S": s})
+        assert raised[0] == 0, pretty(f)
 
 
 @pytest.mark.parametrize("evaluate", [eval_term, oracle_eval_term],
@@ -756,9 +805,10 @@ def test_a_constant_outside_its_domain_reads_as_in_the_loop():
 
 @pytest.mark.parametrize("d", [4, 8, 12])
 def test_nested_world_loops_run_linearly(monkeypatch, d):
-    # each [](Oa p | ...) loops over the worlds, and its body reads V
-    # through ob (av V), so no lane covers it; the per-call memo keeps
-    # the inner loops from rerunning per value of the outer ones
+    # each [](Oa p | ...) loops over the worlds, as does vld's ∀S around
+    # them, since only predicate binders are lifted; `_cached` keeps the
+    # inner loops, which read no outer world, from rerunning per value of
+    # the outer ones
     runs = [0]
     monkeypatch.setattr(
         henkin, "_all", lambda dom, body, full, run=henkin._all: run(
@@ -768,7 +818,7 @@ def test_nested_world_loops_run_linearly(monkeypatch, d):
                  val={"p": [0]})
     t = vld(embed(parse("[](Oa p | " * d + "(p | ~p)" + ")" * d)))
     assert eval_term(build_henkin(m), t) == TRUE
-    assert runs[0] == 3 * d
+    assert runs[0] == 3 * d + 3
 
 
 def _count_runs(monkeypatch, built):
@@ -800,20 +850,20 @@ def test_innermost_binders_of_the_axioms_are_lifted(monkeypatch):
         eval_term(h, term)
         per_axiom[name] = ({k: v for k, v in {**built, **loops}.items()
                             if v}, runs[0])
-    # binders are lifted from the outside in, and the ones inside a lifted
-    # binder that read its variable loop over masks of its lanes (_all,
-    # _lane_table): ∀W in AV and PV1, ∀B in OB3 and the ∀X of OB2, OB4
-    # and OB5, where a world binder that reads no ∀X is lifted as well;
-    # ∀W:i in PV2, over pv W W, and ∀X in OB1.  Bodies run at n = 3: OB3
-    # ran 3,324 before lanes (256 for B, 2,048 for X and 1,020 inside),
-    # OB2 584
+    # only predicate binders are lifted, from the outside in, and the
+    # ones inside a lifted binder that read its variable loop over masks
+    # of its lanes (_all, _lane_table): ∀B in OB3 and the ∀X of OB1, OB2,
+    # OB4 and OB5.  World binders loop: ∀W in AV, PV1 and PV2, OB5's ∃W,
+    # which reads no ∀X, and OB1's λW, which tabulates.  Bodies run at
+    # n = 3: OB3 ran 3,324 before lanes (256 for B, 2,048 for X and 1,020
+    # inside), OB2 584
     assert per_axiom == {
-        "AV": ({"_all": 1, "_lifted": 1}, 2),
-        "PV1": ({"_all": 1, "_lifted": 1}, 3),
-        "PV2": ({"_lifted": 1}, 0),
-        "OB1": ({"_lifted": 2, "_tabulate": 2}, 6),
+        "AV": ({"_all": 2}, 7),
+        "PV1": ({"_all": 2}, 12),
+        "PV2": ({"_all": 1}, 3),
+        "OB1": ({"_lifted": 1, "_tabulate": 3}, 9),
         "OB2": ({"_all": 3, "_lifted": 1}, 264),
         "OB3": ({"_all": 6, "_lifted": 1, "_lane_table": 1}, 152),
         "OB4": ({"_all": 4, "_lifted": 1, "_lane_table": 1}, 177),
-        "OB5": ({"_all": 3, "_lifted": 2}, 96),
+        "OB5": ({"_all": 4, "_lifted": 1}, 220),
     }
