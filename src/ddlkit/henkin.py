@@ -30,10 +30,11 @@ per digit, and applying a function to such a term is a multiplexer over
 the term's value in each lane.  A quantifier is then `mask == full` and
 an abstraction the mask itself.  A truth value that does not read V is
 a mask over one lane, so each connective and the looping quantifier
-has one clause for both.  Predicate binders are lifted from the outside
-in; one past LANE_CAP lanes, whose body reads V where no lane code
-exists or reads a lifted binder around it, loops, as do binders over
-worlds (few values, read by ob (av V) under Oa) and truth values.
+has one clause for both.  Only a predicate binder with at most LANE_CAP
+values that no lifted binder encloses is lifted; every binder inside it
+loops, as do binders over worlds (few values, read by ob (av V) under
+Oa) and truth values.  A lifted body that reads V where no lane code
+exists makes `eval_term` compile the whole term again, lifting none.
 
 `build_henkin` turns a valid finite model into such an interpretation
 (characteristic-function tables for each atom, av, pv, and ob), and
@@ -171,32 +172,39 @@ def eval_term(h: HenkinModel, t: HolTerm,
     so a short-circuited one never does.
 
     A quantifier, or an abstraction with an o-typed body, over a
-    predicate V runs once for all values of V, one bit (lane) per value,
-    when each part of its body that reads V has lane code (see `_binder`):
-    in OB3, ∀B over 256 values at n = 3 runs once, and its ∀X, ∀Z and
-    λW loop inside, returning masks over its lanes.  A quantifier or
-    abstraction under binders it does not all read keeps its values per
-    values of the levels it does read, for this call only: in OB3, ∃Z.
-    B Z is computed once per B, not once per B and X.
+    predicate V that no lifted binder encloses runs once for all values
+    of V, one bit (lane) per value (see `_binder`): in OB3, ∀B over 256
+    values at n = 3 runs once, and its ∀X, ∀Z and λW loop inside,
+    returning masks over its lanes.  If a part of a lifted body that
+    reads V has no lane code, the whole term is compiled again with no
+    binder lifted.  A quantifier or abstraction under binders it does
+    not all read keeps its values per values of the levels it does read,
+    for this call only: in OB3, ∃Z. B Z is computed once per B, not once
+    per B and X.
     """
-    code, _, _ = _compile(_Call(h, free or {}), t, (), None)
+    call = _Call(h, free or {})
+    try:
+        code, _, _ = _compile(call, t, (), None)
+    except _Unlifted:
+        call.lift = False
+        code, _, _ = _compile(call, t, (), None)
     return code([])
 
 
 class _Unlifted(Exception):
-    """A node has no lane code: the binder whose lanes they are, which is
-    the nearest one compiling its body in its own lanes, loops."""
+    """A node that reads the lifted binder has no lane code: `eval_term`
+    compiles the whole term again with no binder lifted."""
 
 
 class _Call:
     """One `eval_term` call: world count, interpretation, free variables,
-    and memos of binder compiles (`_binder`) and loose indices."""
+    and whether predicate binders are lifted."""
 
-    __slots__ = ("n", "interp", "free", "memo", "loose")
+    __slots__ = ("n", "interp", "free", "lift")
 
     def __init__(self, h: HenkinModel, free: Mapping[str, int]) -> None:
         self.n, self.interp, self.free = h.n, h.interp, free
-        self.memo, self.loose = {}, {}
+        self.lift = True
 
 
 def _compile(call: _Call, t: HolTerm, binders: tuple[HolType, ...],
@@ -211,7 +219,7 @@ def _compile(call: _Call, t: HolTerm, binders: tuple[HolType, ...],
     values where it holds, a β>o-typed one the list of those masks per
     digit of β.  Every other node computes its plain value, a truth
     value being a mask over one lane.  A node that reads V and has no
-    lane code raises _Unlifted, and V's binder loops instead."""
+    lane code raises _Unlifted."""
     # one type test per node: this runs for every node of every term
     kind = type(t)
     if kind is Bound:
@@ -439,29 +447,20 @@ def _binder(call: _Call, alpha: HolType, body_t: HolTerm,
     around `body_t`, the type of the body and the binder's mask.
 
     A binder over a predicate V : β>o with at most LANE_CAP values,
-    whose body is no abstraction and does not read the enclosing lifted
-    binder, first compiles its body in its own lanes.  If that body is
-    o-typed, the binder pushes a placeholder for V and computes the mask
-    of the values of V where the body holds in one go: a quantifier is
-    that mask == full, an abstraction that mask.  Any other binder (over
-    worlds or truth values, say), or one whose body raised _Unlifted,
-    reading V where no lane code exists (V = V), loops over its domain,
-    in the lanes of the enclosing lifted binder if its body reads it: it
-    ANDs its body's values for a quantifier (`_all`) and writes them as
-    digits or lists them as masks for an abstraction.  A binder over a
-    domain past the budget makes every binder around it loop: lanes
-    evaluate every operand once, where the loop might skip the one that
-    raises.  A binder under a lifted one whose variable it does not read
-    is kept in `call.memo` for a retry: the compile of nested predicate
-    binders that fail late stays linear."""
+    whose body is no abstraction and which no lifted binder encloses,
+    compiles its body in its own lanes.  If that body is o-typed, the
+    binder pushes a placeholder for V and computes the mask of the values
+    of V where the body holds in one go: a quantifier is that mask ==
+    full, an abstraction that mask; a body of another type, or one that
+    reads V where no lane code exists (V = V), raises _Unlifted.  Any
+    other binder loops over its domain, in the lanes of the enclosing
+    lifted binder if its body reads it: it ANDs its body's values for a
+    quantifier (`_all`) and writes them as digits or lists them as masks
+    for an abstraction.  A binder over a domain past the budget under a
+    lifted one raises _Unlifted too: lanes evaluate every operand once,
+    where the loop might skip the one that raises."""
     depth = len(binders)
     inner = (alpha,) + binders
-    key = id(body_t), forall
-    hit = call.memo.get(key)
-    # a shared body may sit under binders of other types elsewhere
-    if (hit is not None and hit[1] == inner
-            and not (lane and hit[2][2] >> lane[0] & 1)):
-        return hit[2]
     try:
         dom = enumerate_domain(call.n, alpha)
     except DomainBudgetError:
@@ -472,20 +471,16 @@ def _binder(call: _Call, alpha: HolType, body_t: HolTerm,
         return ((lambda env: len(enumerate_domain(call.n, alpha))), res,
                 (1 << depth) - 1)
     full = (1 << len(dom)) - 1
-    code = None
     # an abstraction whose body is one is no predicate: it is not lifted
-    if (type(alpha) is Arrow and alpha.res is O_TYPE
-            and len(dom) <= LANE_CAP and (forall or type(body_t) is not Abs)
-            and not (lane and _loose(call, body_t) >> depth - lane[0] & 1)):
-        try:
-            body, res, mask = _compile(call, body_t, inner, (depth, full))
-            if res is not O_TYPE:
-                raise _Unlifted
-            code = _lifted(body if mask >> depth & 1
-                           else _broadcast(body, full), full, forall)
-        except _Unlifted:
-            pass
-    if code is None:
+    if (not lane and call.lift and type(alpha) is Arrow
+            and alpha.res is O_TYPE and len(dom) <= LANE_CAP
+            and (forall or type(body_t) is not Abs)):
+        body, res, mask = _compile(call, body_t, inner, (depth, full))
+        if res is not O_TYPE:
+            raise _Unlifted
+        code = _lifted(body if mask >> depth & 1
+                       else _broadcast(body, full), full, forall)
+    else:
         body, res, mask = _compile(call, body_t, inner, lane)
         lanes = _full(lane, mask)
         if forall:
@@ -497,31 +492,7 @@ def _binder(call: _Call, alpha: HolType, body_t: HolTerm,
         else:
             raise _Unlifted
     outer = mask & (1 << depth) - 1
-    out = _cached(code, outer, depth), res, outer
-    # retries follow a compile in lanes; a binder past the budget reads
-    # every level, so one holding it is never reused in lanes
-    if lane and not outer >> lane[0] & 1:
-        call.memo[key] = body_t, inner, out
-    return out
-
-
-def _loose(call: _Call, t: HolTerm) -> int:
-    """The mask of the loose de Bruijn indices of `t`, bit i standing
-    for Bound(i), kept per abstraction body for the call."""
-    hit = call.loose.get(id(t))
-    if hit is None:
-        mask, stack = 0, [t]
-        while stack:
-            u = stack.pop()
-            kind = type(u)
-            if kind is App:
-                stack += u.fn, u.arg
-            elif kind is Bound:
-                mask |= 1 << u.index
-            elif kind is Abs:
-                mask |= _loose(call, u.body) >> 1
-        hit = call.loose[id(t)] = t, mask
-    return hit[1]
+    return _cached(code, outer, depth), res, outer
 
 
 def _lifted(lane: Code, full: int, forall: bool) -> Code:
@@ -713,7 +684,12 @@ def build_henkin(m: CJModel) -> HenkinModel:
 
 
 def check_axioms(h: HenkinModel) -> str | None:
-    """Name of the first failing axiom, or None if all eight hold."""
+    """Name of the first failing axiom, or None if all eight hold.
+
+    OB3 quantifies over (i>o)>o, whose domain is past DOMAIN_BUDGET from
+    5 worlds: there DomainBudgetError, naming that type, is raised before
+    any axiom runs, so the axioms are checked up to 4 worlds."""
+    enumerate_domain(h.n, Arrow(TAU, O_TYPE))
     for name, term in axioms():
         if eval_term(h, term) != TRUE:
             return name
@@ -731,7 +707,9 @@ def extract_model(h: HenkinModel, atoms: Iterable[str]) -> CJModel:
     for a table that is missing or has bits past its domain, and for no
     worlds, none of which a model could give back; then AxiomCheckError
     (naming the axiom) if the interpretation does not satisfy all eight
-    axioms, since only then is a valid model guaranteed.
+    axioms, since only then is a valid model guaranteed.  The axioms are
+    checked up to 4 worlds: past that, DomainBudgetError names the type
+    (i>o)>o of OB3's quantifier before any axiom runs.
     """
     n = h.n
     if n < 1:

@@ -160,6 +160,25 @@ def test_four_worlds_round_trip_and_axioms_match_frame_conditions():
     assert named  # the flips reach the failing side
 
 
+@pytest.mark.parametrize("n", [5, 8])
+def test_axioms_past_four_worlds_are_refused_before_any_runs(monkeypatch, n):
+    # OB3's ∀B : (i>o)>o is past the budget from 5 worlds: the check
+    # refuses at once, naming the type, not after AV..OB2 have run
+    m = random_model(n, ("p",), 3)
+    assert validate(m).ok
+    h = build_henkin(m)
+    runs = [0]
+    monkeypatch.setattr(
+        henkin, "eval_term", lambda *a, run=henkin.eval_term:
+        runs.__setitem__(0, runs[0] + 1) or run(*a))
+    with pytest.raises(DomainBudgetError) as e:
+        extract_model(h, m.val.keys())
+    assert str(e.value) == (f"domain for type (i>o)>o has {2 ** 2 ** n} "
+                            f"elements, exceeding the budget of "
+                            f"{henkin.DOMAIN_BUDGET}")
+    assert runs[0] == 0
+
+
 def test_leibniz_equality_in_standard_models():
     m = mk_model(2, av=[[0], [1]], pv=[[0], [1]], ob=[], val={"p": [0]})
     h = build_henkin(m)
@@ -419,9 +438,9 @@ def _nest(form, d):
 
 # nests of world binders that read their variable through `ob (av V)`
 # inside Oa or Op, which has no lane code: a lift of such a binder would
-# fail late, after its inner binders were compiled in its lanes.  World
-# binders are never lifted, so each compiles its body once, as a loop;
-# in the last, the [a] inside each box reads that box's world
+# fail, and the whole term would be compiled again with none lifted.
+# World binders are never lifted, so the term compiles once, each body
+# as a loop; in the last, the [a] inside each box reads that box's world
 FAILED_LIFTS = (("[](", "q", " | Oa q)"), ("[a](", "q", " | Oa q)"),
                 ("[](", "q", " | [](q) | Oa q)"),
                 ("[a](Op q -> ", "<p>p", ")"),
@@ -447,9 +466,11 @@ def test_embedded_formulas_match_the_earlier_compiler():
 
 
 def _predicate_nest(d):
-    """∀X:i>o. (inner ∧ X = X) nested d deep around ∀x:i. p x: each ∀X
-    is lifted, and fails late, at X = X (equality at i>o has no lane
-    code), after the ∀X inside it was compiled in its lanes."""
+    """∀X:i>o. (inner ∧ X = X) nested d deep around ∀x:i. p x: the
+    outermost ∀X is lifted, with every ∀X inside it looping in its lanes,
+    and fails at its own X = X (equality at i>o has no lane code), the
+    last node compiled; the whole term is then compiled again with no
+    binder lifted."""
     t = forall(I, App(atom_const("p"), Bound(0)))
     for _ in range(d):
         t = forall(TAU, land(t, equals(TAU, Bound(0), Bound(0))))
@@ -470,11 +491,11 @@ _WORLDS_2 = mk_model(2, av=[[0], [1]], pv=[[0, 1]] * 2, ob=[],
     + [form[0] + "..." + form[2] for form in FAILED_LIFTS[:3]])
 def test_compile_stays_linear_when_a_lift_fails_late(monkeypatch, m, nest,
                                                      d):
-    # a predicate binder compiles its body in its own lanes, fails at
-    # X = X and compiles it again to loop; the binders inside it that
-    # read no lifted variable are kept in `call.memo` and reused, not
-    # compiled anew, so the compiles double with d rather than with each
-    # level.  The world nests never lift and compile each body once
+    # the outermost ∀X compiles its body in its own lanes and fails at
+    # its X = X; `eval_term` then compiles the whole term once more with
+    # no binder lifted, so a failed lift doubles the compiles once per
+    # term, not once per level.  The world nests never lift and compile
+    # each body once
     calls = [0]
     monkeypatch.setattr(
         henkin, "_compile", lambda *a, run=henkin._compile:
@@ -489,9 +510,9 @@ def test_compile_stays_linear_when_a_lift_fails_late(monkeypatch, m, nest,
 
 
 def test_no_lift_is_retried_on_the_embedded_routes_terms(monkeypatch):
-    # only predicate binders are lifted, and every one in the axioms and
-    # in embedded formulas has lane code for its whole body, so none
-    # raises _Unlifted and compiles its body again
+    # only the outermost predicate binders are lifted, and every one in
+    # the axioms and in embedded formulas has lane code for its whole
+    # body, so none raises _Unlifted and no term is compiled twice
     raised = [0]
     monkeypatch.setattr(henkin._Unlifted, "__init__",
                         lambda self, *a: raised.__setitem__(0, raised[0] + 1))
@@ -531,7 +552,9 @@ def test_domain_budget_error_is_raised_only_where_a_quantifier_runs(
     assert evaluate(h, limp(false_term(), big)) == TRUE
     assert evaluate(h, land(false_term(), big)) == FALSE
     # under a binder the loop stops at the first world, where q V → big
-    # holds without running big and r V fails; lanes would run big
+    # holds without running big and r V fails; lanes would run big, so a
+    # binder past the budget under a lifted one makes eval_term compile
+    # the whole term again with none lifted
     q, r = atom_const("q"), atom_const("r")
     assert evaluate(h, forall(I, land(limp(App(q, Bound(0)), big),
                                       App(r, Bound(0))))) == FALSE
@@ -590,7 +613,9 @@ def _closed(rng, ty):
 
 def _reading_v(rng, alpha):
     """An o-typed term that reads V (Bound 0) : alpha other than by g V
-    or V s, so that the binder over V cannot be lifted."""
+    or V s, so that the binder over V loops: over worlds it always does,
+    and a failed lift of a predicate binder compiles the whole term
+    again with no binder lifted."""
     if alpha == I:
         return exists(I, App(App(AV, Bound(1)), Bound(0)))
     if alpha == TAU:
@@ -651,7 +676,8 @@ def test_lifted_binders_match_the_earlier_compiler(monkeypatch):
                         _outcome(oracle_eval_term, h, t, free), \
                         (pretty_term(t), free, n)
                     terms += 1
-    # both paths run; more binders are lifted than there are terms / 2
+    # both paths run (a term whose lift fails compiles again, looping);
+    # more binders are lifted than there are terms / 2
     assert built["_lifted"] > terms / 2
     assert built["_all"] and built["_tabulate"]
 
@@ -661,7 +687,8 @@ def _nested_body(rng, alpha, depth, v=0, inner=()):
     binders of the types `inner` (innermost first): the `_lane_body`
     leaves, reads of the inner variables, inner ∀, ∃ and λ over i and
     i>o that read V, and functions applied to a predicate that reads V
-    (the multiplexer), now and then with a read of V that no lane takes."""
+    (the multiplexer), now and then with a read of V that no lane takes,
+    which compiles the whole term again with no binder lifted."""
     leaves = [lambda: App(_closed(rng, Arrow(alpha, O)), Bound(v)),
               lambda: _closed(rng, O)]
     if alpha != I:
@@ -747,8 +774,8 @@ def test_nested_binders_match_the_earlier_compiler(monkeypatch):
         assert _outcome(eval_term, h, t, free) == \
             _outcome(oracle_eval_term, h, t, free), \
             (pretty_term(t), free, h.n)
-    # binders are lifted over inner loops, which return lane masks, and
-    # multiplexers run
+    # the outermost binder is lifted over inner loops, which return lane
+    # masks, and multiplexers run
     assert built["_lifted"] and built["_mux"]
     assert loops["_all"] and loops["_lane_table"]
 
@@ -787,7 +814,9 @@ def test_binders_past_the_lane_cap_loop(monkeypatch):
         assert _outcome(eval_term, h, t, free) == \
             _outcome(oracle_eval_term, h, t, free), \
             (pretty_term(t), free, h.n)
-    # i>o at n = 3 (8 values) and (i>o)>o from n = 2 loop
+    # i>o at n = 3 (8 values) and (i>o)>o from n = 2 loop; a predicate
+    # binder inside one that loops may lift, as no lifted binder
+    # encloses it
     assert widths and max(widths) <= 4
     assert loops["_all"] and loops["_tabulate"] and runs[0]
 
@@ -821,6 +850,26 @@ def test_nested_world_loops_run_linearly(monkeypatch, d):
     assert runs[0] == 3 * d + 3
 
 
+def test_only_the_outermost_predicate_binder_lifts(monkeypatch):
+    built = _count_builds(monkeypatch, ("_lifted",))
+    w = Free("w", I)
+    # ∀X lifts and ∀Y, which no read of X needs, loops in its lanes
+    inside = forall(TAU, lor(App(Bound(0), w),
+                             forall(TAU, neg(App(Bound(0), w)))))
+    # ∀X fails at X = X, so the whole term compiles again and ∀Y, which
+    # no lifted binder encloses, loops too
+    after = land(forall(TAU, equals(TAU, Bound(0), Bound(0))),
+                 forall(TAU, lor(App(Bound(0), w), neg(App(Bound(0), w)))))
+    for n in (2, 3):
+        h = build_henkin(random_model(n, ("p",), n))
+        for t, lifts in ((inside, 1), (after, 0)):
+            for s in range(n):
+                built["_lifted"] = 0
+                assert eval_term(h, t, {"w": s}) == \
+                    oracle_eval_term(h, t, {"w": s}), (pretty_term(t), n)
+                assert built["_lifted"] == lifts, (pretty_term(t), n)
+
+
 def _count_runs(monkeypatch, built):
     """Count, in `built`, the builds of each looping helper it names
     and, in runs[0], the runs of the bodies they loop over."""
@@ -850,10 +899,10 @@ def test_innermost_binders_of_the_axioms_are_lifted(monkeypatch):
         eval_term(h, term)
         per_axiom[name] = ({k: v for k, v in {**built, **loops}.items()
                             if v}, runs[0])
-    # only predicate binders are lifted, from the outside in, and the
-    # ones inside a lifted binder that read its variable loop over masks
-    # of its lanes (_all, _lane_table): ∀B in OB3 and the ∀X of OB1, OB2,
-    # OB4 and OB5.  World binders loop: ∀W in AV, PV1 and PV2, OB5's ∃W,
+    # only the outermost predicate binder is lifted, and every binder
+    # inside it loops, over masks of its lanes where its body reads the
+    # lifted variable (_all, _lane_table): ∀B in OB3 and the ∀X of OB1,
+    # OB2, OB4 and OB5.  World binders loop: ∀W in AV, PV1 and PV2, OB5's ∃W,
     # which reads no ∀X, and OB1's λW, which tabulates.  Bodies run at
     # n = 3: OB3 ran 3,324 before lanes (256 for B, 2,048 for X and 1,020
     # inside), OB2 584

@@ -79,6 +79,49 @@ def test_every_exported_name_has_a_reader_outside_the_tests():
     assert sorted(set(ddlkit.__all__) - used) == []
 
 
+def except_clauses_naming(source: str, name: str) -> list[str]:
+    """The innermost function around each `except` clause that names the
+    exception `name`, alone or in a tuple ("" at module level)."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type and any(
+                    isinstance(n, ast.Name) and n.id == name
+                    or isinstance(n, ast.Attribute) and n.attr == name
+                    for n in ast.walk(child.type)):
+                found.append(where)
+            visit(child, where)
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_a_failed_lift_is_caught_only_in_eval_term():
+    # eval_term compiles the whole term again, lifting no binder, when a
+    # lift fails; a retry per binder would need a memo of the binders
+    # inside it to keep the compile linear
+    found = [f"{path.name}:{where}" for path in sorted(SRC.rglob("*.py"))
+             for where in except_clauses_naming(
+                 path.read_text(encoding="utf-8"), "_Unlifted")]
+    assert found == ["henkin.py:eval_term"]
+
+
+def test_except_clauses_naming_an_exception_are_found():
+    source = ("try:\n    x = 1\nexcept _Unlifted:\n    pass\n"
+              "def f():\n"
+              "    try:\n        x = 1\n"
+              "    except (KeyError, m._Unlifted):\n        pass\n"
+              "    def g():\n"
+              "        try:\n            x = 1\n"
+              "        except _Unlifted as e:\n            pass\n"
+              "    try:\n        x = 1\n    except KeyError:\n        pass\n"
+              "    x = _Unlifted\n")
+    assert except_clauses_naming(source, "_Unlifted") == ["", "f", "g"]
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """The `_private` names that a module of `sources` defines at module
     level and that no top-level statement of any module but the
