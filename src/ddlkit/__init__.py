@@ -8,8 +8,8 @@ for external higher-order provers.
 
 from .checker import eval_formula, truth_set, valid_in_model
 from .export import ThfProblem, axioms_problem, to_thf_problem, to_thf_term
-from .henkin import (HenkinModel, build_henkin, check_faithfulness, eval_term,
-                     extract_model)
+from .faithful import check_faithfulness
+from .henkin import HenkinModel, build_henkin, eval_term, extract_model
 from .hol import (HolTypeError, axioms, beta_eta_normalize, embed,
                   pretty_term, type_of, vld)
 from .model import (CJModel, ValidationReport, canonicalize, load_model,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .checker import eval_formula, truth_set
 from .export import axioms_problem, to_thf_problem
-from .henkin import check_faithfulness
+from .faithful import check_faithfulness
 from .hol import axioms, beta_eta_normalize, embed, pretty_term
 from .model import (InvalidModelError, ModelError, load_model, model_json,
                     validate)

@@ -40,27 +40,20 @@ exists makes `eval_term` compile the whole term again, lifting none.
 (characteristic-function tables for each atom, av, pv, and ob), and
 `extract_model` inverts it for any interpretation satisfying the eight
 axioms; round-tripping is exact on trace-canonical models.
-`check_faithfulness` samples random models, formulas, and worlds and
-confirms that direct evaluation and evaluation of the embedded term
-always agree.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .checker import eval_formula, valid_in_model
 from .hol import (EQ_NAME, I, LOGICAL_NAMES, NOT_NAME, OR, OR_NAME, PI_NAME,
                   TAU, Abs, App, Arrow, Bound, Const, Free, HolTerm, HolType,
-                  O as O_TYPE, _applies, axioms, embed, match_and, type_str,
-                  vld)
-from .model import (DENSITIES, CJModel, full_mask, model_json, ob_member,
-                    random_model, subsets, validate)
-from .syntax import RESERVED_ATOMS, Formula, pretty, random_formula
+                  O as O_TYPE, _applies, axioms, match_and, type_str)
+from .model import CJModel, full_mask, ob_member, subsets, validate
+from .syntax import RESERVED_ATOMS
 
 DOMAIN_BUDGET = 1 << 20
 
@@ -69,11 +62,6 @@ DOMAIN_BUDGET = 1 << 20
 # axioms took 6-12 ms per model, against 1.0-1.9 s with B looped (2-vCPU
 # machine).
 LANE_CAP = 1 << 16
-
-# Bound on the triples `check_faithfulness` draws.  At the bound it took
-# 7.0 s and 17 MB (peak RSS of the CLI process) with --max-worlds 4 on a
-# 2-vCPU machine; memory does not grow with the count.
-MAX_SAMPLES = 10_000
 
 TRUE, FALSE = 1, 0
 VWorld = int
@@ -746,73 +734,3 @@ def extract_model(h: HenkinModel, atoms: Iterable[str]) -> CJModel:
             f"extracted model violates the model conditions:\n{report}")
     return m
 
-
-@dataclass(frozen=True)
-class Mismatch:
-    model: CJModel
-    world: int | None
-    formula: Formula
-    kind: str  # "world" or "validity"
-
-    def render(self) -> str:
-        where = "all" if self.world is None else str(self.world)
-        return (f"MISMATCH model={model_json(self.model)} world={where} "
-                f"formula={pretty(self.formula)}")
-
-
-@dataclass(frozen=True)
-class FaithfulnessReport:
-    samples: int
-    mismatches: tuple[Mismatch, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def render(self) -> str:
-        lines = [mm.render() for mm in self.mismatches]
-        if self.ok:
-            lines.append(f"OK samples={self.samples}")
-        else:
-            lines.append(f"FAIL samples={self.samples} "
-                         f"mismatches={len(self.mismatches)}")
-        return "\n".join(lines)
-
-
-def check_faithfulness(n_max: int = 2, samples: int = 1000,
-                       seed: int = 0) -> FaithfulnessReport:
-    """Sample (model, formula, world) triples and compare both semantics.
-
-    For each triple, direct evaluation at the world must agree with
-    evaluating the embedded predicate applied to that world, and
-    model-wide validity must agree with the quantified sentence.
-    Deterministic for a fixed seed.
-    """
-    if not 1 <= n_max <= 4:
-        raise ValueError(f"n_max must be in 1..4, got {n_max}")
-    if samples < 0:
-        raise ValueError("samples must be nonnegative")
-    if samples > MAX_SAMPLES:
-        raise ValueError(f"samples must be at most {MAX_SAMPLES:,}")
-    rng = random.Random(seed)
-    atom_pool = ("p", "q", "r")
-    mismatches: list[Mismatch] = []
-    for _ in range(samples):
-        n = rng.randint(1, n_max)
-        density = rng.choice(DENSITIES)
-        m = random_model(n, atom_pool, rng.getrandbits(63), density)
-        f = random_formula(rng, 6, atom_pool)
-        s = rng.randrange(n)
-        h = build_henkin(m)
-        t = embed(f)
-        if eval_formula(m, s, f) != _eval_at_world(h, t, s):
-            mismatches.append(Mismatch(m, s, f, "world"))
-        if valid_in_model(m, f) != (eval_term(h, vld(t)) == TRUE):
-            mismatches.append(Mismatch(m, None, f, "validity"))
-    return FaithfulnessReport(samples, tuple(mismatches))
-
-
-def _eval_at_world(h: HenkinModel, t: HolTerm, s: int) -> bool:
-    """Truth of a world predicate at one world of the interpretation."""
-    term = App(t, Free("S", I))
-    return eval_term(h, term, {"S": s}) == TRUE

@@ -24,9 +24,9 @@ import pytest
 
 from ddlkit.checker import eval_formula
 from ddlkit.export import to_thf_problem
+from ddlkit.faithful import check_faithfulness
 from ddlkit.henkin import (FALSE, TRUE, build_henkin, check_axioms,
-                           check_faithfulness, enumerate_domain, eval_term,
-                           extract_model)
+                           enumerate_domain, eval_term, extract_model)
 from ddlkit.hol import (I, App, Arrow, Bound, Free, O, beta_eta_normalize,
                         embed, exists, false_term, forall, land, liff, limp,
                         lor, neg, true_term, type_of, vld)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ddlkit
-from ddlkit import cli, henkin, search
+from ddlkit import cli, faithful, search
 from ddlkit.cli import main
 from ddlkit.export import to_thf_problem
 from ddlkit.model import save_model
@@ -164,7 +164,7 @@ def test_negative_samples_is_a_one_line_error(argv, capsys):
 
 
 @pytest.mark.parametrize("argv,cap", [
-    (["faithfulness"], henkin.MAX_SAMPLES),
+    (["faithfulness"], faithful.MAX_SAMPLES),
     (["valid", "--formula", "Oa p -> <a>~p", "--max-worlds", "4"],
      search.MAX_SAMPLES),
 ], ids=["faithfulness", "valid"])

@@ -5,12 +5,10 @@ import pytest
 
 from ddlkit import henkin
 from ddlkit.checker import eval_formula, valid_in_model
-from ddlkit.cli import main
 from ddlkit.henkin import (FALSE, TRUE, AxiomCheckError, DomainBudgetError,
-                           EvalError, ExtractionError, HenkinModel, Mismatch,
-                           build_henkin, check_axioms, check_faithfulness,
-                           domain_size, enumerate_domain, eval_term,
-                           extract_model)
+                           EvalError, ExtractionError, HenkinModel,
+                           build_henkin, check_axioms, domain_size,
+                           enumerate_domain, eval_term, extract_model)
 from ddlkit.hol import (AV, I, NOT, OB, OR, PV, TAU, Abs, App, Arrow, Bound,
                         Free, O, atom_const, axioms, embed, eq_const, equals,
                         exists, false_term, forall, land, liff, limp, lor,
@@ -320,56 +318,6 @@ def test_quantifier_clauses_against_tables():
                          g) == int(all_true)
         assert eval_term(h, exists(I, App(pred, Bound(0))),
                          g) == int(some_true)
-
-
-def test_check_faithfulness_clean_and_deterministic():
-    rep = check_faithfulness(n_max=2, samples=60, seed=9)
-    assert rep.ok and rep.samples == 60
-    assert rep.render() == check_faithfulness(n_max=2, samples=60,
-                                              seed=9).render()
-    assert rep.render().endswith("OK samples=60")
-
-
-@pytest.fixture
-def negated_direct_route(monkeypatch):
-    # the direct route answers wrongly, at every world and model-wide
-    monkeypatch.setattr(henkin, "eval_formula",
-                        lambda m, s, f: not eval_formula(m, s, f))
-    monkeypatch.setattr(henkin, "valid_in_model",
-                        lambda m, f: not valid_in_model(m, f))
-
-
-def test_check_faithfulness_reports_both_kinds_of_mismatch(
-        negated_direct_route):
-    rep = check_faithfulness(n_max=2, samples=5, seed=0)
-    assert not rep.ok
-    assert [mm.kind for mm in rep.mismatches] == ["world", "validity"] * 5
-    lines = rep.render().splitlines()
-    assert all(line.startswith("MISMATCH model={") for line in lines[:-1])
-    assert lines[-1] == "FAIL samples=5 mismatches=10"
-
-
-def test_faithfulness_command_fails_on_a_mismatch(negated_direct_route,
-                                                   capsys):
-    assert main(["faithfulness", "--samples", "5"]) == 2
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 11
-    assert all(line.startswith("MISMATCH ") for line in lines[:-1])
-    assert lines[-1] == "FAIL samples=5 mismatches=10"
-
-
-def test_check_faithfulness_bounds():
-    with pytest.raises(ValueError):
-        check_faithfulness(n_max=5, samples=1, seed=0)
-
-
-def test_mismatch_line_format():
-    mm = Mismatch(MINIMAL, 0, parse("p"), "world")
-    line = mm.render()
-    assert line.startswith("MISMATCH model={")
-    assert "world=0" in line and "formula=p" in line
-    assert Mismatch(MINIMAL, None, parse("p"), "validity").render().count(
-        "world=all") == 1
 
 
 # --- the compiled evaluator against the earlier compiler ----------------

@@ -168,3 +168,76 @@ def test_unread_private_names_are_found():
                      "    return _LIMIT\n"
                      "__all__ = []\n")}
     assert unread_private_names(sources) == ["a:_Box", "a:_loop", "a:_spare"]
+
+
+def package_imports(source: str, modules: set[str]) -> set[str]:
+    """The modules of the ddlkit package that `source` imports, anywhere
+    in it: `from .m import x`, `from . import m`, `import ddlkit.m` and
+    `from ddlkit.m import x` import m, for m in `modules`.  Importing
+    the package itself, or a name from it that is no module, imports
+    `__init__`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"ddlkit.{module}".rstrip(".")
+            paths = [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for path in paths:
+            parts = path.split(".")
+            if parts[0] == "ddlkit":
+                found.add(parts[1] if len(parts) > 1 and parts[1] in modules
+                          else "__init__")
+    return found
+
+
+# The direct route evaluates formulas over truth sets; the embedded
+# route evaluates their embedded terms in standard interpretations.
+# They share only the model format, so that neither can take a shortcut
+# through the other and hide a disagreement; only the modules that
+# compare or expose the two import both.
+DIRECT, EMBEDDED = {"checker", "search"}, {"hol", "henkin", "export"}
+FORMAT, BOTH = {"syntax", "model"}, {"faithful", "cli", "__init__"}
+
+
+def test_the_two_routes_import_only_the_model_format():
+    paths = sorted(SRC.rglob("*.py"))
+    modules = {p.stem for p in paths}
+    groups = [DIRECT, EMBEDDED, FORMAT, BOTH]
+    assert sorted(m for m in modules
+                  if sum(m in group for group in groups) != 1) == []
+    imports = {p.stem: package_imports(p.read_text(encoding="utf-8"),
+                                       modules) for p in paths}
+    barred = {**dict.fromkeys(DIRECT, EMBEDDED | BOTH),
+              **dict.fromkeys(EMBEDDED, DIRECT | BOTH),
+              **dict.fromkeys(FORMAT, DIRECT | EMBEDDED | BOTH),
+              **dict.fromkeys(BOTH, set())}
+    # so only the modules in BOTH may import both routes
+    assert sorted(f"{m} imports {dep}" for m, deps in imports.items()
+                  for dep in deps & barred[m]) == []
+
+
+def test_module_imports_are_found():
+    modules = {"checker", "search", "hol", "henkin", "export"}
+    found = {
+        "from .checker import x\n": {"checker"},
+        "from . import checker, hol\n": {"checker", "hol"},
+        "import ddlkit.search as s\n": {"search"},
+        "from ddlkit.checker import x\n": {"checker"},
+        "def f():\n    from .henkin import eval_term\n": {"henkin"},
+        ("from typing import TYPE_CHECKING\n"
+         "if TYPE_CHECKING:\n    from .export import ThfProblem\n"):
+            {"export"},
+        "import ddlkit\n": {"__init__"},
+        "from . import parse\n": {"__init__"},
+        ("from __future__ import annotations\n"
+         "import random, os.path\n"
+         "from dataclasses import dataclass\n"
+         "import ddlkitx.checker\n"): set(),
+    }
+    assert {source: package_imports(source, modules)
+            for source in found} == found
