@@ -21,20 +21,23 @@ that call only.  The domain of each binder is fixed at compile time;
 one that is over the budget raises DomainBudgetError only if it runs.
 
 Since an element of D(a>o) is the |D(a)|-bit mask of where it holds, a
-binder over a predicate V : β>o can run once for all values of V, one
-bit (lane) per value, when each part of its body that reads V can:
-`g V` is the table of g, `V s` a fixed projection mask, the connectives
-act on masks, a binder inside loops over its own values and ANDs (∀) or
-lists (λ) its body's masks, a term of type b>o is a list of masks, one
-per digit, and applying a function to such a term is a multiplexer over
-the term's value in each lane.  A quantifier is then `mask == full` and
-an abstraction the mask itself.  A truth value that does not read V is
-a mask over one lane, so each connective and the looping quantifier
-has one clause for both.  Only a predicate binder with at most LANE_CAP
-values that no lifted binder encloses is lifted; every binder inside it
-loops, as do binders over worlds (few values, read by ob (av V) under
-Oa) and truth values.  A lifted body that reads V where no lane code
-exists makes `eval_term` compile the whole term again, lifting none.
+quantifier over a predicate V : β>o can run once for all values of V,
+one bit (lane) per value, when each part of its body that reads V can.
+The connectives act on masks, and a binder inside loops over its own
+values and ANDs (∀) or lists (λ) its body's masks, so a term of type
+β>o that reads V is a list of masks, one per digit.  Three reads of V
+have lane code, the ones the eight axioms make: `V s` is a fixed
+projection mask, `f V` for an f that does not read V and has a β>o
+result (`ob V`) is the masks of f's digits, and `g P` for a g that does
+not read V and a predicate P that does is a multiplexer over P's value
+in each lane.  The quantifier is then `mask == full`.  A truth value
+that does not read V is a mask over one lane, so each connective and
+the looping quantifier has one clause for both.  Only a predicate
+quantifier with at most LANE_CAP values that no lifted binder encloses
+is lifted; every binder inside it loops, as do abstractions and binders
+over worlds (few values, read by ob (av V) under Oa) and truth values.
+Any other read of V makes `eval_term` compile the whole term once more,
+lifting none.
 
 `build_henkin` turns a valid finite model into such an interpretation
 (characteristic-function tables for each atom, av, pv, and ob), and
@@ -90,7 +93,10 @@ class ExtractionError(EvalError):
 def domain_size(n: int, ty: HolType) -> int:
     """|D(ty)| at n worlds.  A size past DOMAIN_BUDGET bits, a power
     tower like (((i>o)>o)>o)>o at n = 3, raises DomainBudgetError: when
-    run for a binder over it, at compile time for a digit base."""
+    run for a binder over it, at compile time for a digit base.  A
+    negative n raises EvalError."""
+    if n < 0:
+        raise EvalError(f"a model has 0 or more worlds, not {n}")
     if ty is O_TYPE:
         return 2
     if ty is I:
@@ -159,16 +165,15 @@ def eval_term(h: HenkinModel, t: HolTerm,
     the budget raises DomainBudgetError only when a binder over it runs,
     so a short-circuited one never does.
 
-    A quantifier, or an abstraction with an o-typed body, over a
-    predicate V that no lifted binder encloses runs once for all values
-    of V, one bit (lane) per value (see `_binder`): in OB3, ∀B over 256
-    values at n = 3 runs once, and its ∀X, ∀Z and λW loop inside,
-    returning masks over its lanes.  If a part of a lifted body that
-    reads V has no lane code, the whole term is compiled again with no
-    binder lifted.  A quantifier or abstraction under binders it does
-    not all read keeps its values per values of the levels it does read,
-    for this call only: in OB3, ∃Z. B Z is computed once per B, not once
-    per B and X.
+    A quantifier over a predicate V that no lifted binder encloses runs
+    once for all values of V, one bit (lane) per value (see `_binder`):
+    in OB3, ∀B over 256 values at n = 3 runs once, and its ∀X, ∀Z and
+    λW loop inside, returning masks over its lanes.  If a part of a
+    lifted body reads V where no lane code exists (see `_lane_apply`),
+    the whole term is compiled once more with no binder lifted.  A
+    quantifier or abstraction under binders it does not all read keeps
+    its values per values of the levels it does read, for this call
+    only: in OB3, ∃Z. B Z is computed once per B, not once per B and X.
     """
     call = _Call(h, free or {})
     try:
@@ -207,7 +212,9 @@ def _compile(call: _Call, t: HolTerm, binders: tuple[HolType, ...],
     values where it holds, a β>o-typed one the list of those masks per
     digit of β.  Every other node computes its plain value, a truth
     value being a mask over one lane.  A node that reads V and has no
-    lane code raises _Unlifted."""
+    lane code (see `_lane_apply`) raises _Unlifted.  A constant head's
+    table is read at compile time, so `_digit` reads it without a
+    call."""
     # one type test per node: this runs for every node of every term
     kind = type(t)
     if kind is Bound:
@@ -255,13 +262,11 @@ def _compile(call: _Call, t: HolTerm, binders: tuple[HolType, ...],
             return code, O_TYPE, mask
         head = _eta_expand(head)
         kind = Abs
-    # V itself as an argument needs no code of its own: see _lane_apply
-    v_index = depth - 1 - lane[0] if lane else -1
+    # a loop, not a comprehension: this runs for every application node,
+    # and a comprehension is a call of its own before Python 3.12
     argcode = []
     for a in args:
-        argcode.append((None, binders[v_index], 1 << lane[0])
-                       if type(a) is Bound and a.index == v_index
-                       else _compile(call, a, binders, lane))
+        argcode.append(_compile(call, a, binders, lane))
     value = None
     if kind is Abs:
         # apply syntactic lambdas by extending the environment rather
@@ -292,15 +297,13 @@ def _compile(call: _Call, t: HolTerm, binders: tuple[HolType, ...],
         code, ty, mask = _compile(call, head, binders, lane)
         if kind is Const:
             value = call.interp[head.name]
-        elif kind is Free:
-            value = call.free[head.name]
     for u, (a, arg_ty, arg_mask) in zip(args, argcode):
         ty = ty.res if type(ty) is Arrow and ty.arg == arg_ty \
             else _expect(ty, arg_ty)
         level = depth - 1 - u.index if type(u) is Bound else None
         if lane and (mask | arg_mask) >> lane[0] & 1:
-            code = _lane_apply(call.n, (code, value, mask),
-                               (a, arg_ty, arg_mask), level, ty, lane)
+            code = _lane_apply(call.n, code, mask, (a, arg_ty, arg_mask),
+                               level, ty, lane)
         else:
             code = _digit(code, a, 2 if ty is O_TYPE
                           else domain_size(call.n, ty), value, level)
@@ -333,29 +336,25 @@ def _projection(size: int, s: int) -> int:
     return full // ((1 << 2 * p) - 1) * (((1 << p) - 1) << p)
 
 
-def _lane_apply(n: int, fn: tuple, arg: tuple, level: int | None,
-                res: HolType, lane: tuple[int, int]) -> Code:
-    """Code applying a function, compiled as (code, value known at
-    compile time or None, mask), to an argument, compiled as (code,
-    type, mask), when either reads the lifted binder V; `level` is the
-    argument's binder level if it is a bound variable, `res` the type
-    of the result.  At V itself, a function that does not read V is its
-    own table (cut to V's domain), or with a β>o result the masks of its
-    digits, and one that does is its diagonal.  A function that reads V
-    at an argument that does not gives the argument's digit of its
-    masks.  Otherwise an o-typed application multiplexes (`_mux`) the
-    function over the masks of the argument's digits."""
-    fn_code, value, fn_mask = fn
+def _lane_apply(n: int, fn_code: Code, fn_mask: int, arg: tuple,
+                level: int | None, res: HolType, lane: tuple[int, int]
+                ) -> Code:
+    """Code applying a function, compiled as `fn_code` reading the
+    levels in `fn_mask`, to an argument, compiled as (code, type, mask),
+    when either reads the lifted binder V; `level` is the argument's
+    binder level if it is a bound variable, `res` the type of the
+    result.  Three reads have lane code: `ob V`, a function that does
+    not read V applied to V with a β>o result, is the masks of its
+    digits; `V s`, a function that reads V at an argument that does
+    not, is the argument's digit of its masks; and `g P`, a function
+    that does not read V applied to a predicate P that does, with an
+    o-typed result, multiplexes (`_mux`) g's table over P's masks.  Any
+    other raises _Unlifted."""
     arg_code, arg_ty, arg_mask = arg
     v, full = lane
     if level == v:
-        if fn_mask >> v & 1:
-            return _diagonal(fn_code)
-        if res is O_TYPE:
-            # a constant's digits past V's domain, which the loop never
-            # reads, are cut
-            return fn_code if value is None else lambda env: value & full
-        if isinstance(res, Arrow) and res.res is O_TYPE:
+        if not fn_mask >> v & 1 and type(res) is Arrow \
+                and res.res is O_TYPE:
             count, width = full.bit_length(), domain_size(n, res.arg)
             return lambda env: _transpose(fn_code(env), count, width)
     elif not arg_mask >> v & 1:
@@ -364,11 +363,8 @@ def _lane_apply(n: int, fn: tuple, arg: tuple, level: int | None,
             masks, s = fn_code(env), arg_code(env)
             return masks[s] if s < len(masks) else 0
         return digit
-    elif res is O_TYPE:
-        # an o-typed argument has one digit, its value
-        slices = (lambda env: (arg_code(env),)) if arg_ty is O_TYPE \
-            else arg_code
-        return lambda env: _mux(fn_code(env), slices(env), full)
+    elif not fn_mask >> v & 1 and res is O_TYPE and arg_ty is not O_TYPE:
+        return lambda env: _mux(fn_code(env), arg_code(env), full)
     raise _Unlifted
 
 
@@ -382,24 +378,18 @@ def _transpose(table: int, count: int, width: int) -> tuple[int, ...]:
     return tuple(int(bits[width - 1 - z::width], 2) for z in range(width))
 
 
-def _diagonal(fn: Code) -> Code:
-    """Lane code of `f V` for an f that reads V: bit v of f's mask at v."""
-    return lambda env: sum(m & 1 << v for v, m in enumerate(fn(env)))
-
-
-def _mux(f: int | list[int], slices: tuple[int, ...], full: int) -> int:
-    """The lanes where f holds at a lane-valued argument whose digit d
+def _mux(f: int, slices: tuple[int, ...], full: int) -> int:
+    """The lanes where f holds at a lane-valued predicate whose digit d
     is 1 in the lanes of slices[d].  The lanes are split digit by digit
-    into the sets where the argument equals each value y, skipping empty
-    sets, so at most one set per lane is reached; in the set of y, f(y)
-    is bit y of f's table, or f[y] when f is a list of lane masks."""
-    table = isinstance(f, int)
+    into the sets where the predicate equals each value y, skipping
+    empty sets, so at most one set per lane is reached; in the set of y,
+    f(y) is bit y of f's table."""
     out, k = 0, len(slices)
     stack = [(0, 0, full)]
     while stack:
         d, y, lanes = stack.pop()
         if d == k:
-            out |= (lanes if f >> y & 1 else 0) if table else f[y] & lanes
+            out |= lanes if f >> y & 1 else 0
             continue
         s = slices[d]
         if lanes & s:
@@ -434,19 +424,17 @@ def _binder(call: _Call, alpha: HolType, body_t: HolTerm,
     """Code of a quantifier (`forall`) or abstraction binding V : alpha
     around `body_t`, the type of the body and the binder's mask.
 
-    A binder over a predicate V : β>o with at most LANE_CAP values,
-    whose body is no abstraction and which no lifted binder encloses,
-    compiles its body in its own lanes.  If that body is o-typed, the
-    binder pushes a placeholder for V and computes the mask of the values
-    of V where the body holds in one go: a quantifier is that mask ==
-    full, an abstraction that mask; a body of another type, or one that
-    reads V where no lane code exists (V = V), raises _Unlifted.  Any
-    other binder loops over its domain, in the lanes of the enclosing
-    lifted binder if its body reads it: it ANDs its body's values for a
-    quantifier (`_all`) and writes them as digits or lists them as masks
-    for an abstraction.  A binder over a domain past the budget under a
-    lifted one raises _Unlifted too: lanes evaluate every operand once,
-    where the loop might skip the one that raises."""
+    A quantifier over a predicate V : β>o with at most LANE_CAP values,
+    which no lifted binder encloses, compiles its body in its own lanes:
+    it pushes a placeholder for V and computes the mask of the values of
+    V where the body holds in one go, then compares it with full.  A
+    body that reads V where no lane code exists (V = V) raises
+    _Unlifted.  Any other binder loops over its domain, in the lanes of
+    the enclosing lifted binder if its body reads it: it ANDs its body's
+    values for a quantifier (`_all`) and writes them as digits or lists
+    them as masks for an abstraction.  A binder over a domain past the
+    budget under a lifted one raises _Unlifted too: lanes evaluate every
+    operand once, where the loop might skip the one that raises."""
     depth = len(binders)
     inner = (alpha,) + binders
     try:
@@ -459,15 +447,11 @@ def _binder(call: _Call, alpha: HolType, body_t: HolTerm,
         return ((lambda env: len(enumerate_domain(call.n, alpha))), res,
                 (1 << depth) - 1)
     full = (1 << len(dom)) - 1
-    # an abstraction whose body is one is no predicate: it is not lifted
-    if (not lane and call.lift and type(alpha) is Arrow
-            and alpha.res is O_TYPE and len(dom) <= LANE_CAP
-            and (forall or type(body_t) is not Abs)):
+    if (forall and not lane and call.lift and type(alpha) is Arrow
+            and alpha.res is O_TYPE and len(dom) <= LANE_CAP):
         body, res, mask = _compile(call, body_t, inner, (depth, full))
-        if res is not O_TYPE:
-            raise _Unlifted
         code = _lifted(body if mask >> depth & 1
-                       else _broadcast(body, full), full, forall)
+                       else _broadcast(body, full), full)
     else:
         body, res, mask = _compile(call, body_t, inner, lane)
         lanes = _full(lane, mask)
@@ -483,14 +467,14 @@ def _binder(call: _Call, alpha: HolType, body_t: HolTerm,
     return _cached(code, outer, depth), res, outer
 
 
-def _lifted(lane: Code, full: int, forall: bool) -> Code:
-    """Code of a lifted binder: its lane mask with a placeholder pushed
-    for the variable, compared with `full` for a quantifier."""
+def _lifted(lane: Code, full: int) -> Code:
+    """Code of a lifted quantifier: whether its lane mask, with a
+    placeholder pushed for the variable, is `full`."""
     def code(env: list) -> int:
         env.append(0)
         v = lane(env)
         env.pop()
-        return int(v == full) if forall else v
+        return int(v == full)
     return code
 
 
@@ -591,10 +575,11 @@ def _compile_logical(call: _Call, t: HolTerm, head: Const,
                      lane: Lane) -> tuple[Code, int]:
     """Code and binder mask of `t`, the logical constant `head` applied
     to all its arguments `args`, whose types are checked against it.
-    ¬, ∧, ∨, → and equality at o act on masks, over the lifted binder's
-    lanes if the node reads it and over one lane otherwise; an operand
-    that does not read it is broadcast.  The second operand is skipped
-    when the first fixes the result in every lane."""
+    ¬, ∧, ∨ and → act on masks, over the lifted binder's lanes if the
+    node reads it and over one lane otherwise; an operand that does not
+    read it is broadcast.  The second operand is skipped when the first
+    fixes the result in every lane.  Equality, at any type, has no lane
+    code."""
     if head.name == PI_NAME:
         f = args[0]
         if type(f) is Abs:
@@ -622,15 +607,14 @@ def _compile_logical(call: _Call, t: HolTerm, head: Const,
     elif head.name == OR_NAME and _applies(args[0], NOT_NAME):
         clause, args = "imp", [args[0].arg, args[1]]
     else:
-        clause = "or" if head.name == OR_NAME else "iff"
+        clause = "or" if head.name == OR_NAME else "eq"
     a, a_ty, a_mask = _compile(call, args[0], binders, lane)
     b, b_ty, b_mask = _compile(call, args[1], binders, lane)
-    if clause == "iff" or a_ty is not O_TYPE or b_ty is not O_TYPE:
-        _expect(_expect(head.ty if clause == "iff" else OR.ty, a_ty), b_ty)
+    if clause == "eq" or a_ty is not O_TYPE or b_ty is not O_TYPE:
+        _expect(_expect(head.ty if clause == "eq" else OR.ty, a_ty), b_ty)
     mask = a_mask | b_mask
     full = _full(lane, mask)
-    if a_ty is not O_TYPE:
-        # equality of worlds or functions has no lane code
+    if clause == "eq":
         if full != TRUE:
             raise _Unlifted
         return (lambda env: int(a(env) == b(env))), mask
@@ -644,9 +628,7 @@ def _compile_logical(call: _Call, t: HolTerm, head: Const,
     if clause == "imp":
         return (lambda env: x if (x := a(env) ^ full) == full
                 else x | b(env)), mask
-    if clause == "or":
-        return (lambda env: x if (x := a(env)) == full else x | b(env)), mask
-    return (lambda env: a(env) ^ b(env) ^ full), mask
+    return (lambda env: x if (x := a(env)) == full else x | b(env)), mask
 
 
 def build_henkin(m: CJModel) -> HenkinModel:
