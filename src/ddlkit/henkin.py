@@ -13,12 +13,16 @@ and a world predicate (type i>o) is the bitmask of the worlds where it
 holds.  Application reads one digit, and abstraction writes the digits
 of its body.
 
-`eval_term` compiles a term once per call into closures over a binder
-stack, one closure per node.  Each compiled node carries the mask of
-the binder levels it reads, so a quantifier or abstraction that ignores
-some enclosing binders is cached per values of the ones it reads, for
-that call only.  The domain of each binder is fixed at compile time;
-one that is over the budget raises DomainBudgetError only if it runs.
+A term is compiled for a world count into closures over a binder
+stack, one closure per node, and then run in any interpretation over
+those worlds: constants and free variables are read when it runs.
+`eval_term` compiles and runs a term once; `check_axioms` compiles the
+eight axioms once per world count and runs them per model.  Each
+compiled node carries the mask of the binder levels it reads, so a
+quantifier or abstraction that ignores some enclosing binders is cached
+per values of the ones it reads, for one run.  The domain of each
+binder is fixed at compile time; one that is over the budget raises
+DomainBudgetError only if it runs.
 
 Since an element of D(a>o) is the |D(a)|-bit mask of where it holds, a
 quantifier over a predicate V : β>o can run once for all values of V,
@@ -36,8 +40,8 @@ the looping quantifier has one clause for both.  Only a predicate
 quantifier with at most LANE_CAP values that no lifted binder encloses
 is lifted; every binder inside it loops, as do abstractions and binders
 over worlds (few values, read by ob (av V) under Oa) and truth values.
-Any other read of V makes `eval_term` compile the whole term once more,
-lifting none.
+Any other read of V makes the compiler compile the whole term once
+more, lifting none.
 
 `build_henkin` turns a valid finite model into such an interpretation
 (characteristic-function tables for each atom, av, pv, and ob), and
@@ -49,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -156,51 +161,96 @@ def eval_term(h: HenkinModel, t: HolTerm,
     via the assignment, application by reading a digit, abstraction by
     tabulating the body over the argument domain.
 
-    The term is first compiled once, so types, radices and the domain
-    of each quantifier and abstraction are worked out per node rather
-    than per step.  Quantifiers and the boolean connectives are applied
-    without materializing their tables, with early exit; a conjunction
-    and an implication ¬a ∨ b are one clause each, and a digit read from
-    a constant or at a bound variable reads it directly.  A domain over
+    The term is compiled for h's world count (see `_compile_term`), so
+    types, radices and the domain of each quantifier and abstraction
+    are worked out per node rather than per step, and then run once.
+    Quantifiers and the boolean connectives are applied without
+    materializing their tables, with early exit; a conjunction and an
+    implication ¬a ∨ b are one clause each, and a digit read from a
+    constant or at a bound variable reads it directly.  A domain over
     the budget raises DomainBudgetError only when a binder over it runs,
     so a short-circuited one never does.
 
     A quantifier over a predicate V that no lifted binder encloses runs
     once for all values of V, one bit (lane) per value (see `_binder`):
     in OB3, ∀B over 256 values at n = 3 runs once, and its ∀X, ∀Z and
-    λW loop inside, returning masks over its lanes.  If a part of a
-    lifted body reads V where no lane code exists (see `_lane_apply`),
-    the whole term is compiled once more with no binder lifted.  A
-    quantifier or abstraction under binders it does not all read keeps
-    its values per values of the levels it does read, for this call
-    only: in OB3, ∃Z. B Z is computed once per B, not once per B and X.
+    λW loop inside, returning masks over its lanes.  A quantifier or
+    abstraction under binders it does not all read keeps its values per
+    values of the levels it does read, for one run: in OB3, ∃Z. B Z is
+    computed once per B, not once per B and X.
     """
-    call = _Call(h, free or {})
-    try:
-        code, _, _ = _compile(call, t, (), None)
-    except _Unlifted:
-        call.lift = False
-        code, _, _ = _compile(call, t, (), None)
-    return code([])
+    return _compile_term(h.n, t).run(h.interp, free or {})
 
 
 class _Unlifted(Exception):
-    """A node that reads the lifted binder has no lane code: `eval_term`
-    compiles the whole term again with no binder lifted."""
+    """A node that reads the lifted binder has no lane code:
+    `_compile_term` compiles the whole term again with no binder
+    lifted."""
 
 
-class _Call:
-    """One `eval_term` call: world count, interpretation, free variables,
-    and whether predicate binders are lifted."""
+class _Compiled:
+    """A term compiled for a world count: its code, whether predicate
+    binders are lifted, and the state each run fills in first.
 
-    __slots__ = ("n", "interp", "free", "lift")
+    Constants and free variables are read when the term runs, not when
+    it compiles.  Each constant name has a slot in `tables`, in the
+    order of `consts`, its map from names to slots; each free variable
+    node has one in `values`, and its name and type in `frees`.  `memos`
+    are the tables of `_cached`, emptied at the start of each run.  So
+    one compiled term serves every interpretation over its worlds, one
+    run at a time."""
 
-    def __init__(self, h: HenkinModel, free: Mapping[str, int]) -> None:
-        self.n, self.interp, self.free = h.n, h.interp, free
-        self.lift = True
+    __slots__ = ("n", "lift", "consts", "tables", "frees", "values",
+                 "memos", "code")
+
+    def __init__(self, n: int, lift: bool) -> None:
+        self.n, self.lift = n, lift
+        self.consts: dict[str, int] = {}
+        self.tables: list[int] = []
+        self.frees: list[tuple[str, HolType]] = []
+        self.values: list[int] = []
+        self.memos: list[dict] = []
+
+    def run(self, interp: Mapping[str, int], free: Mapping[str, int]
+            ) -> int:
+        """The term's value with the constants' tables in `interp` and
+        the free variables' values in `free`.  A missing constant, then
+        a missing free variable or a free value outside its type's
+        domain, raises EvalError before any code runs."""
+        try:
+            self.tables[:] = map(interp.__getitem__, self.consts)
+        except KeyError:
+            name = next(name for name in self.consts if name not in interp)
+            raise EvalError(f"constant {name} has no interpretation") from None
+        values = self.values
+        for k, (name, ty) in enumerate(self.frees):
+            if name not in free:
+                raise EvalError(f"unassigned free variable {name}:"
+                                f"{type_str(ty)}")
+            v = values[k] = free[name]
+            if not 0 <= v < domain_size(self.n, ty):
+                raise EvalError(f"value {v} of {name} is outside the "
+                                f"domain of type {type_str(ty)}")
+        for memo in self.memos:
+            memo.clear()
+        return self.code([])
 
 
-def _compile(call: _Call, t: HolTerm, binders: tuple[HolType, ...],
+def _compile_term(n: int, t: HolTerm) -> _Compiled:
+    """`t` compiled for n worlds, lifting the outermost predicate
+    quantifiers; if a part of a lifted body reads its variable where no
+    lane code exists (see `_lane_apply`), the whole term is compiled
+    once more with no binder lifted."""
+    comp = _Compiled(n, True)
+    try:
+        comp.code, _, _ = _compile(comp, t, (), None)
+    except _Unlifted:
+        comp = _Compiled(n, False)
+        comp.code, _, _ = _compile(comp, t, (), None)
+    return comp
+
+
+def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
              lane: Lane) -> tuple[Code, HolType, int]:
     """Code computing `t` under binders of the given types (innermost
     first), the type of `t`, and the mask of the binder levels the code
@@ -212,9 +262,9 @@ def _compile(call: _Call, t: HolTerm, binders: tuple[HolType, ...],
     values where it holds, a β>o-typed one the list of those masks per
     digit of β.  Every other node computes its plain value, a truth
     value being a mask over one lane.  A node that reads V and has no
-    lane code (see `_lane_apply`) raises _Unlifted.  A constant head's
-    table is read at compile time, so `_digit` reads it without a
-    call."""
+    lane code (see `_lane_apply`) raises _Unlifted.  A constant or free
+    variable reads its slot of `comp.tables` or `comp.values`, and
+    `_digit` reads a constant head's slot without a call."""
     # one type test per node: this runs for every node of every term
     kind = type(t)
     if kind is Bound:
@@ -226,27 +276,25 @@ def _compile(call: _Call, t: HolTerm, binders: tuple[HolType, ...],
             return _read(level), ty, 1 << level
         # V itself, a predicate: lane v holds the value v, so per digit s
         # of β it is the mask of the functions whose digit s is 1
-        size = domain_size(call.n, ty.arg)
-        return (lambda env: _projections(size)), ty, 1 << level
-    if kind is Free:
-        if t.name not in call.free:
-            raise EvalError(f"unassigned free variable {t.name}:"
-                            f"{type_str(t.ty)}")
-        v = call.free[t.name]
-        if not 0 <= v < domain_size(call.n, t.ty):
-            raise EvalError(f"value {v} of {t.name} is outside the domain "
-                            f"of type {type_str(t.ty)}")
-        return (lambda env: v), t.ty, 0
-    if kind is Const:
+        return _lane_variable(domain_size(comp.n, ty.arg)), ty, 1 << level
+    if kind is Const or kind is Free:
+        # read when the term runs, from a slot that `_Compiled.run`
+        # fills: one per free variable node, one per constant name
+        if kind is Free:
+            comp.frees.append((t.name, t.ty))
+            comp.values.append(0)
+            return _reader(comp.values, len(comp.values) - 1), t.ty, 0
         if t.name in LOGICAL_NAMES:
-            return _compile(call, _eta_expand(t), binders, lane)
-        if t.name not in call.interp:
-            raise EvalError(f"constant {t.name} has no interpretation")
-        v = call.interp[t.name]
-        return (lambda env: v), t.ty, 0
+            return _compile(comp, _eta_expand(t), binders, lane)
+        if t.name in comp.consts:
+            slot = comp.consts[t.name]
+        else:
+            slot = comp.consts[t.name] = len(comp.tables)
+            comp.tables.append(0)
+        return _reader(comp.tables, slot), t.ty, 0
     depth = len(binders)
     if kind is Abs:
-        code, res, mask = _binder(call, t.var_ty, t.body, binders, lane,
+        code, res, mask = _binder(comp, t.var_ty, t.body, binders, lane,
                                   False)
         return code, Arrow(t.var_ty, res), mask
     # application: flatten the spine so logical heads can short-circuit
@@ -258,7 +306,7 @@ def _compile(call: _Call, t: HolTerm, binders: tuple[HolType, ...],
     kind = type(head)
     if kind is Const and head.name in LOGICAL_NAMES:
         if len(args) == _ARITY[head.name]:
-            code, mask = _compile_logical(call, t, head, args, binders, lane)
+            code, mask = _compile_logical(comp, t, head, args, binders, lane)
             return code, O_TYPE, mask
         head = _eta_expand(head)
         kind = Abs
@@ -266,8 +314,8 @@ def _compile(call: _Call, t: HolTerm, binders: tuple[HolType, ...],
     # and a comprehension is a call of its own before Python 3.12
     argcode = []
     for a in args:
-        argcode.append(_compile(call, a, binders, lane))
-    value = None
+        argcode.append(_compile(comp, a, binders, lane))
+    head_slot = None
     if kind is Abs:
         # apply syntactic lambdas by extending the environment rather
         # than building their tables; arguments are evaluated in the
@@ -278,7 +326,7 @@ def _compile(call: _Call, t: HolTerm, binders: tuple[HolType, ...],
             inner = (head.var_ty,) + inner
             head = head.body
             k += 1
-        body, ty, mask = _compile(call, head, inner, lane)
+        body, ty, mask = _compile(comp, head, inner, lane)
         mask &= (1 << depth) - 1
         pushed = []
         for a, _, arg_mask in argcode[:k]:
@@ -286,30 +334,53 @@ def _compile(call: _Call, t: HolTerm, binders: tuple[HolType, ...],
                 raise _Unlifted
             pushed.append(a)
             mask |= arg_mask
-
-        def code(env: list) -> int:
-            env.extend([a(env) for a in pushed])
-            out = body(env)
-            del env[-k:]
-            return out
+        code = _push(pushed, body)
         args, argcode = args[k:], argcode[k:]
     else:
-        code, ty, mask = _compile(call, head, binders, lane)
+        code, ty, mask = _compile(comp, head, binders, lane)
         if kind is Const:
-            value = call.interp[head.name]
+            head_slot = comp.consts[head.name]
     for u, (a, arg_ty, arg_mask) in zip(args, argcode):
         ty = ty.res if type(ty) is Arrow and ty.arg == arg_ty \
             else _expect(ty, arg_ty)
         level = depth - 1 - u.index if type(u) is Bound else None
         if lane and (mask | arg_mask) >> lane[0] & 1:
-            code = _lane_apply(call.n, code, mask, (a, arg_ty, arg_mask),
+            code = _lane_apply(comp.n, code, mask, (a, arg_ty, arg_mask),
                                level, ty, lane)
         else:
             code = _digit(code, a, 2 if ty is O_TYPE
-                          else domain_size(call.n, ty), value, level)
+                          else domain_size(comp.n, ty), comp.tables,
+                          head_slot, level)
         mask |= arg_mask
-        value = None
+        head_slot = None
     return code, ty, mask
+
+
+# Closures are built by helpers, so that `_compile`, which runs for
+# every node, makes no closure cells of its own.
+
+
+def _reader(filled: list[int], slot: int) -> Code:
+    """Code reading slot `slot` of a list that each run fills."""
+    return lambda env: filled[slot]
+
+
+def _lane_variable(size: int) -> Code:
+    """Lane code of the lifted variable V : β>o with |D(β)| = size."""
+    return lambda env: _projections(size)
+
+
+def _push(args: list[Code], body: Code) -> Code:
+    """Code of syntactic lambdas applied to `args`: the body, with the
+    arguments' values pushed as its innermost binders."""
+    k = len(args)
+
+    def code(env: list) -> int:
+        env.extend([a(env) for a in args])
+        out = body(env)
+        del env[-k:]
+        return out
+    return code
 
 
 def _expect(fn_ty: HolType, arg_ty: HolType) -> HolType:
@@ -399,26 +470,26 @@ def _mux(f: int, slices: tuple[int, ...], full: int) -> int:
     return out
 
 
-def _digit(fn: Code, arg: Code, base: int, value: int | None,
-           level: int | None) -> Code:
+def _digit(fn: Code, arg: Code, base: int, tables: list[int],
+           slot: int | None, level: int | None) -> Code:
     """Code applying a function to an argument: digit `arg` of `fn` in
-    the given base.  `value` is the function's value when it is known
-    at compile time, and `level` the argument's binder level when it is
-    a bound variable; the code then reads them without a call."""
+    the given base.  `slot` is the function's slot in `tables` when it
+    is a constant, and `level` the argument's binder level when it is a
+    bound variable; the code then reads them without a call."""
     width = base.bit_length() - 1
     if base != 1 << width:
         return lambda env: fn(env) // base ** arg(env) % base
     mask = base - 1
-    if value is None and level is None:
+    if slot is None and level is None:
         return lambda env: fn(env) >> width * arg(env) & mask
     if level is None:
-        return lambda env: value >> width * arg(env) & mask
-    if value is None:
+        return lambda env: tables[slot] >> width * arg(env) & mask
+    if slot is None:
         return lambda env: fn(env) >> width * env[level] & mask
-    return lambda env: value >> width * env[level] & mask
+    return lambda env: tables[slot] >> width * env[level] & mask
 
 
-def _binder(call: _Call, alpha: HolType, body_t: HolTerm,
+def _binder(comp: _Compiled, alpha: HolType, body_t: HolTerm,
             binders: tuple[HolType, ...], lane: Lane, forall: bool
             ) -> tuple[Code, HolType, int]:
     """Code of a quantifier (`forall`) or abstraction binding V : alpha
@@ -438,33 +509,37 @@ def _binder(call: _Call, alpha: HolType, body_t: HolTerm,
     depth = len(binders)
     inner = (alpha,) + binders
     try:
-        dom = enumerate_domain(call.n, alpha)
+        dom = enumerate_domain(comp.n, alpha)
     except DomainBudgetError:
         if lane:
             raise _Unlifted
-        _, res, _ = _compile(call, body_t, inner, None)
-        # raises, naming the type, only if it runs
-        return ((lambda env: len(enumerate_domain(call.n, alpha))), res,
-                (1 << depth) - 1)
+        _, res, _ = _compile(comp, body_t, inner, None)
+        return _over_budget(comp.n, alpha), res, (1 << depth) - 1
     full = (1 << len(dom)) - 1
-    if (forall and not lane and call.lift and type(alpha) is Arrow
+    if (forall and not lane and comp.lift and type(alpha) is Arrow
             and alpha.res is O_TYPE and len(dom) <= LANE_CAP):
-        body, res, mask = _compile(call, body_t, inner, (depth, full))
+        body, res, mask = _compile(comp, body_t, inner, (depth, full))
         code = _lifted(body if mask >> depth & 1
                        else _broadcast(body, full), full)
     else:
-        body, res, mask = _compile(call, body_t, inner, lane)
+        body, res, mask = _compile(comp, body_t, inner, lane)
         lanes = _full(lane, mask)
         if forall:
             code = _all(dom, body, lanes)
         elif lanes == TRUE:
-            code = _tabulate(dom[::-1], body, domain_size(call.n, res))
+            code = _tabulate(dom[::-1], body, domain_size(comp.n, res))
         elif res is O_TYPE:
             code = _lane_table(dom, body)
         else:
             raise _Unlifted
     outer = mask & (1 << depth) - 1
-    return _cached(code, outer, depth), res, outer
+    return _cached(code, outer, depth, comp.memos), res, outer
+
+
+def _over_budget(n: int, alpha: HolType) -> Code:
+    """Code of a binder over a domain past the budget: it raises
+    DomainBudgetError, naming the type, only if it runs."""
+    return lambda env: len(enumerate_domain(n, alpha))
 
 
 def _lifted(lane: Code, full: int) -> Code:
@@ -519,11 +594,12 @@ def _lane_table(dom: range, lane: Code) -> Code:
     return code
 
 
-def _cached(code: Code, mask: int, depth: int) -> Code:
+def _cached(code: Code, mask: int, depth: int, memos: list[dict]) -> Code:
     """`code` remembering its value per values of the binder levels in
-    `mask`, when it sits under binders it does not all read; the table
-    lives as long as the compiled term, one `eval_term` call.  Under a
-    lifted binder its level holds a placeholder, the same in each run."""
+    `mask`, when it sits under binders it does not all read.  The table
+    joins `memos`, the compiled term's, which each run empties first, so
+    it lives for one run.  Under a lifted binder its level holds a
+    placeholder, the same in each run."""
     # world binders loop, so [](Oa p | ...) nests loops that read no
     # outer world; this keeps their runs linear in the depth
     if mask == (1 << depth) - 1:
@@ -532,6 +608,7 @@ def _cached(code: Code, mask: int, depth: int) -> Code:
     # a closed node is keyed by the stack's length, the same at each run
     key = _read(*levels) if levels else len
     memo: dict = {}
+    memos.append(memo)
 
     def cached(env: list) -> int:
         k = key(env)
@@ -570,7 +647,7 @@ def _broadcast(code: Code, full: int) -> Code:
     return lambda env: -code(env) & full
 
 
-def _compile_logical(call: _Call, t: HolTerm, head: Const,
+def _compile_logical(comp: _Compiled, t: HolTerm, head: Const,
                      args: list[HolTerm], binders: tuple[HolType, ...],
                      lane: Lane) -> tuple[Code, int]:
     """Code and binder mask of `t`, the logical constant `head` applied
@@ -583,52 +660,71 @@ def _compile_logical(call: _Call, t: HolTerm, head: Const,
     if head.name == PI_NAME:
         f = args[0]
         if type(f) is Abs:
-            code, res, mask = _binder(call, f.var_ty, f.body, binders, lane,
+            code, res, mask = _binder(comp, f.var_ty, f.body, binders, lane,
                                       True)
             _expect(head.ty, Arrow(f.var_ty, res))
             return code, mask
-        a, ty, mask = _compile(call, f, binders, lane)
+        a, ty, mask = _compile(comp, f, binders, lane)
         _expect(head.ty, ty)
         if _full(lane, mask) != TRUE:
             raise _Unlifted
-        full = (1 << domain_size(call.n, ty.arg)) - 1
-        return (lambda env: int(a(env) == full)), mask
+        return _is_full(a, (1 << domain_size(comp.n, ty.arg)) - 1), mask
     # a conjunction ¬(¬a ∨ ¬b) and an implication ¬a ∨ b are one clause
     # each, over operands compiled once
     if head.name == NOT_NAME:
         conj = match_and(t)
         if conj is None:
-            a, ty, mask = _compile(call, args[0], binders, lane)
+            a, ty, mask = _compile(comp, args[0], binders, lane)
             if ty is not O_TYPE:
                 _expect(head.ty, ty)
-            full = _full(lane, mask)
-            return (lambda env: a(env) ^ full), mask
-        clause, args = "and", conj
+            return _not(a, _full(lane, mask)), mask
+        clause, args = _and, conj
     elif head.name == OR_NAME and _applies(args[0], NOT_NAME):
-        clause, args = "imp", [args[0].arg, args[1]]
+        clause, args = _imp, [args[0].arg, args[1]]
     else:
-        clause = "or" if head.name == OR_NAME else "eq"
-    a, a_ty, a_mask = _compile(call, args[0], binders, lane)
-    b, b_ty, b_mask = _compile(call, args[1], binders, lane)
-    if clause == "eq" or a_ty is not O_TYPE or b_ty is not O_TYPE:
-        _expect(_expect(head.ty if clause == "eq" else OR.ty, a_ty), b_ty)
+        clause = _or if head.name == OR_NAME else _eq
+    a, a_ty, a_mask = _compile(comp, args[0], binders, lane)
+    b, b_ty, b_mask = _compile(comp, args[1], binders, lane)
+    if clause is _eq or a_ty is not O_TYPE or b_ty is not O_TYPE:
+        _expect(_expect(head.ty if clause is _eq else OR.ty, a_ty), b_ty)
     mask = a_mask | b_mask
     full = _full(lane, mask)
-    if clause == "eq":
-        if full != TRUE:
-            raise _Unlifted
-        return (lambda env: int(a(env) == b(env))), mask
     if full != TRUE:
+        if clause is _eq:
+            raise _Unlifted
         if not a_mask >> lane[0] & 1:
             a = _broadcast(a, full)
         if not b_mask >> lane[0] & 1:
             b = _broadcast(b, full)
-    if clause == "and":
-        return (lambda env: (x := a(env)) and x & b(env)), mask
-    if clause == "imp":
-        return (lambda env: x if (x := a(env) ^ full) == full
-                else x | b(env)), mask
-    return (lambda env: x if (x := a(env)) == full else x | b(env)), mask
+    return clause(a, b, full), mask
+
+
+# The clauses of the logical constants, over masks of `full`'s lanes.
+
+
+def _is_full(a: Code, full: int) -> Code:
+    return lambda env: int(a(env) == full)
+
+
+def _not(a: Code, full: int) -> Code:
+    return lambda env: a(env) ^ full
+
+
+def _and(a: Code, b: Code, full: int) -> Code:
+    return lambda env: (x := a(env)) and x & b(env)
+
+
+def _imp(a: Code, b: Code, full: int) -> Code:
+    return lambda env: x if (x := a(env) ^ full) == full else x | b(env)
+
+
+def _or(a: Code, b: Code, full: int) -> Code:
+    return lambda env: x if (x := a(env)) == full else x | b(env)
+
+
+def _eq(a: Code, b: Code, full: int) -> Code:
+    """Equality at any type, on plain values only."""
+    return lambda env: int(a(env) == b(env))
 
 
 def build_henkin(m: CJModel) -> HenkinModel:
@@ -653,16 +749,32 @@ def build_henkin(m: CJModel) -> HenkinModel:
     return HenkinModel(n, interp)
 
 
+# The eight axioms compiled per world count, filled on first use; the
+# guard in check_axioms keeps it to n = 0..4.  A compiled term keeps its
+# constants' values and memos while it runs, so runs hold the lock.
+_AXIOMS: dict[int, list[tuple[str, _Compiled]]] = {}
+_AXIOMS_LOCK = threading.Lock()
+
+
 def check_axioms(h: HenkinModel) -> str | None:
     """Name of the first failing axiom, or None if all eight hold.
 
     OB3 quantifies over (i>o)>o, whose domain is past DOMAIN_BUDGET from
     5 worlds: there DomainBudgetError, naming that type, is raised before
-    any axiom runs, so the axioms are checked up to 4 worlds."""
+    any axiom runs, so the axioms are checked up to 4 worlds.  The axioms
+    are compiled once per world count and run on each interpretation.
+    The compiled terms are shared, and a run fills in their state, so
+    one lock lets one check run them at a time: any thread may call
+    this."""
     enumerate_domain(h.n, Arrow(TAU, O_TYPE))
-    for name, term in axioms():
-        if eval_term(h, term) != TRUE:
-            return name
+    with _AXIOMS_LOCK:
+        compiled = _AXIOMS.get(h.n)
+        if compiled is None:
+            compiled = _AXIOMS[h.n] = [(name, _compile_term(h.n, term))
+                                       for name, term in axioms()]
+        for name, term in compiled:
+            if term.run(h.interp, {}) != TRUE:
+                return name
     return None
 
 

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -166,15 +168,16 @@ def test_axioms_past_four_worlds_are_refused_before_any_runs(monkeypatch, n):
     assert validate(m).ok
     h = build_henkin(m)
     runs = [0]
+    monkeypatch.setattr(henkin, "_AXIOMS", {})
     monkeypatch.setattr(
-        henkin, "eval_term", lambda *a, run=henkin.eval_term:
-        runs.__setitem__(0, runs[0] + 1) or run(*a))
+        henkin._Compiled, "run", lambda self, *a, run=henkin._Compiled.run:
+        runs.__setitem__(0, runs[0] + 1) or run(self, *a))
     with pytest.raises(DomainBudgetError) as e:
         extract_model(h, m.val.keys())
     assert str(e.value) == (f"domain for type (i>o)>o has {2 ** 2 ** n} "
                             f"elements, exceeding the budget of "
                             f"{henkin.DOMAIN_BUDGET}")
-    assert runs[0] == 0
+    assert runs[0] == 0 and henkin._AXIOMS == {}
 
 
 def test_leibniz_equality_in_standard_models():
@@ -457,8 +460,8 @@ _WORLDS_2 = mk_model(2, av=[[0], [1]], pv=[[0, 1]] * 2, ob=[],
 def test_compile_stays_linear_when_a_lift_fails_late(monkeypatch, m, nest,
                                                      d):
     # the outermost ∀X compiles its body in its own lanes and fails at
-    # its X = X; `eval_term` then compiles the whole term once more with
-    # no binder lifted, so a failed lift doubles the compiles once per
+    # its X = X; `_compile_term` then compiles the whole term once more
+    # with no binder lifted, so a failed lift doubles the compiles once per
     # term, not once per level.  The world nests never lift and compile
     # each body once
     calls = [0]
@@ -521,8 +524,8 @@ def test_domain_budget_error_is_raised_only_where_a_quantifier_runs(
     assert evaluate(h, land(false_term(), big)) == FALSE
     # under a binder the loop stops at the first world, where q V → big
     # holds without running big and r V fails; lanes would run big, so a
-    # binder past the budget under a lifted one makes eval_term compile
-    # the whole term again with none lifted
+    # binder past the budget under a lifted one makes the compiler
+    # compile the whole term again with none lifted
     q, r = atom_const("q"), atom_const("r")
     assert evaluate(h, forall(I, land(limp(App(q, Bound(0)), big),
                                       App(r, Bound(0))))) == FALSE
@@ -546,7 +549,7 @@ def test_logical_heads_check_their_operand_types():
             (App(pi_const(TAU), Abs(TAU, Bound(0))),
              "((i>o)>o)>o to one of type (i>o)>i>o")):
         with pytest.raises(EvalError) as e:
-            henkin._compile(henkin._Call(h, {}), t, (), None)
+            henkin._compile(henkin._Compiled(h.n, True), t, (), None)
         assert str(e.value) == f"cannot apply a value of type {message}"
 
 
@@ -596,22 +599,50 @@ def _reading_v(rng, alpha):
 
 
 def _lane_body(rng, alpha, depth):
-    """A random o-typed body under V : alpha from g V, V s, closed terms
-    and the five connectives, now and then with a term that reads V
-    otherwise."""
+    """A random o-typed body under V : alpha from the reads of V that
+    have lane code (see `_lane_read`), closed terms and the connectives
+    ¬ ∧ ∨ → ↔, now and then with a read that has none (`_reading_v`,
+    g V at o, and = at o over terms that read V), which compiles the
+    whole term again with no binder lifted."""
     roll = rng.randrange(10 if depth else 4)
-    if roll == 0:
-        return App(_closed(rng, Arrow(alpha, O)), Bound(0))
-    if roll == 1 and alpha != I:
-        return App(Bound(0), _closed(rng, alpha.arg))
-    if roll <= 2:
+    if roll <= 1:
+        return _lane_read(rng, alpha)
+    if roll == 2:
         return _closed(rng, O)
     if roll == 3:
-        return (_reading_v(rng, alpha) if rng.random() < 0.3
-                else App(_closed(rng, Arrow(alpha, O)), Bound(0)))
+        if rng.random() < 0.9:
+            return _lane_read(rng, alpha)
+        return rng.choice([_reading_v(rng, alpha),
+                           App(_closed(rng, Arrow(alpha, O)), Bound(0))])
     a, b = _lane_body(rng, alpha, depth - 1), _lane_body(rng, alpha, depth - 1)
+    if roll == 9 and rng.random() < 0.2:
+        return equals(O, a, b)
     return [neg(a), land(a, b), lor(a, b), limp(a, b), liff(a, b),
-            equals(O, a, b)][roll - 4]
+            lor(a, b)][roll - 4]
+
+
+def _lane_read(rng, alpha):
+    """An o-typed read of V = Bound(0) : alpha with lane code: V s,
+    ob V X, and g P for a g that does not read V and a predicate P that
+    does.  V over worlds, which always loops, is read by g V."""
+    if alpha == I:
+        return App(_closed(rng, TAU), Bound(0))
+    if alpha == TAU:
+        op = rng.choice((land, lor, limp))
+        reads = [
+            App(Bound(0), _closed(rng, I)),
+            App(App(OB, Bound(0)), _closed(rng, TAU)),
+            App(_closed(rng, _TAU_O), Abs(I, op(
+                App(Bound(1), Bound(0)), App(_closed(rng, TAU), Bound(0))))),
+            App(Free("H", Arrow(_TAU_O, O)), App(OB, Bound(0)))]
+    else:
+        reads = [
+            App(Bound(0), _closed(rng, TAU)),
+            App(_closed(rng, _TAU_O),
+                Abs(I, App(Bound(1), App(AV, Bound(0))))),
+            App(Free("H", Arrow(_TAU_O, O)),
+                Abs(TAU, App(Bound(1), Bound(0))))]
+    return rng.choice(reads)
 
 
 def _count_builds(monkeypatch, names):
@@ -648,15 +679,16 @@ def test_lifted_binders_match_the_earlier_compiler(monkeypatch):
                         (pretty_term(t), free, n)
                     terms += 1
     # both paths run (a term whose lift fails compiles again, looping):
-    # 31 of the 324 terms lift, as only quantifiers lift and `g V` at o,
-    # most of the leaves, has no lane code
-    assert terms == 324 and built["_lifted"] == 31
+    # 132 of the 324 terms lift: of the 144 quantifiers over i>o and
+    # (i>o)>o, all but the 12 whose body reads V where no lane code
+    # exists.  Binders over worlds and λs always loop
+    assert terms == 324 and built["_lifted"] == 132
     assert built["_all"] and built["_tabulate"]
 
 
 def _nested_body(rng, alpha, depth, v=0, inner=()):
     """A random o-typed term under V = Bound(v) : alpha and, inside V,
-    binders of the types `inner` (innermost first): the `_lane_body`
+    binders of the types `inner` (innermost first): g V, V s and closed
     leaves, reads of the inner variables, inner ∀, ∃ and λ over i and
     i>o that read V, and functions applied to a predicate that reads V
     (the multiplexer), now and then with a read of V that no lane takes,
@@ -931,3 +963,126 @@ def test_innermost_binders_of_the_axioms_are_lifted(monkeypatch):
         "OB4": ({"_all": 4, "_lifted": 1, "_lane_table": 1}, 177),
         "OB5": ({"_all": 4, "_lifted": 1}, 220),
     }
+
+
+# --- one compile per world count, one run per interpretation ------------
+
+
+def test_one_compiled_term_runs_in_every_interpretation_over_its_worlds():
+    # constants and free variables are read when the term runs and the
+    # memos are emptied per run, so the runs of one compiled term equal
+    # fresh compiles, whatever ran before
+    rng = random.Random(102)
+    for n in (1, 2, 3):
+        images = []
+        for density in (0.0, 0.2, 0.4):
+            h = build_henkin(random_model(n, ("p", "q"),
+                                          rng.getrandbits(63), density))
+            images += [h, _flipped(h, rng)]
+        for name, term in axioms():
+            compiled = henkin._compile_term(n, term)
+            for h in images:
+                assert compiled.run(h.interp, {}) == eval_term(h, term) \
+                    == oracle_eval_term(h, term), (name, n)
+    cases = {}
+    for h, t, free in _nested_terms(103, 1):
+        cases.setdefault(h.n, []).append((h, t, free))
+    for n, group in cases.items():
+        for _, t, _ in group:
+            compiled = henkin._compile_term(n, t)
+            for h, _, free in group[:4]:
+                assert _outcome(lambda h, t, free: compiled.run(h.interp,
+                                                                free),
+                                h, t, free) == \
+                    _outcome(eval_term, h, t, free) == \
+                    _outcome(oracle_eval_term, h, t, free), \
+                    (pretty_term(t), free, n)
+
+
+def test_check_axioms_compiles_the_axioms_once_per_world_count(monkeypatch):
+    monkeypatch.setattr(henkin, "_AXIOMS", {})
+    roots = [0]
+    monkeypatch.setattr(
+        henkin, "_compile", lambda comp, term, binders, lane,
+        run=henkin._compile: roots.__setitem__(0, roots[0] + (not binders))
+        or run(comp, term, binders, lane))
+    rng = random.Random(104)
+    models = [random_model(3, ("p",), rng.getrandbits(63), 0.3)
+              for _ in range(10)]
+    counts = []
+    for batch in (models[:1], models):
+        henkin._AXIOMS.clear()
+        roots[0] = 0
+        for m in batch:
+            assert check_axioms(build_henkin(m)) is None
+        counts.append(roots[0])
+    # one root compile per axiom, none of which falls back
+    assert counts == [8, 8]
+
+
+def test_a_run_refuses_what_its_interpretation_or_assignment_lacks(
+        monkeypatch):
+    monkeypatch.setattr(henkin, "_AXIOMS", {})
+    h = build_henkin(mk_model(2, av=[[0], [1]], pv=[[0], [1]], ob=[],
+                              val={"p": [0]}))
+    p, w, x = atom_const("p"), Free("w", I), Free("X", TAU)
+    t = land(App(p, w), App(x, w))
+    compiled = henkin._compile_term(2, t)
+    assert compiled.run(h.interp, {"w": 0, "X": 1}) == TRUE
+    no_p = {k: v for k, v in h.interp.items() if k != "p"}
+    for interp, free, message in (
+            (no_p, {"w": 0, "X": 1}, "constant p has no interpretation"),
+            (h.interp, {"X": 1}, "unassigned free variable w:i"),
+            (h.interp, {"w": 0, "X": 4},
+             "value 4 of X is outside the domain of type i>o"),
+            (h.interp, {"w": -1, "X": 1},
+             "value -1 of w is outside the domain of type i")):
+        for run in (lambda: compiled.run(interp, free),
+                    lambda: eval_term(HenkinModel(2, interp), t, free)):
+            with pytest.raises(EvalError) as e:
+                run()
+            assert str(e.value) == message
+    assert compiled.run(h.interp, {"w": 1, "X": 2}) == FALSE
+    # AV, PV1 and PV2 hold without ob, so OB1's run finds it missing,
+    # after the compiled axioms have run on a full interpretation
+    assert check_axioms(h) is None
+    with pytest.raises(EvalError) as e:
+        check_axioms(HenkinModel(2, {k: v for k, v in h.interp.items()
+                                     if k != "ob"}))
+    assert str(e.value) == "constant ob has no interpretation"
+
+
+def test_check_axioms_from_several_threads_matches_sequential_answers(
+        monkeypatch):
+    # the compiled axioms are shared and keep each run's tables and
+    # memos; a switch interval of 1 us makes the threads interleave
+    # inside runs, where any unguarded state would mix models
+    monkeypatch.setattr(henkin, "_AXIOMS", {})
+    rng = random.Random(105)
+    images = []
+    for k in range(20):
+        h = build_henkin(random_model(2 + k % 2, ("p",), rng.getrandbits(63),
+                                      rng.choice((0.0, 0.2, 0.4))))
+        images.append(_flipped(h, rng) if k % 3 else h)
+    expected = [check_axioms(h) for h in images]
+    assert None in expected and set(expected) - {None}
+    # each thread checks every model five times, in an order of its own
+    orders = [rng.sample(range(20), 20) * 5 for _ in range(4)]
+    answers = [None] * 4
+    start = threading.Barrier(4, timeout=60)
+
+    def check(k):
+        start.wait()
+        answers[k] = [check_axioms(images[i]) for i in orders[k]]
+    threads = [threading.Thread(target=check, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert answers == [[expected[i] for i in order] for order in orders]

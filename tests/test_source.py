@@ -99,14 +99,14 @@ def except_clauses_naming(source: str, name: str) -> list[str]:
     return found
 
 
-def test_a_failed_lift_is_caught_only_in_eval_term():
-    # eval_term compiles the whole term again, lifting no binder, when a
-    # lift fails; a retry per binder would need a memo of the binders
-    # inside it to keep the compile linear
+def test_a_failed_lift_is_caught_only_in_compile_term():
+    # _compile_term compiles the whole term again, lifting no binder,
+    # when a lift fails; a retry per binder would need a memo of the
+    # binders inside it to keep the compile linear
     found = [f"{path.name}:{where}" for path in sorted(SRC.rglob("*.py"))
              for where in except_clauses_naming(
                  path.read_text(encoding="utf-8"), "_Unlifted")]
-    assert found == ["henkin.py:eval_term"]
+    assert found == ["henkin.py:_compile_term"]
 
 
 def test_except_clauses_naming_an_exception_are_found():
