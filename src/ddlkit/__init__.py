@@ -13,7 +13,7 @@ from .henkin import HenkinModel, build_henkin, eval_term, extract_model
 from .hol import (HolTypeError, axioms, beta_eta_normalize, embed,
                   pretty_term, type_of, vld)
 from .model import (CJModel, ValidationReport, canonicalize, load_model,
-                    random_model, save_model, validate)
+                    random_model, validate)
 from .search import (CounterModel, NoCounterexampleUpTo, find_countermodel,
                      verdict)
 from .syntax import Formula, ParseError, atoms, parse, pretty
@@ -25,7 +25,7 @@ __all__ = [
     "build_henkin", "canonicalize", "check_faithfulness", "embed",
     "eval_formula", "eval_term", "extract_model", "find_countermodel",
     "load_model", "parse", "pretty", "pretty_term", "random_model",
-    "save_model", "to_thf_problem", "to_thf_term", "truth_set", "type_of",
+    "to_thf_problem", "to_thf_term", "truth_set", "type_of",
     "vld", "valid_in_model", "validate", "verdict",
 ]
 

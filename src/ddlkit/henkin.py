@@ -27,20 +27,26 @@ DomainBudgetError only if it runs.
 Since an element of D(a>o) is the |D(a)|-bit mask of where it holds, a
 quantifier over a predicate V : β>o can run once for all values of V,
 one bit (lane) per value, when each part of its body that reads V can.
+Directly nested predicate quantifiers, ∀X ∀Y ∀Z in OB2, OB4 and OB5 and
+∀B ∀X in OB3, run as one block: a lane is one value of the whole block,
+read as one wide predicate whose digits are those of X, then Y, then Z.
 The connectives act on masks, and a binder inside loops over its own
 values and ANDs (∀) or lists (λ) its body's masks, so a term of type
-β>o that reads V is a list of masks, one per digit.  Three reads of V
-have lane code, the ones the eight axioms make: `V s` is a fixed
-projection mask, `f V` for an f that does not read V and has a β>o
-result (`ob V`) is the masks of f's digits, and `g P` for a g that does
-not read V and a predicate P that does is a multiplexer over P's value
-in each lane.  The quantifier is then `mask == full`.  A truth value
-that does not read V is a mask over one lane, so each connective and
-the looping quantifier has one clause for both.  Only a predicate
-quantifier with at most LANE_CAP values that no lifted binder encloses
-is lifted; every binder inside it loops, as do abstractions and binders
-over worlds (few values, read by ob (av V) under Oa) and truth values.
-Any other read of V makes the compiler compile the whole term once
+β>o that reads the block is a list of masks, one per digit.  Four reads
+have lane code, the ones the eight axioms make: `X s` is a fixed
+projection mask; `f X` for an f that does not read the block and has a
+β>o result (`ob X`) is the masks of f's digits, spread over the block's
+lanes; and for a predicate P that reads the block, `g P` for a g that
+does not (`ob p (λW. …)`) and `F P` for an F that does (`ob X Y`,
+`ob X (λW. …)`) are one multiplexer over P's value in each lane.  The
+block's quantifier is then `mask == full`.  A truth value that does not read the block is a mask
+over one lane, so each connective and the looping quantifier has one
+clause for both.  Only the outermost block is lifted: a predicate
+quantifier that no lifted block encloses, with the ones directly nested
+in it while their value counts multiply to at most LANE_CAP.  Every
+binder inside loops, as do abstractions and binders over worlds (few
+values, read by ob (av V) under Oa) and truth values.  Any other read
+of a block variable makes the compiler compile the whole term once
 more, lifting none.
 
 `build_henkin` turns a valid finite model into such an interpretation
@@ -55,7 +61,7 @@ import functools
 import operator
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .hol import (EQ_NAME, I, LOGICAL_NAMES, NOT_NAME, OR, OR_NAME, PI_NAME,
                   TAU, Abs, App, Arrow, Bound, Const, Free, HolTerm, HolType,
@@ -65,10 +71,13 @@ from .syntax import RESERVED_ATOMS
 
 DOMAIN_BUDGET = 1 << 20
 
-# Most lanes a predicate binder is lifted over, one per value; past it
-# the binder loops.  2**16 covers B : (i>o)>o at n = 4, where all eight
-# axioms took 6-12 ms per model, against 1.0-1.9 s with B looped (2-vCPU
-# machine).
+# Most lanes a block of predicate quantifiers is lifted over, one per
+# value of the block; a quantifier that would take it past loops inside
+# the block's lanes, or over its domain if it is the first.  2**16
+# covers B : (i>o)>o at n = 4, which lifts alone (OB3's ∀X loops in its
+# lanes), and OB2's ∀X ∀Y ∀Z over 2**12 lanes.  At n = 4 all eight
+# axioms take 2.1-2.2 ms per model (best of 15 over 6 seeded models,
+# shared 2-vCPU machine); with B looped they took 1.0-1.9 s.
 LANE_CAP = 1 << 16
 
 TRUE, FALSE = 1, 0
@@ -145,8 +154,10 @@ class HenkinModel:
 
 # A compiled term: reads the binder stack (innermost binder last).
 Code = Callable[[list], int]
-# The (level, full mask) of the enclosing lifted binder, or None.
-Lane = tuple[int, int] | None
+# The enclosing lifted block, or None: the mask of its binder levels,
+# the full mask of its lanes, and per level the block's digit count and
+# that variable's first digit and digit count (see `_binder`).
+Lane = tuple[int, int, dict[int, tuple[int, int, int]]] | None
 
 _ARITY = {NOT_NAME: 1, OR_NAME: 2, EQ_NAME: 2, PI_NAME: 1}
 
@@ -171,19 +182,22 @@ def eval_term(h: HenkinModel, t: HolTerm,
     the budget raises DomainBudgetError only when a binder over it runs,
     so a short-circuited one never does.
 
-    A quantifier over a predicate V that no lifted binder encloses runs
-    once for all values of V, one bit (lane) per value (see `_binder`):
-    in OB3, ∀B over 256 values at n = 3 runs once, and its ∀X, ∀Z and
-    λW loop inside, returning masks over its lanes.  A quantifier or
-    abstraction under binders it does not all read keeps its values per
-    values of the levels it does read, for one run: in OB3, ∃Z. B Z is
-    computed once per B, not once per B and X.
+    A quantifier over a predicate that no lifted block encloses, with
+    the predicate quantifiers directly nested in it, runs once for all
+    values of its variables, one bit (lane) per value of the block (see
+    `_binder`): in OB2, ∀X ∀Y ∀Z over 512 lanes at n = 3 run once, with
+    only ∀W looping inside; in OB3, ∀B ∀X over 2,048 lanes run once, and
+    ∀Z and λW loop inside, returning masks over those lanes.  A
+    quantifier or abstraction under binders it does not all read keeps
+    its values per values of the levels it does read, for one run: in
+    OB3 at n = 4, where ∀B lifts alone and ∀X loops in its lanes,
+    ∃Z. B Z is computed once, not once per X.
     """
     return _compile_term(h.n, t).run(h.interp, free or {})
 
 
 class _Unlifted(Exception):
-    """A node that reads the lifted binder has no lane code:
+    """A node that reads the lifted block has no lane code:
     `_compile_term` compiles the whole term again with no binder
     lifted."""
 
@@ -237,10 +251,10 @@ class _Compiled:
 
 
 def _compile_term(n: int, t: HolTerm) -> _Compiled:
-    """`t` compiled for n worlds, lifting the outermost predicate
-    quantifiers; if a part of a lifted body reads its variable where no
-    lane code exists (see `_lane_apply`), the whole term is compiled
-    once more with no binder lifted."""
+    """`t` compiled for n worlds, lifting the outermost blocks of
+    predicate quantifiers; if a part of a lifted body reads a block
+    variable where no lane code exists (see `_lane_apply`), the whole
+    term is compiled once more with no binder lifted."""
     comp = _Compiled(n, True)
     try:
         comp.code, _, _ = _compile(comp, t, (), None)
@@ -256,15 +270,15 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
     first), the type of `t`, and the mask of the binder levels the code
     reads (bit l stands for env[l], the l-th binder from the outside).
 
-    `lane` is the (level, full mask) of the enclosing lifted binder V,
-    or None.  A node that reads V computes its value for all values of
-    V at once, one bit (lane) per value: an o-typed node the mask of the
+    `lane` is the enclosing lifted block (see `Lane`), or None.  A node
+    that reads the block computes its value for all values of the block
+    at once, one bit (lane) per value: an o-typed node the mask of the
     values where it holds, a β>o-typed one the list of those masks per
     digit of β.  Every other node computes its plain value, a truth
-    value being a mask over one lane.  A node that reads V and has no
-    lane code (see `_lane_apply`) raises _Unlifted.  A constant or free
-    variable reads its slot of `comp.tables` or `comp.values`, and
-    `_digit` reads a constant head's slot without a call."""
+    value being a mask over one lane.  A node that reads the block and
+    has no lane code (see `_lane_apply`) raises _Unlifted.  A constant
+    or free variable reads its slot of `comp.tables` or `comp.values`,
+    and `_digit` reads a constant head's slot without a call."""
     # one type test per node: this runs for every node of every term
     kind = type(t)
     if kind is Bound:
@@ -272,11 +286,11 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
         if level < 0:
             raise EvalError(f"dangling bound variable index {t.index}")
         ty = binders[t.index]
-        if not lane or level != lane[0]:
+        if not lane or not lane[0] >> level & 1:
             return _read(level), ty, 1 << level
-        # V itself, a predicate: lane v holds the value v, so per digit s
-        # of β it is the mask of the functions whose digit s is 1
-        return _lane_variable(domain_size(comp.n, ty.arg)), ty, 1 << level
+        # a block variable Xj : β>o: per digit s of β, the mask of the
+        # lanes where Xj's digit s is 1
+        return _lane_variable(_projections(*lane[2][level])), ty, 1 << level
     if kind is Const or kind is Free:
         # read when the term runs, from a slot that `_Compiled.run`
         # fills: one per free variable node, one per constant name
@@ -330,7 +344,7 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
         mask &= (1 << depth) - 1
         pushed = []
         for a, _, arg_mask in argcode[:k]:
-            if lane and arg_mask >> lane[0] & 1:
+            if lane and arg_mask & lane[0]:
                 raise _Unlifted
             pushed.append(a)
             mask |= arg_mask
@@ -344,7 +358,7 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
         ty = ty.res if type(ty) is Arrow and ty.arg == arg_ty \
             else _expect(ty, arg_ty)
         level = depth - 1 - u.index if type(u) is Bound else None
-        if lane and (mask | arg_mask) >> lane[0] & 1:
+        if lane and (mask | arg_mask) & lane[0]:
             code = _lane_apply(comp.n, code, mask, (a, arg_ty, arg_mask),
                                level, ty, lane)
         else:
@@ -365,9 +379,9 @@ def _reader(filled: list[int], slot: int) -> Code:
     return lambda env: filled[slot]
 
 
-def _lane_variable(size: int) -> Code:
-    """Lane code of the lifted variable V : β>o with |D(β)| = size."""
-    return lambda env: _projections(size)
+def _lane_variable(masks: tuple[int, ...]) -> Code:
+    """Lane code of a block variable: the lane masks of its digits."""
+    return lambda env: masks
 
 
 def _push(args: list[Code], body: Code) -> Code:
@@ -393,10 +407,11 @@ def _expect(fn_ty: HolType, arg_ty: HolType) -> HolType:
 
 
 @functools.lru_cache(maxsize=32)
-def _projections(size: int) -> tuple[int, ...]:
-    """The lane masks of a variable of type β>o with |D(β)| = size, one
-    per digit (see `_projection`)."""
-    return tuple(_projection(size, s) for s in range(size))
+def _projections(total: int, off: int, size: int) -> tuple[int, ...]:
+    """The lane masks, over a block of `total` digits, of the variable
+    of type β>o with |D(β)| = size at digits off.., one per digit (see
+    `_projection`)."""
+    return tuple(_projection(total, off + s) for s in range(size))
 
 
 def _projection(size: int, s: int) -> int:
@@ -408,33 +423,42 @@ def _projection(size: int, s: int) -> int:
 
 
 def _lane_apply(n: int, fn_code: Code, fn_mask: int, arg: tuple,
-                level: int | None, res: HolType, lane: tuple[int, int]
-                ) -> Code:
+                level: int | None, res: HolType, lane: Lane) -> Code:
     """Code applying a function, compiled as `fn_code` reading the
     levels in `fn_mask`, to an argument, compiled as (code, type, mask),
-    when either reads the lifted binder V; `level` is the argument's
-    binder level if it is a bound variable, `res` the type of the
-    result.  Three reads have lane code: `ob V`, a function that does
-    not read V applied to V with a β>o result, is the masks of its
-    digits; `V s`, a function that reads V at an argument that does
-    not, is the argument's digit of its masks; and `g P`, a function
-    that does not read V applied to a predicate P that does, with an
-    o-typed result, multiplexes (`_mux`) g's table over P's masks.  Any
-    other raises _Unlifted."""
+    when either reads the lifted block; `level` is the argument's binder
+    level if it is a bound variable, `res` the type of the result.  Four
+    reads have lane code:
+    - `f Xj` (`ob X`), a function that does not read the block applied
+      to block variable Xj with a β>o result, is the masks of its
+      digits: its table transposed per value of Xj, then spread over the
+      block's lanes (`_spread`), unless Xj is the whole block;
+    - `V s` (`X w`, `ob X Z`), a function that reads the block at an
+      argument that does not, is the argument's digit of its masks;
+    - `g P` (`ob p (λW. …)`), a function that does not read the block
+      applied to a predicate P that does, other than a block variable,
+      with an o-typed result, multiplexes (`_mux`) g's table over P's
+      masks;
+    - `F P` (`ob X Y`, `ob X (λW. …)`), the same with a function that
+      reads the block and so has masks per digit, multiplexes them.
+    Any other raises _Unlifted."""
     arg_code, arg_ty, arg_mask = arg
-    v, full = lane
-    if level == v:
-        if not fn_mask >> v & 1 and type(res) is Arrow \
-                and res.res is O_TYPE:
-            count, width = full.bit_length(), domain_size(n, res.arg)
-            return lambda env: _transpose(fn_code(env), count, width)
-    elif not arg_mask >> v & 1:
+    block, full, spans = lane
+    if level in spans and not fn_mask & block:
+        if type(res) is Arrow and res.res is O_TYPE:
+            total, off, size = spans[level]
+            count, width = 1 << size, domain_size(n, res.arg)
+            if size == total:
+                return lambda env: _transpose(fn_code(env), count, width)
+            return lambda env: _spread(fn_code(env), count, width, total,
+                                       off)
+    elif not arg_mask & block:
         def digit(env: list) -> int:
             # f's mask at s, or none past f's digits, as in the loop
             masks, s = fn_code(env), arg_code(env)
             return masks[s] if s < len(masks) else 0
         return digit
-    elif not fn_mask >> v & 1 and res is O_TYPE and arg_ty is not O_TYPE:
+    elif res is O_TYPE and arg_ty is not O_TYPE:
         return lambda env: _mux(fn_code(env), arg_code(env), full)
     raise _Unlifted
 
@@ -449,18 +473,44 @@ def _transpose(table: int, count: int, width: int) -> tuple[int, ...]:
     return tuple(int(bits[width - 1 - z::width], 2) for z in range(width))
 
 
-def _mux(f: int, slices: tuple[int, ...], full: int) -> int:
+@functools.lru_cache(maxsize=64)
+def _spread(table: int, count: int, width: int, total: int, off: int
+            ) -> tuple[int, ...]:
+    """`_transpose`'s masks over the `count` values of the block
+    variable at digits off.. of a block of `total` digits, spread over
+    the block's lanes: per digit z, the lanes where the variable's field
+    in `table` has bit z set.  The lanes of distinct values are
+    disjoint, so their union is a sum."""
+    values = _values(total, off, count)
+    return tuple(sum(v for x, v in enumerate(values) if m >> x & 1)
+                 for m in _transpose(table, count, width))
+
+
+@functools.lru_cache(maxsize=32)
+def _values(total: int, off: int, count: int) -> tuple[int, ...]:
+    """Per value x of the block variable at digits off.. with `count`
+    values, in a block of `total` digits, the mask of the lanes where
+    it is x: in each run of count * 2**off lanes, the x-th 2**off."""
+    run, width = 1 << off, count << off
+    repeat = ((1 << (1 << total)) - 1) // ((1 << width) - 1)
+    return tuple(repeat * ((1 << run) - 1) << x * run for x in range(count))
+
+
+def _mux(f: int | Sequence[int], slices: tuple[int, ...], full: int
+         ) -> int:
     """The lanes where f holds at a lane-valued predicate whose digit d
     is 1 in the lanes of slices[d].  The lanes are split digit by digit
     into the sets where the predicate equals each value y, skipping
     empty sets, so at most one set per lane is reached; in the set of y,
-    f(y) is bit y of f's table."""
+    f(y) is bit y of f's table if f is an int, and holds in the lanes
+    of f[y] if f is lane-valued."""
+    table = type(f) is int
     out, k = 0, len(slices)
     stack = [(0, 0, full)]
     while stack:
         d, y, lanes = stack.pop()
         if d == k:
-            out |= lanes if f >> y & 1 else 0
+            out |= lanes & (-(f >> y & 1) if table else f[y])
             continue
         s = slices[d]
         if lanes & s:
@@ -496,16 +546,23 @@ def _binder(comp: _Compiled, alpha: HolType, body_t: HolTerm,
     around `body_t`, the type of the body and the binder's mask.
 
     A quantifier over a predicate V : β>o with at most LANE_CAP values,
-    which no lifted binder encloses, compiles its body in its own lanes:
-    it pushes a placeholder for V and computes the mask of the values of
-    V where the body holds in one go, then compares it with full.  A
-    body that reads V where no lane code exists (V = V) raises
-    _Unlifted.  Any other binder loops over its domain, in the lanes of
-    the enclosing lifted binder if its body reads it: it ANDs its body's
-    values for a quantifier (`_all`) and writes them as digits or lists
-    them as masks for an abstraction.  A binder over a domain past the
-    budget under a lifted one raises _Unlifted too: lanes evaluate every
-    operand once, where the loop might skip the one that raises."""
+    which no lifted block encloses, is lifted as a block with the
+    predicate quantifiers directly nested in it, each the whole body of
+    the one before, while the product of their value counts stays within
+    LANE_CAP (∀X ∀Y ∀Z : i>o, 2**(3n) lanes).  A lane is one value of the
+    whole block, read as a predicate of Σ|D(β_j)| digits: block variable
+    j has digits off_j .. off_j + |D(β_j)| - 1, so `Xj s` is the lanes
+    where digit off_j + s is 1.  The block pushes a placeholder per
+    variable and computes the mask of the values where its innermost
+    body holds in one go, then compares it with full; each inner
+    quantifier's head is type-checked as if it were compiled on its own.
+    A body that reads the block where no lane code exists (X = Y)
+    raises _Unlifted.  Any other binder loops over its domain, in the
+    lanes of the enclosing block if its body reads it: it ANDs its
+    body's values for a quantifier (`_all`) and writes them as digits or
+    lists them as masks for an abstraction.  A binder over a domain past
+    the budget under a lifted block raises _Unlifted too: lanes evaluate
+    every operand once, where the loop might skip the one that raises."""
     depth = len(binders)
     inner = (alpha,) + binders
     try:
@@ -515,18 +572,39 @@ def _binder(comp: _Compiled, alpha: HolType, body_t: HolTerm,
             raise _Unlifted
         _, res, _ = _compile(comp, body_t, inner, None)
         return _over_budget(comp.n, alpha), res, (1 << depth) - 1
-    full = (1 << len(dom)) - 1
-    if (forall and not lane and comp.lift and type(alpha) is Arrow
-            and alpha.res is O_TYPE and len(dom) <= LANE_CAP):
-        body, res, mask = _compile(comp, body_t, inner, (depth, full))
-        code = _lifted(body if mask >> depth & 1
-                       else _broadcast(body, full), full)
+    if forall and not lane and comp.lift and _lanes(comp.n, alpha):
+        # the block: directly nested predicate quantifiers join while
+        # the product of their value counts stays within LANE_CAP
+        types, pis, count = [alpha], [], len(dom)
+        while (_applies(body_t, PI_NAME) and type(body_t.arg) is Abs
+               and (more := _lanes(comp.n, body_t.arg.var_ty))
+               and count * more <= LANE_CAP):
+            pis.append(body_t.fn)
+            types.append(body_t.arg.var_ty)
+            body_t, count = body_t.arg.body, count * more
+        total, off, spans = count.bit_length() - 1, 0, {}
+        for j, ty in enumerate(types):
+            size = domain_size(comp.n, ty.arg)
+            spans[depth + j] = total, off, size
+            off += size
+        full, block = (1 << count) - 1, (1 << len(types)) - 1 << depth
+        inner = tuple(reversed(types)) + binders
+        body, res, mask = _compile(comp, body_t, inner, (block, full, spans))
+        # the inner quantifiers' heads are typed as if each were compiled
+        # on its own, innermost first
+        for pi, ty in zip(reversed(pis), reversed(types)):
+            _expect(pi.ty, Arrow(ty, res))
+            res = O_TYPE
+        code = _lifted(body if mask & block else _broadcast(body, full),
+                       full, len(types))
     else:
         body, res, mask = _compile(comp, body_t, inner, lane)
-        lanes = _full(lane, mask)
+        # test for a read of the block, here and in `_compile_logical`,
+        # not for a full mask other than TRUE: at n = 0 a block has one
+        # lane, and its full mask is TRUE
         if forall:
-            code = _all(dom, body, lanes)
-        elif lanes == TRUE:
+            code = _all(dom, body, _full(lane, mask))
+        elif not (lane and mask & lane[0]):
             code = _tabulate(dom[::-1], body, domain_size(comp.n, res))
         elif res is O_TYPE:
             code = _lane_table(dom, body)
@@ -542,13 +620,27 @@ def _over_budget(n: int, alpha: HolType) -> Code:
     return lambda env: len(enumerate_domain(n, alpha))
 
 
-def _lifted(lane: Code, full: int) -> Code:
-    """Code of a lifted quantifier: whether its lane mask, with a
-    placeholder pushed for the variable, is `full`."""
+def _lanes(n: int, ty: HolType) -> int:
+    """|D(ty)| if ty is a predicate type with at most LANE_CAP values,
+    else 0: the lanes a quantifier over ty can be lifted over."""
+    if type(ty) is not Arrow or ty.res is not O_TYPE:
+        return 0
+    try:
+        size = domain_size(n, ty)
+    except DomainBudgetError:
+        return 0
+    return size if size <= LANE_CAP else 0
+
+
+def _lifted(lane: Code, full: int, count: int) -> Code:
+    """Code of a lifted block of `count` quantifiers: whether its lane
+    mask, with a placeholder pushed for each variable, is `full`."""
+    pad = [0] * count
+
     def code(env: list) -> int:
-        env.append(0)
+        env.extend(pad)
         v = lane(env)
-        env.pop()
+        del env[-count:]
         return int(v == full)
     return code
 
@@ -582,7 +674,7 @@ def _tabulate(dom: range, body: Code, base: int) -> Code:
 
 
 def _lane_table(dom: range, lane: Code) -> Code:
-    """Lane code of an abstraction that loops under a lifted binder: its
+    """Lane code of an abstraction that loops under a lifted block: its
     body's mask per value of its variable."""
     def code(env: list) -> list[int]:
         out = []
@@ -598,8 +690,8 @@ def _cached(code: Code, mask: int, depth: int, memos: list[dict]) -> Code:
     """`code` remembering its value per values of the binder levels in
     `mask`, when it sits under binders it does not all read.  The table
     joins `memos`, the compiled term's, which each run empties first, so
-    it lives for one run.  Under a lifted binder its level holds a
-    placeholder, the same in each run."""
+    it lives for one run.  Under a lifted block its levels hold
+    placeholders, the same in each run."""
     # world binders loop, so [](Oa p | ...) nests loops that read no
     # outer world; this keeps their runs linear in the depth
     if mask == (1 << depth) - 1:
@@ -637,12 +729,12 @@ def _eta_expand(c: Const) -> HolTerm:
 
 def _full(lane: Lane, mask: int) -> int:
     """The mask of every lane of a truth value that reads the levels in
-    `mask`: the lifted binder's if it reads that, else one lane."""
-    return lane[1] if lane and mask >> lane[0] & 1 else TRUE
+    `mask`: the lifted block's if it reads that, else one lane."""
+    return lane[1] if lane and mask & lane[0] else TRUE
 
 
 def _broadcast(code: Code, full: int) -> Code:
-    """Lane code of an o-typed node that does not read the binder: its
+    """Lane code of an o-typed node that does not read the block: its
     value in every lane."""
     return lambda env: -code(env) & full
 
@@ -652,7 +744,7 @@ def _compile_logical(comp: _Compiled, t: HolTerm, head: Const,
                      lane: Lane) -> tuple[Code, int]:
     """Code and binder mask of `t`, the logical constant `head` applied
     to all its arguments `args`, whose types are checked against it.
-    ¬, ∧, ∨ and → act on masks, over the lifted binder's lanes if the
+    ¬, ∧, ∨ and → act on masks, over the lifted block's lanes if the
     node reads it and over one lane otherwise; an operand that does not
     read it is broadcast.  The second operand is skipped when the first
     fixes the result in every lane.  Equality, at any type, has no lane
@@ -666,7 +758,7 @@ def _compile_logical(comp: _Compiled, t: HolTerm, head: Const,
             return code, mask
         a, ty, mask = _compile(comp, f, binders, lane)
         _expect(head.ty, ty)
-        if _full(lane, mask) != TRUE:
+        if lane and mask & lane[0]:
             raise _Unlifted
         return _is_full(a, (1 << domain_size(comp.n, ty.arg)) - 1), mask
     # a conjunction ¬(¬a ∨ ¬b) and an implication ¬a ∨ b are one clause
@@ -689,12 +781,12 @@ def _compile_logical(comp: _Compiled, t: HolTerm, head: Const,
         _expect(_expect(head.ty if clause is _eq else OR.ty, a_ty), b_ty)
     mask = a_mask | b_mask
     full = _full(lane, mask)
-    if full != TRUE:
+    if lane and mask & lane[0]:
         if clause is _eq:
             raise _Unlifted
-        if not a_mask >> lane[0] & 1:
+        if not a_mask & lane[0]:
             a = _broadcast(a, full)
-        if not b_mask >> lane[0] & 1:
+        if not b_mask & lane[0]:
             b = _broadcast(b, full)
     return clause(a, b, full), mask
 

@@ -368,41 +368,19 @@ def load_model(data: bytes | str, allow_invalid: bool = False) -> CJModel:
     return m
 
 
-def save_model(m: CJModel) -> bytes:
-    """Serialize to the canonical JSON layout: one line per world list,
-    contexts and members ascending, valuation keys sorted."""
-
-    def lst(mask: int) -> str:
-        return "[" + ", ".join(str(w) for w in world_list(mask)) + "]"
-
-    def row(masks) -> str:
-        return "[" + ", ".join(lst(mask) for mask in masks) + "]"
-
-    lines = ["{",
-             f'  "worlds": {m.n},',
-             f'  "av": {row(m.av)},',
-             f'  "pv": {row(m.pv)},']
-    if m.ob:
-        lines.append('  "ob": [')
-        entries = [f'    {{"context": {lst(c)}, '
-                   f'"members": {row(sorted(m.ob[c]))}}}'
-                   for c in sorted(m.ob)]
-        lines.append(",\n".join(entries))
-        lines.append("  ],")
-    else:
-        lines.append('  "ob": [],')
-    if m.val:
-        vals = ", ".join(f'"{a}": {lst(m.val[a])}' for a in sorted(m.val))
-        lines.append(f'  "val": {{{vals}}}')
-    else:
-        lines.append('  "val": {}')
-    lines.append("}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
 def model_json(m: CJModel) -> str:
-    """One-line JSON rendering, for log and report lines."""
-    return json.dumps(json.loads(save_model(m)), separators=(",", ":"))
+    """One-line JSON rendering in the format `load_model` reads, for log
+    and report lines: contexts and members ascending, valuation keys
+    sorted."""
+    return json.dumps({
+        "worlds": m.n,
+        "av": [world_list(mask) for mask in m.av],
+        "pv": [world_list(mask) for mask in m.pv],
+        "ob": [{"context": world_list(c),
+                "members": [world_list(u) for u in sorted(m.ob[c])]}
+               for c in sorted(m.ob)],
+        "val": {a: world_list(m.val[a]) for a in sorted(m.val)},
+    }, separators=(",", ":"))
 
 
 @functools.cache

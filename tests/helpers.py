@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import random
 import re
 from dataclasses import dataclass
@@ -1205,3 +1206,41 @@ def mk_model(n: int, av, pv, ob, val) -> CJModel:
     return CJModel(n, tuple(mask_of(a) for a in av),
                    tuple(mask_of(p) for p in pv), ob_table,
                    {a: mask_of(ws) for a, ws in val.items()})
+
+
+def save_model(m: CJModel) -> bytes:
+    """Serialize to the canonical JSON layout: one line per world list,
+    contexts and members ascending, valuation keys sorted."""
+
+    def lst(mask: int) -> str:
+        return "[" + ", ".join(str(w) for w in world_list(mask)) + "]"
+
+    def row(masks) -> str:
+        return "[" + ", ".join(lst(mask) for mask in masks) + "]"
+
+    lines = ["{",
+             f'  "worlds": {m.n},',
+             f'  "av": {row(m.av)},',
+             f'  "pv": {row(m.pv)},']
+    if m.ob:
+        lines.append('  "ob": [')
+        entries = [f'    {{"context": {lst(c)}, '
+                   f'"members": {row(sorted(m.ob[c]))}}}'
+                   for c in sorted(m.ob)]
+        lines.append(",\n".join(entries))
+        lines.append("  ],")
+    else:
+        lines.append('  "ob": [],')
+    if m.val:
+        vals = ", ".join(f'"{a}": {lst(m.val[a])}' for a in sorted(m.val))
+        lines.append(f'  "val": {{{vals}}}')
+    else:
+        lines.append('  "val": {}')
+    lines.append("}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def model_json_oracle(m: CJModel) -> str:
+    """The earlier `model_json`: `save_model`'s text, parsed and dumped
+    on one line."""
+    return json.dumps(json.loads(save_model(m)), separators=(",", ":"))

@@ -12,9 +12,8 @@ import ddlkit
 from ddlkit import cli, faithful, search
 from ddlkit.cli import main
 from ddlkit.export import to_thf_problem
-from ddlkit.model import save_model
 from ddlkit.syntax import MAX_NESTING, parse
-from helpers import mk_model
+from helpers import mk_model, save_model
 
 VALID_MODEL = mk_model(2, av=[[1], [1]], pv=[[0, 1], [1]], ob=[],
                        val={"p": [1]})

@@ -9,11 +9,12 @@ from ddlkit.model import (DENSITIES, MAX_WITNESSES, MAX_WORLDS, CJModel,
                           ModelStructureError, ModelWarning,
                           _ob_violations, _valid_ob_tables, canonicalize,
                           enumerate_models, full_mask, ideal_ob, load_model,
-                          model_json, ob_member, random_model, save_model,
-                          subsets, validate)
+                          model_json, ob_member, random_model, subsets,
+                          validate)
 from helpers import (all_candidate_ob_tables, brute_force_ob_failures,
-                     close_ob_oracle, mk_model, random_model_oracle,
-                     repair_ob, table_member)
+                     close_ob_oracle, mk_model, model_json_oracle,
+                     random_model_oracle, repair_ob, save_model,
+                     table_member)
 
 MINIMAL = mk_model(1, av=[[0]], pv=[[0]], ob=[], val={})
 
@@ -147,6 +148,22 @@ def test_save_load_roundtrip_random_models():
         m = random_model(rng.randint(1, 4), ("p", "q"), rng.getrandbits(63),
                          rng.choice((0.0, 0.3, 0.6)))
         assert load_model(save_model(m)) == m
+
+
+def test_model_json_is_save_model_on_one_line():
+    # built from the model, byte-equal to save_model's text re-parsed
+    rng = random.Random(8)
+    models = [MINIMAL, mk_model(2, av=[[1], [0, 1]], pv=[[0, 1]] * 2,
+                                ob=[([0, 1], [[0], [0, 1]])],
+                                val={"q": [], "p": [1]})]
+    for n in (1, 2, 3, 4):
+        for _ in range(20):
+            atoms = rng.choice(((), ("p",), ("p", "q"), ("r", "a_1", "b")))
+            models.append(random_model(n, atoms, rng.getrandbits(63),
+                                       rng.choice(DENSITIES)))
+    assert {len(m.ob) > 0 for m in models} == {False, True}
+    for m in models:
+        assert model_json(m) == model_json_oracle(m), m
 
 
 def test_load_canonicalizes_messy_input():
