@@ -32,22 +32,21 @@ Directly nested predicate quantifiers, ∀X ∀Y ∀Z in OB2, OB4 and OB5 and
 read as one wide predicate whose digits are those of X, then Y, then Z.
 The connectives act on masks, and a binder inside loops over its own
 values and ANDs (∀) or lists (λ) its body's masks, so a term of type
-β>o that reads the block is a list of masks, one per digit.  Four reads
-have lane code, the ones the eight axioms make: `X s` is a fixed
-projection mask; `f X` for an f that does not read the block and has a
-β>o result (`ob X`) is the masks of f's digits, spread over the block's
-lanes; and for a predicate P that reads the block, `g P` for a g that
-does not (`ob p (λW. …)`) and `F P` for an F that does (`ob X Y`,
-`ob X (λW. …)`) are one multiplexer over P's value in each lane.  The
-block's quantifier is then `mask == full`.  A truth value that does not read the block is a mask
-over one lane, so each connective and the looping quantifier has one
-clause for both.  Only the outermost block is lifted: a predicate
-quantifier that no lifted block encloses, with the ones directly nested
-in it while their value counts multiply to at most LANE_CAP.  Every
-binder inside loops, as do abstractions and binders over worlds (few
-values, read by ob (av V) under Oa) and truth values.  Any other read
-of a block variable makes the compiler compile the whole term once
-more, lifting none.
+β>o that reads the block is a tuple of masks, one per digit.  Three
+reads have lane code, those the eight axioms make: `X s` is a fixed
+projection mask, and for a predicate P that reads the block, a block
+variable or not, `g P` for a g that does not read the block, with an o
+or a β>o result (`ob X`, `ob p (λW. …)`), and `F P` for an F that does
+(`ob X Y`, `ob X (λW. …)`) are one multiplexer over P's value in each
+lane.  The block's quantifier is then `mask == full`.  A truth value
+that does not read the block is a mask over one lane, so each
+connective and the looping quantifier has one clause for both.  Only
+the outermost block is lifted: a predicate quantifier that no lifted
+block encloses, with the ones directly nested in it while their value
+counts multiply to at most LANE_CAP.  Every binder inside loops, as do
+abstractions and binders over worlds (few values, read by ob (av V)
+under Oa) and truth values.  Any other read of a block variable makes
+the compiler compile the whole term once more, lifting none.
 
 `build_henkin` turns a valid finite model into such an interpretation
 (characteristic-function tables for each atom, av, pv, and ob), and
@@ -61,7 +60,7 @@ import functools
 import operator
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .hol import (EQ_NAME, I, LOGICAL_NAMES, NOT_NAME, OR, OR_NAME, PI_NAME,
                   TAU, Abs, App, Arrow, Bound, Const, Free, HolTerm, HolType,
@@ -273,7 +272,7 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
     `lane` is the enclosing lifted block (see `Lane`), or None.  A node
     that reads the block computes its value for all values of the block
     at once, one bit (lane) per value: an o-typed node the mask of the
-    values where it holds, a β>o-typed one the list of those masks per
+    values where it holds, a β>o-typed one the tuple of those masks per
     digit of β.  Every other node computes its plain value, a truth
     value being a mask over one lane.  A node that reads the block and
     has no lane code (see `_lane_apply`) raises _Unlifted.  A constant
@@ -427,97 +426,82 @@ def _lane_apply(n: int, fn_code: Code, fn_mask: int, arg: tuple,
     """Code applying a function, compiled as `fn_code` reading the
     levels in `fn_mask`, to an argument, compiled as (code, type, mask),
     when either reads the lifted block; `level` is the argument's binder
-    level if it is a bound variable, `res` the type of the result.  Four
+    level if it is a bound variable, `res` the type of the result.  Three
     reads have lane code:
-    - `f Xj` (`ob X`), a function that does not read the block applied
-      to block variable Xj with a β>o result, is the masks of its
-      digits: its table transposed per value of Xj, then spread over the
-      block's lanes (`_spread`), unless Xj is the whole block;
     - `V s` (`X w`, `ob X Z`), a function that reads the block at an
       argument that does not, is the argument's digit of its masks;
-    - `g P` (`ob p (λW. …)`), a function that does not read the block
-      applied to a predicate P that does, other than a block variable,
-      with an o-typed result, multiplexes (`_mux`) g's table over P's
-      masks;
+    - `g P` (`ob X`, `G X`, `ob p (λW. …)`), a function that does not
+      read the block at a predicate P that does, with an o or a β>o
+      result, multiplexes (`_mux`) g's table over P's masks;
     - `F P` (`ob X Y`, `ob X (λW. …)`), the same with a function that
-      reads the block and so has masks per digit, multiplexes them.
-    Any other raises _Unlifted."""
+      reads the block and so has masks per digit: a value that reads
+      the block is a truth value or a predicate, so F P is o-typed.
+    The multiplexer at a block variable, whose masks are fixed at
+    compile time, is cached (`_block_mux`).  Any other read raises
+    _Unlifted."""
     arg_code, arg_ty, arg_mask = arg
     block, full, spans = lane
-    if level in spans and not fn_mask & block:
-        if type(res) is Arrow and res.res is O_TYPE:
-            total, off, size = spans[level]
-            count, width = 1 << size, domain_size(n, res.arg)
-            if size == total:
-                return lambda env: _transpose(fn_code(env), count, width)
-            return lambda env: _spread(fn_code(env), count, width, total,
-                                       off)
-    elif not arg_mask & block:
+    if not arg_mask & block:
         def digit(env: list) -> int:
             # f's mask at s, or none past f's digits, as in the loop
             masks, s = fn_code(env), arg_code(env)
             return masks[s] if s < len(masks) else 0
         return digit
-    elif res is O_TYPE and arg_ty is not O_TYPE:
-        return lambda env: _mux(fn_code(env), arg_code(env), full)
-    raise _Unlifted
+    if arg_ty is O_TYPE:
+        raise _Unlifted
+    if res is O_TYPE:
+        width = 0
+    elif type(res) is Arrow and res.res is O_TYPE:
+        width = domain_size(n, res.arg)
+    else:
+        raise _Unlifted
+    if level in spans:
+        slices = _projections(*spans[level])
+        return lambda env: _block_mux(fn_code(env), slices, full, width)
+    return lambda env: _mux(fn_code(env), arg_code(env), full, width)
 
 
-@functools.lru_cache(maxsize=64)
-def _transpose(table: int, count: int, width: int) -> tuple[int, ...]:
-    """Per digit z < width, the mask of the v < count whose width-bit
-    field v in `table` has bit z set."""
-    size = count * width
-    bits = format(table & (1 << size) - 1, f"0{size}b")
-    # bit z of field v is character size - 1 - (v * width + z)
-    return tuple(int(bits[width - 1 - z::width], 2) for z in range(width))
-
-
-@functools.lru_cache(maxsize=64)
-def _spread(table: int, count: int, width: int, total: int, off: int
-            ) -> tuple[int, ...]:
-    """`_transpose`'s masks over the `count` values of the block
-    variable at digits off.. of a block of `total` digits, spread over
-    the block's lanes: per digit z, the lanes where the variable's field
-    in `table` has bit z set.  The lanes of distinct values are
-    disjoint, so their union is a sum."""
-    values = _values(total, off, count)
-    return tuple(sum(v for x, v in enumerate(values) if m >> x & 1)
-                 for m in _transpose(table, count, width))
-
-
-@functools.lru_cache(maxsize=32)
-def _values(total: int, off: int, count: int) -> tuple[int, ...]:
-    """Per value x of the block variable at digits off.. with `count`
-    values, in a block of `total` digits, the mask of the lanes where
-    it is x: in each run of count * 2**off lanes, the x-th 2**off."""
-    run, width = 1 << off, count << off
-    repeat = ((1 << (1 << total)) - 1) // ((1 << width) - 1)
-    return tuple(repeat * ((1 << run) - 1) << x * run for x in range(count))
-
-
-def _mux(f: int | Sequence[int], slices: tuple[int, ...], full: int
-         ) -> int:
-    """The lanes where f holds at a lane-valued predicate whose digit d
-    is 1 in the lanes of slices[d].  The lanes are split digit by digit
-    into the sets where the predicate equals each value y, skipping
-    empty sets, so at most one set per lane is reached; in the set of y,
-    f(y) is bit y of f's table if f is an int, and holds in the lanes
-    of f[y] if f is lane-valued."""
-    table = type(f) is int
+def _mux(f: int | tuple[int, ...], slices: tuple[int, ...], full: int,
+         width: int) -> int | tuple[int, ...]:
+    """f at a lane-valued predicate whose digit d is 1 in the lanes of
+    slices[d].  The lanes are split digit by digit into the sets where
+    the predicate equals each value y, skipping empty sets, so at most
+    one set per lane is reached.  With `width` 0 the result is a truth
+    value: in the set of y, f(y) is bit y of f's table if f is an int,
+    and holds in the lanes of f[y] if f is lane-valued.  Otherwise f is
+    a table of predicates of `width` digits, field y holding f(y), and
+    the result is a predicate's masks: the set of y joins the mask of
+    each digit set in field y."""
+    masks = [0] * width
     out, k = 0, len(slices)
     stack = [(0, 0, full)]
     while stack:
         d, y, lanes = stack.pop()
-        if d == k:
-            out |= lanes & (-(f >> y & 1) if table else f[y])
-            continue
-        s = slices[d]
-        if lanes & s:
-            stack.append((d + 1, y | 1 << d, lanes & s))
-        if lanes & ~s:
-            stack.append((d + 1, y, lanes & ~s))
-    return out
+        if d < k:
+            on = lanes & slices[d]
+            if on:
+                stack.append((d + 1, y | 1 << d, on))
+            if on != lanes:
+                stack.append((d + 1, y, lanes ^ on))
+        elif width:
+            field = f >> y * width & (1 << width) - 1
+            while field:
+                low = field & -field
+                masks[low.bit_length() - 1] |= lanes
+                field ^= low
+        else:
+            out |= lanes & (-(f >> y & 1) if type(f) is int else f[y])
+    return tuple(masks) if width else out
+
+
+# The multiplexer at a block variable, keyed by the function's value, the
+# variable's masks and the block's lanes.  In the eight axioms the
+# function is ob or ob X, so the keys depend on ob's table alone: the 9
+# valid tables at n = 3 take 69 keys and the 17 at n = 4 take 116, so a
+# cycle over valid models at one world count never evicts.  A computed
+# predicate is not cached: hashing its masks, 8 KB each in OB3 at n = 4,
+# costs more than a miss.
+_block_mux = functools.lru_cache(maxsize=128)(_mux)
 
 
 def _digit(fn: Code, arg: Code, base: int, tables: list[int],
@@ -676,13 +660,13 @@ def _tabulate(dom: range, body: Code, base: int) -> Code:
 def _lane_table(dom: range, lane: Code) -> Code:
     """Lane code of an abstraction that loops under a lifted block: its
     body's mask per value of its variable."""
-    def code(env: list) -> list[int]:
+    def code(env: list) -> tuple[int, ...]:
         out = []
         for d in dom:
             env.append(d)
             out.append(lane(env))
             env.pop()
-        return out
+        return tuple(out)
     return code
 
 

@@ -15,8 +15,8 @@ from ddlkit.hol import (AV, I, NOT, OB, OR, PV, TAU, Abs, App, Arrow, Bound,
                         Free, O, atom_const, axioms, embed, eq_const, equals,
                         exists, false_term, forall, land, liff, limp, lor,
                         neg, pi_const, pretty_term, true_term, vld)
-from ddlkit.model import (CJModel, _valid_ob_tables, ideal_ob, random_model,
-                          validate)
+from ddlkit.model import (CJModel, _valid_ob_tables, full_mask, ideal_ob,
+                          ideal_sets, random_model, validate)
 from ddlkit.syntax import parse, pretty, random_formula
 from helpers import (interpreted_frame_failures, leibniz_eq, mk_model,
                      oracle_eval_term, random_term)
@@ -606,10 +606,10 @@ def _reading_v(rng, alpha):
 
 def _lane_body(rng, alpha, depth):
     """A random o-typed body under V : alpha from the reads of V that
-    have lane code (see `_lane_read`), closed terms and the connectives
-    ¬ ∧ ∨ → ↔, now and then with a read that has none (`_reading_v`,
-    g V at o, and = at o over terms that read V), which compiles the
-    whole term again with no binder lifted."""
+    have lane code (see `_lane_read`, and g V), closed terms and the
+    connectives ¬ ∧ ∨ → ↔, now and then with a read that has none
+    (`_reading_v`, g V of a world V, and = at o over terms that read V),
+    which compiles the whole term again with no binder lifted."""
     roll = rng.randrange(10 if depth else 4)
     if roll <= 1:
         return _lane_read(rng, alpha)
@@ -685,10 +685,10 @@ def test_lifted_binders_match_the_earlier_compiler(monkeypatch):
                         (pretty_term(t), free, n)
                     terms += 1
     # both paths run (a term whose lift fails compiles again, looping):
-    # 132 of the 324 terms lift: of the 144 quantifiers over i>o and
-    # (i>o)>o, all but the 12 whose body reads V where no lane code
+    # 136 of the 324 terms lift: of the 144 quantifiers over i>o and
+    # (i>o)>o, all but the 8 whose body reads V where no lane code
     # exists.  Binders over worlds and λs always loop
-    assert terms == 324 and built["_lifted"] == 132
+    assert terms == 324 and built["_lifted"] == 136
     assert built["_all"] and built["_tabulate"]
 
 
@@ -884,25 +884,34 @@ def test_only_the_outermost_predicate_binder_lifts(monkeypatch):
 
 
 _W, _P = Free("w", I), atom_const("p")
-# reads of a lifted variable that have no lane code, and how often each
-# term raises _Unlifted; a λ over a predicate is not lifted at all.  The
-# last two had no lane code before blocks: now a lane-valued function at
-# the variable, or at a λW that reads it, lifts them with no second compile
+# a function of three predicates: L X Y reads the block and has a β>o
+# result, and so has no lane code
+_L = Free("L", Arrow(TAU, Arrow(TAU, _TAU_O)))
+# reads of a lifted variable, and how often each term raises _Unlifted:
+# the first four have no lane code, a λ over a predicate is not lifted at
+# all, and the last five lift with no second compile, as the multiplexer
+# reads the variable, or a λW that reads it
 _NO_LANE_CODE = {
-    "ob p X": (forall(TAU, App(App(OB, _P), Bound(0))), 1),
-    "G X": (forall(TAU, App(Free("G", _TAU_O), Bound(0))), 1),
     "F (X w)": (forall(TAU, App(Free("F", Arrow(O, O)),
                                 App(Bound(0), _W))), 1),
     "X w = p w": (forall(TAU, equals(O, App(Bound(0), _W), App(_P, _W))), 1),
     "forall X. forall Y. X = Y": (forall(TAU, forall(TAU, equals(
         TAU, Bound(1), Bound(0)))), 1),
+    "forall X. forall Y. L X Y p": (forall(TAU, forall(TAU, App(
+        App(App(_L, Bound(1)), Bound(0)), _P))), 1),
     "lambda X. ob X p": (Abs(TAU, App(App(OB, Bound(0)), _P)), 0),
+    "ob p X": (forall(TAU, App(App(OB, _P), Bound(0))), 0),
+    "G X": (forall(TAU, App(Free("G", _TAU_O), Bound(0))), 0),
     "ob X X": (forall(TAU, App(App(OB, Bound(0)), Bound(0))), 0),
     "B (lambda W. B (av W))": (forall(_TAU_O, App(Bound(0), Abs(
         I, App(Bound(1), App(AV, Bound(0)))))), 0),
+    "forall X. forall Y. ob (lambda W. X W & p W) Y": (forall(TAU, forall(
+        TAU, App(App(OB, Abs(I, land(App(Bound(2), Bound(0)),
+                                     App(_P, Bound(0))))), Bound(0)))), 0),
 }
-_LANED = (_NO_LANE_CODE["ob X X"][0],
-          _NO_LANE_CODE["B (lambda W. B (av W))"][0])
+_LANED = tuple(_NO_LANE_CODE[name][0] for name in (
+    "ob p X", "G X", "ob X X", "B (lambda W. B (av W))",
+    "forall X. forall Y. ob (lambda W. X W & p W) Y"))
 
 
 @pytest.mark.parametrize("t, raises", _NO_LANE_CODE.values(),
@@ -922,7 +931,8 @@ def test_reads_without_lane_code_compile_the_term_once_more(monkeypatch, t,
         for _ in range(3):
             h = build_henkin(random_model(n, ("p",), rng.getrandbits(63)))
             free = {"w": rng.randrange(n), "F": rng.randrange(4),
-                    "G": rng.randrange(domain_size(n, _TAU_O))}
+                    "G": rng.randrange(domain_size(n, _TAU_O)),
+                    "L": rng.randrange(domain_size(n, _L.ty))}
             raised[0] = roots[0] = 0
             got = eval_term(h, t, free)
             assert (raised[0], roots[0]) == (raises, 1 + raises), n
@@ -1060,6 +1070,16 @@ def _lane_mask(h, types, body, free):
     return mask
 
 
+def _unprefixed(t):
+    """The types of the ∀s around `t` (outermost first) and their body."""
+    types = []
+    while type(t) is App and type(t.arg) is Abs \
+            and t.fn == pi_const(t.arg.var_ty):
+        types.append(t.arg.var_ty)
+        t = t.arg.body
+    return tuple(types), t
+
+
 def _unlifted_run(h, t, free):
     """`t` compiled with no binder lifted, then run."""
     comp = henkin._Compiled(h.n, False)
@@ -1069,10 +1089,10 @@ def _unlifted_run(h, t, free):
 
 def _record_blocks(monkeypatch):
     """Record the (variables, lanes) of each lifted block built and the
-    mask it computes when it runs, the offsets of the spread reads, and
-    whether each multiplexer run had a table or a lane-valued
-    function."""
-    seen = {"blocks": [], "masks": [], "spread": set(), "mux": set()}
+    mask it computes when it runs, the masks of the block variables the
+    cached multiplexer reads, and whether each multiplexer run had a
+    table or a lane-valued function."""
+    seen = {"blocks": [], "masks": [], "block_mux": set(), "mux": set()}
 
     def lifted(lane, full, count, run=henkin._lifted):
         seen["blocks"].append((count, full.bit_length()))
@@ -1083,8 +1103,9 @@ def _record_blocks(monkeypatch):
         return run(recorded, full, count)
     monkeypatch.setattr(henkin, "_lifted", lifted)
     monkeypatch.setattr(
-        henkin, "_spread", lambda *a, run=henkin._spread:
-        seen["spread"].add(a[3:]) or run(*a))
+        henkin, "_block_mux", lambda f, slices, *a, run=henkin._block_mux:
+        seen["block_mux"].add(slices) or seen["mux"].add(type(f) is int)
+        or run(f, slices, *a))
     monkeypatch.setattr(
         henkin, "_mux", lambda f, *a, run=henkin._mux:
         seen["mux"].add(type(f) is int) or run(f, *a))
@@ -1110,8 +1131,8 @@ def test_lifted_blocks_match_the_earlier_compilers(monkeypatch):
     raised = [0]
     monkeypatch.setattr(henkin._Unlifted, "__init__",
                         lambda self, *a: raised.__setitem__(0, raised[0] + 1))
-    laned = [(h, (t.arg.var_ty,), t.arg.body, {}, False)
-             for h, _, _, _, _ in _block_terms(110, _BLOCK_PREFIXES, 1)
+    laned = [(h, *_unprefixed(t), free, False)
+             for h, _, _, free, _ in _block_terms(110, _BLOCK_PREFIXES, 1)
              for t in _LANED]
     count = masks = 0
     for h, types, body, free, unlaned in laned + list(
@@ -1133,10 +1154,11 @@ def test_lifted_blocks_match_the_earlier_compilers(monkeypatch):
                 pretty_term(t)
             masks += 1
         count += 1
-    assert count == 2 * 17 + 8 * 17 and masks > count // 2
+    assert count == 5 * 17 + 8 * 17 and masks > count // 2
     # f Xj read every variable of a block of four at n = 2, and both the
     # tables and the lane-valued functions ran through the multiplexer
-    assert {(8, 0), (8, 2), (8, 4), (8, 6)} <= seen["spread"]
+    assert {henkin._projections(8, off, 2) for off in (0, 2, 4, 6)} <= \
+        seen["block_mux"]
     assert seen["mux"] == {False, True}
 
 
@@ -1333,6 +1355,24 @@ def test_check_axioms_compiles_the_axioms_once_per_world_count(monkeypatch):
         counts.append(roots[0])
     # one root compile per axiom, none of which falls back
     assert counts == [8, 8]
+
+
+def test_valid_models_at_one_world_count_fit_the_multiplexer_cache():
+    # in the eight axioms the cached multiplexer reads ob or ob X at a
+    # block variable, so its keys depend on ob's table alone: after one
+    # sweep over every valid table, on two frames, a second finds each
+    # key, and a cycle over valid models never evicts
+    for n in (1, 2, 3, 4):
+        full = full_mask(n)
+        images = [build_henkin(CJModel(n, av, (full,) * n, ob, {}))
+                  for ob in [{}] + [ideal_ob(n, s) for s in ideal_sets(n)]
+                  for av in ((full,) * n, tuple(1 << w for w in range(n)))]
+        for h in images:
+            assert check_axioms(h) is None
+        misses = henkin._block_mux.cache_info().misses
+        for h in images:
+            assert check_axioms(h) is None
+        assert henkin._block_mux.cache_info().misses == misses, n
 
 
 def test_a_run_refuses_what_its_interpretation_or_assignment_lacks(

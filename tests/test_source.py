@@ -170,6 +170,59 @@ def test_unread_private_names_are_found():
     assert unread_private_names(sources) == ["a:_Box", "a:_loop", "a:_spare"]
 
 
+def unbounded_caches(source: str) -> list[int]:
+    """Lines that make a functools cache other than an `lru_cache`
+    called with a number as its maxsize: `cache`, a bare `lru_cache`,
+    or one with maxsize None or an expression."""
+    def name(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute) and isinstance(
+                node.value, ast.Name) and node.value.id == "functools":
+            return node.attr
+        return None
+    tree = ast.parse(source)
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            sizes = node.args[:1] + [k.value for k in node.keywords
+                                     if k.arg == "maxsize"]
+            if any(isinstance(size, ast.Constant) and type(size.value) is int
+                   for size in sizes):
+                bounded.add(node.func)
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if name(node) == "cache"
+                  or name(node) == "lru_cache" and node not in bounded)
+
+
+def test_every_cache_of_the_evaluator_is_bounded():
+    # henkin's caches hold lane masks of up to 8 KB each, and a cache of
+    # computed values with no bound grows with every model run
+    assert unbounded_caches((SRC / "henkin.py").read_text(
+        encoding="utf-8")) == []
+
+
+def test_unbounded_caches_are_found():
+    source = ("import functools\n"
+              "from functools import cache, lru_cache\n"
+              "a = functools.lru_cache(maxsize=64)(f)\n"
+              "@functools.lru_cache(32)\n"
+              "def g(): pass\n"
+              "@lru_cache(maxsize=8)\n"
+              "def h(): pass\n"
+              "@functools.cache\n"
+              "def k(): pass\n"
+              "b = functools.lru_cache(maxsize=None)(f)\n"
+              "@functools.lru_cache\n"
+              "def m(): pass\n"
+              "@lru_cache()\n"
+              "def r(): pass\n"
+              "c = functools.lru_cache(maxsize=SIZE)(f)\n"
+              "d = functools.cache(f)\n"
+              "e = cache(f)\n")
+    assert unbounded_caches(source) == [8, 10, 11, 13, 15, 16, 17]
+
+
 def package_imports(source: str, modules: set[str]) -> set[str]:
     """The modules of the ddlkit package that `source` imports, anywhere
     in it: `from .m import x`, `from . import m`, `import ddlkit.m` and
