@@ -18,8 +18,8 @@ from .checker import eval_formula, truth_set
 from .export import axioms_problem, to_thf_problem
 from .faithful import check_faithfulness
 from .hol import axioms, beta_eta_normalize, embed, pretty_term
-from .model import (InvalidModelError, ModelError, load_model, model_json,
-                    validate)
+from .model import (InvalidModelError, ModelError, ValidationReport,
+                    load_model, model_json)
 from .search import CounterModel, verdict
 from .syntax import ParseError, parse
 
@@ -87,8 +87,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    m = load_model(Path(args.file).read_bytes(), allow_invalid=True)
-    report = validate(m)
+    try:  # `load_model` validates, and its error carries the report
+        load_model(Path(args.file).read_bytes())
+        report = ValidationReport()
+    except InvalidModelError as e:
+        report = e.report
     print(report)
     return 0 if report.ok else 2
 

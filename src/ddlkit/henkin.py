@@ -176,10 +176,9 @@ def eval_term(h: HenkinModel, t: HolTerm,
     are worked out per node rather than per step, and then run once.
     Quantifiers and the boolean connectives are applied without
     materializing their tables, with early exit; a conjunction and an
-    implication ¬a ∨ b are one clause each, and a digit read from a
-    constant or at a bound variable reads it directly.  A domain over
-    the budget raises DomainBudgetError only when a binder over it runs,
-    so a short-circuited one never does.
+    implication ¬a ∨ b are one clause each.  A domain over the budget
+    raises DomainBudgetError only when a binder over it runs, so a
+    short-circuited one never does.
 
     A quantifier over a predicate that no lifted block encloses, with
     the predicate quantifiers directly nested in it, runs once for all
@@ -276,8 +275,7 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
     digit of β.  Every other node computes its plain value, a truth
     value being a mask over one lane.  A node that reads the block and
     has no lane code (see `_lane_apply`) raises _Unlifted.  A constant
-    or free variable reads its slot of `comp.tables` or `comp.values`,
-    and `_digit` reads a constant head's slot without a call."""
+    or free variable reads its slot of `comp.tables` or `comp.values`."""
     # one type test per node: this runs for every node of every term
     kind = type(t)
     if kind is Bound:
@@ -299,11 +297,7 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
             return _reader(comp.values, len(comp.values) - 1), t.ty, 0
         if t.name in LOGICAL_NAMES:
             return _compile(comp, _eta_expand(t), binders, lane)
-        if t.name in comp.consts:
-            slot = comp.consts[t.name]
-        else:
-            slot = comp.consts[t.name] = len(comp.tables)
-            comp.tables.append(0)
+        slot = comp.consts.setdefault(t.name, len(comp.consts))
         return _reader(comp.tables, slot), t.ty, 0
     depth = len(binders)
     if kind is Abs:
@@ -328,7 +322,6 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
     argcode = []
     for a in args:
         argcode.append(_compile(comp, a, binders, lane))
-    head_slot = None
     if kind is Abs:
         # apply syntactic lambdas by extending the environment rather
         # than building their tables; arguments are evaluated in the
@@ -351,21 +344,17 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
         args, argcode = args[k:], argcode[k:]
     else:
         code, ty, mask = _compile(comp, head, binders, lane)
-        if kind is Const:
-            head_slot = comp.consts[head.name]
     for u, (a, arg_ty, arg_mask) in zip(args, argcode):
         ty = ty.res if type(ty) is Arrow and ty.arg == arg_ty \
             else _expect(ty, arg_ty)
-        level = depth - 1 - u.index if type(u) is Bound else None
         if lane and (mask | arg_mask) & lane[0]:
+            level = depth - 1 - u.index if type(u) is Bound else None
             code = _lane_apply(comp.n, code, mask, (a, arg_ty, arg_mask),
                                level, ty, lane)
         else:
             code = _digit(code, a, 2 if ty is O_TYPE
-                          else domain_size(comp.n, ty), comp.tables,
-                          head_slot, level)
+                          else domain_size(comp.n, ty))
         mask |= arg_mask
-        head_slot = None
     return code, ty, mask
 
 
@@ -405,6 +394,7 @@ def _expect(fn_ty: HolType, arg_ty: HolType) -> HolType:
     return fn_ty.res
 
 
+# without this cache, compiling the 8 axioms at n = 3 and 4 took 24 ms, not 0.6
 @functools.lru_cache(maxsize=32)
 def _projections(total: int, off: int, size: int) -> tuple[int, ...]:
     """The lane masks, over a block of `total` digits, of the variable
@@ -504,23 +494,14 @@ def _mux(f: int | tuple[int, ...], slices: tuple[int, ...], full: int,
 _block_mux = functools.lru_cache(maxsize=128)(_mux)
 
 
-def _digit(fn: Code, arg: Code, base: int, tables: list[int],
-           slot: int | None, level: int | None) -> Code:
+def _digit(fn: Code, arg: Code, base: int) -> Code:
     """Code applying a function to an argument: digit `arg` of `fn` in
-    the given base.  `slot` is the function's slot in `tables` when it
-    is a constant, and `level` the argument's binder level when it is a
-    bound variable; the code then reads them without a call."""
+    the given base, by shift and mask when the base is a power of two."""
     width = base.bit_length() - 1
     if base != 1 << width:
         return lambda env: fn(env) // base ** arg(env) % base
     mask = base - 1
-    if slot is None and level is None:
-        return lambda env: fn(env) >> width * arg(env) & mask
-    if level is None:
-        return lambda env: tables[slot] >> width * arg(env) & mask
-    if slot is None:
-        return lambda env: fn(env) >> width * env[level] & mask
-    return lambda env: tables[slot] >> width * env[level] & mask
+    return lambda env: fn(env) >> width * arg(env) & mask
 
 
 def _binder(comp: _Compiled, alpha: HolType, body_t: HolTerm,

@@ -10,8 +10,10 @@ import pytest
 
 import ddlkit
 from ddlkit import cli, faithful, search
+from ddlkit import model as model_module
 from ddlkit.cli import main
 from ddlkit.export import to_thf_problem
+from ddlkit.model import validate
 from ddlkit.syntax import MAX_NESTING, parse
 from helpers import mk_model, save_model
 
@@ -85,6 +87,24 @@ def test_validate_model_violations(tmp_path, capsys):
     assert "av-nonempty" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("valid", [True, False])
+def test_validate_model_validates_once(tmp_path, capsys, monkeypatch, valid):
+    # validating is the costly part: 0.13 s on a full 8-world table
+    m = mk_model(1, av=[[0] if valid else []], pv=[[0]], ob=[], val={})
+    path = write_model(tmp_path, m)
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return validate(model)
+
+    monkeypatch.setattr(model_module, "validate", counted)
+    monkeypatch.setattr(cli, "validate", counted, raising=False)
+    assert main(["validate-model", path]) == (0 if valid else 2)
+    assert capsys.readouterr() == (f"{validate(m)}\n", "")
+    assert len(calls) == 1
+
+
 def test_check_rejects_invalid_model_without_flag(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"worlds": 1, "av": [[]], "pv": [[0]],
@@ -104,6 +124,12 @@ def test_valid_bounded_wording(capsys):
     assert main(["valid", "--formula", "~p|p", "--max-worlds", "2",
                  "--samples", "10"]) == 0
     assert "up to 2 worlds" in capsys.readouterr().out
+
+
+def test_valid_with_no_samples_claims_only_the_swept_worlds(capsys):
+    assert main(["valid", "--formula", "[p]p -> p", "--max-worlds", "4",
+                 "--samples", "0"]) == 0
+    assert capsys.readouterr().out == "no counterexample up to 3 worlds\n"
 
 
 def test_valid_countermodel_json(capsys):

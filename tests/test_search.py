@@ -102,6 +102,12 @@ def test_verdict_records_the_exhaustive_and_the_sampled_bound(
     assert (v.exhaustive, v.sampled, v.n_max) == (exhaustive, sampled, n_max)
 
 
+def test_verdict_with_no_samples_claims_only_the_exhaustive_bound():
+    # no 4-world model is drawn, so the verdict must not claim 4 worlds
+    v = verdict(parse("[p]p -> p"), 4, 0, 0)
+    assert v == NoCounterexampleUpTo(3) and v.n_max == 3
+
+
 def test_search_rejects_too_many_atoms_before_building_lanes(monkeypatch):
     def no_compile(*args):
         raise AssertionError("compiled past the lane bound")
@@ -382,6 +388,24 @@ def test_chunked_sweep_matches_the_sweep_oracle():
                         if j % size == size - 1:
                             covered.add("on a later chunk's last pair")
     assert covered == {"past the first chunk", "on a later chunk's last pair"}
+
+
+def test_a_short_last_chunk_misses_no_lane_past_its_pairs():
+    # past its pairs, a chunk's lanes stand for a frame with empty av and
+    # pv, where these valid formulas fail; those lanes must stay clear
+    for text in ("<a>p | <a>~p", "<p>p | <p>~p"):
+        f = parse(text)
+        names = sorted(atoms(f))
+        ops, uses = search._compile(f, names)
+        for n in (2, 3):
+            count = len(search._representatives(n, *uses))
+            sizes = [s for s in (2, 3, 4, 8, 32) if s < count and count % s]
+            assert sizes, (text, n)
+            for size in sizes:
+                chunks = search._orbit_chunks(n, uses, size)
+                for _, missed in search._sweep(ops, len(names), n, size,
+                                               chunks):
+                    assert not any(missed), (text, n, size)
 
 
 def test_chunks_of_one_pair_match_the_sweep_oracle():
