@@ -65,7 +65,8 @@ from typing import Callable, Iterable, Mapping
 from .hol import (EQ_NAME, I, LOGICAL_NAMES, NOT_NAME, OR, OR_NAME, PI_NAME,
                   TAU, Abs, App, Arrow, Bound, Const, Free, HolTerm, HolType,
                   O as O_TYPE, _applies, axioms, match_and, type_str)
-from .model import CJModel, full_mask, ob_member, subsets, validate
+from .model import (EMPTY_OB, CJModel, full_mask, ideal_ob, ideal_of,
+                    validate)
 from .syntax import RESERVED_ATOMS
 
 DOMAIN_BUDGET = 1 << 20
@@ -784,25 +785,39 @@ def _eq(a: Code, b: Code, full: int) -> Code:
     return lambda env: int(a(env) == b(env))
 
 
+@functools.lru_cache(maxsize=128)
+def _ob_image(n: int, ideal: int) -> int:
+    """`build_henkin`'s ob table for the valid table with `ideal_of`
+    value ideal: bit (x << n) + y is set iff x & y is nonempty and holds
+    S & x.  As for `_block_mux`, 128 holds the 33 tables up to 4 worlds."""
+    if ideal == EMPTY_OB:
+        return 0
+    dom = range(1 << n)
+    return sum(1 << (x << n) + y for x in dom for y in dom
+               if x & y and not ideal & x & ~y)
+
+
 def build_henkin(m: CJModel) -> HenkinModel:
     """Standard interpretation of a valid model.
 
     Atoms, av, and pv become characteristic-function tables; ob becomes
     the table sending a pair of propositions to their trace-membership
-    verdict, over all pairs from the full proposition domain.  Raises
-    ValueError for an atom named like a signature constant.
+    verdict, over all pairs from the full proposition domain (see
+    `_ob_image`).  Raises ValueError for an atom named like a signature
+    constant and for an ob table that is not valid.
     """
     clash = RESERVED_ATOMS & m.val.keys()
     if clash:
         raise ValueError(f"atom {min(clash)!r} is reserved for a signature "
                          "constant")
+    ideal = ideal_of(m.ob, m.n)
+    if ideal is None:
+        raise ValueError("ob table is not valid")
     n = m.n
     interp = dict(m.val)
     interp["av"] = sum(mask << n * s for s, mask in enumerate(m.av))
     interp["pv"] = sum(mask << n * s for s, mask in enumerate(m.pv))
-    dom_tau = enumerate_domain(n, TAU)
-    interp["ob"] = sum(ob_member(m, x, y) << (x << n) + y
-                       for x in dom_tau for y in dom_tau)
+    interp["ob"] = _ob_image(n, ideal)
     return HenkinModel(n, interp)
 
 
@@ -838,17 +853,17 @@ def check_axioms(h: HenkinModel) -> str | None:
 def extract_model(h: HenkinModel, atoms: Iterable[str]) -> CJModel:
     """Read a model back off an interpretation satisfying the axioms.
 
-    The worlds are the individual domain; av, pv, ob, and the valuation
-    are read off the tables.  As OB1 and OB2 hold, a context's members
-    are fixed by its traces: ob(X) is read at the subsets of X only,
-    which gives the trace-canonical form.  Raises ExtractionError,
-    naming the constant, for an atom named like a signature constant and
-    for a table that is missing or has bits past its domain, and for no
-    worlds, none of which a model could give back; then AxiomCheckError
-    (naming the axiom) if the interpretation does not satisfy all eight
-    axioms, since only then is a valid model guaranteed.  The axioms are
-    checked up to 4 worlds: past that, DomainBudgetError names the type
-    (i>o)>o of OB3's quantifier before any axiom runs.
+    The worlds are the individual domain; av, pv, and the valuation are
+    read off the tables.  A valid ob table is {} or ob_S (see `model`),
+    S the meet of ob(W), so ob must be `_ob_image` of that.  Raises
+    ExtractionError, naming the constant, for an atom named like a
+    signature constant and for a table that is missing or has bits past
+    its domain, and for no worlds, none of which a model could give
+    back; then AxiomCheckError (naming the axiom) if the interpretation
+    does not satisfy all eight axioms, since only then is a valid model
+    guaranteed; then ExtractionError naming ob if it is no such image.
+    The axioms are checked up to 4 worlds: past that, DomainBudgetError
+    names the type (i>o)>o of OB3's quantifier before any axiom runs.
     """
     n = h.n
     if n < 1:
@@ -873,11 +888,12 @@ def extract_model(h: HenkinModel, atoms: Iterable[str]) -> CJModel:
     full = full_mask(n)
     av = tuple(av_t >> n * s & full for s in range(n))
     pv = tuple(pv_t >> n * s & full for s in range(n))
-    ob = {}
-    for x in range(1, full + 1):
-        traces = frozenset(y for y in subsets(x) if ob_t >> (x << n) + y & 1)
-        if traces:
-            ob[x] = traces
+    row = [y for y in range(full + 1) if ob_t >> (full << n) + y & 1]
+    ideal = functools.reduce(operator.and_, row) if row else EMPTY_OB
+    if ob_t != _ob_image(n, ideal):
+        raise ExtractionError("table of 'ob' is not the image of a valid "
+                              "ob table")
+    ob = ideal_ob(n, ideal) if row else {}
     m = CJModel(n, av, pv, ob, {a: h.interp[a] for a in names})
     report = validate(m)
     if not report.ok:

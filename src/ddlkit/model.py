@@ -31,6 +31,13 @@ it is S.  The tests check that each ob_S is valid.  So there are
 grows, the least valid table holding a nonempty trace table R is ob_S
 for S = W - union{X - t : t in R(X)}; `random_model` draws its table
 that way.
+
+`validate` relies on this theorem: it searches for witnesses only in a
+table that `ideal_of` finds to be neither {} nor ob_S.  Two tests check
+that verdict: test_validate_agrees_with_brute_force_on_candidates
+against the definitions up to 2 worlds, and
+test_closed_form_verdict_matches_the_witness_search against the search
+on seeded tables and tables one member off them up to 6 worlds.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import collections
 import functools
 import itertools
 import json
+import operator
 import random
 import warnings
 from dataclasses import dataclass
@@ -71,9 +79,11 @@ class ModelWarning(UserWarning):
     pass
 
 
-# Validation time grows as 2**n even for one ob entry.  On one core of a
-# shared 2-vCPU machine that was 14 s at 20 worlds, and a full ob table
-# loaded and validated in 0.25 s at 8 worlds and 1.1 s at 9.
+# Only an invalid ob table is searched for witnesses, in time that grows
+# as 2**n even for one entry: 14 s at 20 worlds on one core of a shared
+# 2-vCPU machine, and 0.1 s for a full 8-world table one member short.
+# A valid full 8-world table (3**8 - 2**8 members) is accepted by a
+# count and a check of each trace, and loads and validates in 0.02 s.
 MAX_WORLDS = 8
 # Witness lines a ValidationReport prints per condition: an 8-world model
 # with three random ob members per context has 20,231 violations, 1.9 MB
@@ -259,7 +269,8 @@ def validate(m: CJModel) -> ValidationReport:
                        f"pv({s})={fmt_prop(m.pv[s])}"))
         if not m.pv[s] >> s & 1:
             out.append(Violation("pv2", f"world {s} not in pv({s})={fmt_prop(m.pv[s])}"))
-    out.extend(_ob_violations(m.ob, m.n))
+    if ideal_of(m.ob, m.n) is None:
+        out.extend(_ob_violations(m.ob, m.n))
     return ValidationReport(tuple(out))
 
 
@@ -389,6 +400,34 @@ def ideal_ob(n: int, ideal: int) -> dict[int, frozenset[int]]:
     the returned dict; callers must not mutate it."""
     return {x: frozenset(u for u in subsets(x) if u and not ideal & x & ~u)
             for x in range(1, full_mask(n) + 1)}
+
+
+EMPTY_OB = -1  # `ideal_of` of the table {}, which no set of worlds gives
+
+
+def ideal_of(ob: Mapping[int, frozenset[int]], n: int) -> int | None:
+    """S if ob is ob_S on n worlds, with S the meet of ob(W); EMPTY_OB
+    if ob is {}; None if ob is neither, that is, if it is invalid.
+
+    ob_S(X) is every nonempty subset of X holding S & X, so a context
+    is ob_S(X) iff it has as many traces and each is such a subset.
+    No table is built, so an input table never fills `ideal_ob`'s cache.
+    A context stored without traces counts as absent, as in validate.
+    """
+    full = full_mask(n)
+    ob = {x: traces for x, traces in ob.items() if traces}
+    if not ob:
+        return EMPTY_OB
+    row = ob.get(full)
+    if len(ob) != full or not row:
+        return None
+    ideal = functools.reduce(operator.and_, row)
+    for x in range(1, full + 1):
+        need, traces = ideal & x, ob.get(x, ())
+        if len(traces) != (1 << (x & ~ideal).bit_count()) - (not need) or any(
+                not u or u & ~x or need & ~u for u in traces):
+            return None
+    return ideal
 
 
 def ideal_sets(n: int) -> range | tuple[int]:

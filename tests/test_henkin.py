@@ -16,10 +16,11 @@ from ddlkit.hol import (AV, I, NOT, OB, OR, PV, TAU, Abs, App, Arrow, Bound,
                         exists, false_term, forall, land, liff, limp, lor,
                         neg, pi_const, pretty_term, true_term, vld)
 from ddlkit.model import (CJModel, _valid_ob_tables, full_mask, ideal_ob,
-                          ideal_sets, random_model, validate)
+                          ideal_of, ideal_sets, ob_member, random_model,
+                          validate)
 from ddlkit.syntax import parse, pretty, random_formula
-from helpers import (interpreted_frame_failures, leibniz_eq, mk_model,
-                     oracle_eval_term, random_term)
+from helpers import (all_candidate_ob_tables, interpreted_frame_failures,
+                     leibniz_eq, mk_model, oracle_eval_term, random_term)
 
 MINIMAL = mk_model(1, av=[[0]], pv=[[0]], ob=[], val={"p": [0]})
 
@@ -103,6 +104,50 @@ def test_extract_round_trips_every_valid_ob_table():
     for table in _valid_ob_tables(3):
         m = replace(frame, ob=table)
         assert extract_model(build_henkin(m), m.val.keys()) == m
+
+
+def pairwise_ob_image(m: CJModel) -> int:
+    """The ob table of an interpretation, one `ob_member` per pair."""
+    dom = range(1 << m.n)
+    return sum(ob_member(m, x, y) << (x << m.n) + y for x in dom for y in dom)
+
+
+def test_ob_image_is_the_pairwise_image_of_every_valid_table():
+    for n in range(1, 5):
+        for table in _valid_ob_tables(n):
+            m = CJModel(n, tuple(1 << s for s in range(n)),
+                        tuple(1 << s for s in range(n)), table, {})
+            image = henkin._ob_image(n, ideal_of(table, n))
+            assert image == pairwise_ob_image(m)
+            assert build_henkin(m).interp["ob"] == image
+
+
+def test_build_henkin_refuses_an_invalid_ob_table():
+    m = CJModel(2, (1, 2), (1, 3), {1: frozenset({1})}, {"p": 1})
+    assert not validate(m).ok
+    with pytest.raises(ValueError, match="^ob table is not valid$"):
+        build_henkin(m)
+
+
+def test_extract_reads_ob_only_off_the_image_of_a_valid_table(monkeypatch):
+    # with the axiom check passing anything, the image of every trace
+    # table on two worlds: the valid ones come back, and no other gives
+    # a model
+    monkeypatch.setattr(henkin, "check_axioms", lambda h: None)
+    base = build_henkin(CJModel(2, (1, 2), (1, 3), {}, {"p": 1}))
+    refused = 0
+    for table in all_candidate_ob_tables(2):
+        m = CJModel(2, (1, 2), (1, 3), table, {"p": 1})
+        h = HenkinModel(2, {**base.interp, "ob": pairwise_ob_image(m)})
+        if validate(m).ok:
+            assert h == build_henkin(m)
+            assert extract_model(h, ["p"]) == m
+        else:
+            with pytest.raises(ExtractionError, match="^table of 'ob' is not "
+                                                      "the image of a valid"):
+                extract_model(h, ["p"])
+            refused += 1
+    assert refused == 27
 
 
 def test_extract_rejects_av_violation():

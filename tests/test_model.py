@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from ddlkit.model import (DENSITIES, MAX_WITNESSES, MAX_WORLDS, CJModel,
-                          InvalidModelError, ModelFormatError,
+from ddlkit import model
+from ddlkit.model import (DENSITIES, EMPTY_OB, MAX_WITNESSES, MAX_WORLDS,
+                          CJModel, InvalidModelError, ModelFormatError,
                           ModelStructureError, ModelWarning,
                           _ob_violations, _valid_ob_tables, canonicalize,
-                          enumerate_models, full_mask, ideal_ob, load_model,
-                          model_json, ob_member, random_model, subsets,
-                          validate)
+                          enumerate_models, full_mask, ideal_ob, ideal_of,
+                          load_model, model_json, ob_member, random_model,
+                          subsets, validate)
 from helpers import (all_candidate_ob_tables, brute_force_ob_failures,
                      close_ob_oracle, mk_model, model_json_oracle,
                      random_model_oracle, repair_ob, save_model,
@@ -334,6 +335,91 @@ def test_validate_agrees_with_brute_force_on_candidates():
                         tuple(1 << s for s in range(n)), table, {})
             assert validate(m).ok == (
                 not brute_force_ob_failures(table_member(table), n)), table
+
+
+def one_member_off(table, n, rng):
+    """The table with one random member dropped, with one random foreign
+    trace added, and with that member swapped for the empty set, for a
+    set leaving its context, or for a foreign trace of its context,
+    where there is one to drop, to add or to swap in."""
+    members = [(c, t) for c in sorted(table) for t in sorted(table[c])]
+    foreign = [(c, t) for c in range(1, full_mask(n) + 1)
+               for t in subsets(c) if t and t not in table.get(c, ())]
+    tables = []
+    if members:
+        context, trace = rng.choice(members)
+        kept = table[context] - {trace}
+        tables.append({**table, context: kept} if kept else
+                      {c: ts for c, ts in table.items() if c != context})
+        own = [t for c, t in foreign if c == context]
+        swaps = [0, trace | full_mask(n) & ~context]
+        if own:
+            swaps.append(rng.choice(own))
+        tables += [{**table, context: kept | {u}} for u in swaps
+                   if u not in table[context]]
+    if foreign:
+        context, trace = rng.choice(foreign)
+        tables.append({**table,
+                       context: table.get(context, frozenset()) | {trace}})
+    return tables
+
+
+def test_closed_form_verdict_matches_the_witness_search():
+    # seeded tables mostly have no ideal world, so every valid table is
+    # a base too
+    rng = random.Random(27)
+    verdicts = collections.Counter()
+    for n in range(1, 7):
+        seeded = [random_model(n, (), seed * 31 + n, density).ob
+                  for density in (*DENSITIES, 1.0) for seed in range(6)]
+        for table in seeded + _valid_ob_tables(n):
+            # a member under the empty context is invalid, and a context
+            # stored without traces is not there
+            for t in [table, *one_member_off(table, n, rng),
+                      {**table, 0: frozenset({1})}, {**table, 0: frozenset()}]:
+                ok = next(_ob_violations(t, n), None) is None
+                assert (ideal_of(t, n) is not None) == ok, (n, t)
+                verdicts[ok] += 1
+    assert verdicts[True] > 300 and verdicts[False] > 300, verdicts
+
+
+def test_validate_searches_for_witnesses_only_on_invalid_tables(monkeypatch):
+    calls = []
+    search = model._ob_violations
+    monkeypatch.setattr(model, "_ob_violations",
+                        lambda ob, n: calls.append(n) or search(ob, n))
+    for density in (0.0, 0.3):
+        valid = random_model(3, "p", 5, density)
+        assert validate(valid).ok and calls == []
+    invalid = CJModel(2, (1, 2), (1, 2), {1: frozenset({1})}, {})
+    report = validate(invalid)
+    assert calls == [2]
+    assert report.violations == tuple(search(invalid.ob, 2))
+
+
+def test_an_invalid_table_leaves_the_ideal_ob_cache_alone():
+    # neither a table with fewer contexts than ob_S nor one with every
+    # context and the row ob(W) of ob_S, but one member short elsewhere,
+    # makes ideal_ob build a table of up to 3**8 members
+    n = MAX_WORLDS
+    ideal = 0b10110101
+    short = dict(ideal_ob(n, ideal))
+    short[0b111] -= {0b101}
+    assert len(short) == full_mask(n) and short[0b111]
+    for ob in ({1: frozenset({1})}, {full_mask(n): frozenset({3})}, short):
+        before = ideal_ob.cache_info()
+        m = CJModel(n, tuple(1 << s for s in range(n)),
+                    tuple(1 << s for s in range(n)), ob, {})
+        assert ideal_of(ob, n) is None and not validate(m).ok
+        assert ideal_ob.cache_info() == before
+
+
+def test_ideal_of_reads_the_ideal_worlds():
+    assert ideal_of({}, 3) == EMPTY_OB
+    for n in range(1, 6):
+        for s in model.ideal_sets(n):
+            # on one world ob_{} = ob_{0}, and the meet of ob(W) is {0}
+            assert ideal_of(ideal_ob(n, s), n) == (s if n > 1 else 1)
 
 
 def test_close_ob_matches_repair_oracle():

@@ -122,6 +122,46 @@ def test_except_clauses_naming_an_exception_are_found():
     assert except_clauses_naming(source, "_Unlifted") == ["", "f", "g"]
 
 
+def reads_naming(source: str, name: str) -> list[str]:
+    """The innermost function around each read of `name`, as a name or
+    an attribute ("" at module level)."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute)
+                    and child.attr == name) \
+                    and isinstance(child.ctx, ast.Load):
+                found.append(where)
+            visit(child, where)
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_witnesses_are_searched_for_only_in_validate():
+    # validate accepts a valid ob table by its closed form and searches
+    # only a table it refuses, so there is one witness search
+    found = [f"{path.name}:{where}" for path in sorted(SRC.rglob("*.py"))
+             for where in reads_naming(path.read_text(encoding="utf-8"),
+                                       "_ob_violations")]
+    assert found == ["model.py:validate"]
+
+
+def test_reads_naming_a_name_are_found():
+    source = ("x = f(1)\n"
+              "def g():\n"
+              "    return list(m.f(2))\n"
+              "def h():\n"
+              "    def f(): pass\n"
+              "    m.f = 3\n"
+              "    y = [f for _ in ()]\n")
+    assert reads_naming(source, "f") == ["", "g", "h"]
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """The `_private` names that a module of `sources` defines at module
     level and that no top-level statement of any module but the
