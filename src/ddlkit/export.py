@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from . import hol
 from .hol import (EQ_NAME, NOT_NAME, OR_NAME, PI_NAME, Abs, App, Arrow,
                   BaseType, Bound, Const, Free, HolTerm, HolType, _applies,
-                  embed, vld)
+                  beta_eta_normalize, embed, vld)
 from .syntax import RESERVED_ATOMS, Formula, atoms
 
 
@@ -158,7 +158,8 @@ def to_thf_problem(f: Formula) -> ThfProblem:
     and the quantified embedding as the conjecture."""
     entries = _signature_entries(sorted(atoms(f)))
     entries += _axiom_entries()
-    entries.append(("goal", "conjecture", to_thf_term(vld(embed(f)))))
+    goal = beta_eta_normalize(vld(embed(f)))
+    entries.append(("goal", "conjecture", to_thf_term(goal)))
     return ThfProblem(tuple(entries))
 
 

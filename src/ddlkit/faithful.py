@@ -16,8 +16,8 @@ from .model import DENSITIES, CJModel, model_json, random_model
 from .syntax import Formula, pretty, random_formula
 
 # Bound on the triples `check_faithfulness` draws.  At the bound it took
-# 7.0 s and 17 MB (peak RSS of the CLI process) with --max-worlds 4 on a
-# 2-vCPU machine; memory does not grow with the count.
+# 2.9-3.1 s and 18 MB (peak RSS of the CLI process) with --max-worlds 4
+# on a 2-vCPU machine; memory does not grow with the count.
 MAX_SAMPLES = 10_000
 
 

@@ -22,7 +22,12 @@ compiled node carries the mask of the binder levels it reads, so a
 quantifier or abstraction that ignores some enclosing binders is cached
 per values of the ones it reads, for one run.  The domain of each
 binder is fixed at compile time; one that is over the budget raises
-DomainBudgetError only if it runs.
+DomainBudgetError only if it runs.  A syntactic λ applied to arguments,
+as `embed` and `vld` apply each connective's definition, runs its body
+with the arguments' values pushed as its innermost binders.  Outside a
+lifted block (below) the body is compiled once per binder types, so
+every ∨ of a term runs one code with one set of caches: a cache is keyed
+by the values it reads, whichever occurrence fills it.
 
 Since an element of D(a>o) is the |D(a)|-bit mask of where it holds, a
 quantifier over a predicate V : β>o can run once for all values of V,
@@ -211,10 +216,11 @@ class _Compiled:
     node has one in `values`, and its name and type in `frees`.  `memos`
     are the tables of `_cached`, emptied at the start of each run.  So
     one compiled term serves every interpretation over its worlds, one
-    run at a time."""
+    run at a time.  `bodies` maps the body of each applied λ, by its id
+    and binder types, to the code every application of it shares."""
 
     __slots__ = ("n", "lift", "consts", "tables", "frees", "values",
-                 "memos", "code")
+                 "memos", "bodies", "code")
 
     def __init__(self, n: int, lift: bool) -> None:
         self.n, self.lift = n, lift
@@ -223,6 +229,7 @@ class _Compiled:
         self.frees: list[tuple[str, HolType]] = []
         self.values: list[int] = []
         self.memos: list[dict] = []
+        self.bodies: dict[tuple, tuple] = {}
 
     def run(self, interp: Mapping[str, int], free: Mapping[str, int]
             ) -> int:
@@ -333,7 +340,18 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
             inner = (head.var_ty,) + inner
             head = head.body
             k += 1
-        body, ty, mask = _compile(comp, head, inner, lane)
+        if lane:
+            body, ty, mask = _compile(comp, head, inner, lane)
+        else:
+            # a definitional body, `OR_TAU`'s under each ∨, compiles once
+            # per binder types; the entry holds `head`, so that no other
+            # term can take its id
+            key = (id(head), inner)
+            shared = comp.bodies.get(key)
+            if shared is None:
+                shared = comp.bodies[key] = (
+                    head, *_compile(comp, head, inner, None))
+            _, body, ty, mask = shared
         mask &= (1 << depth) - 1
         pushed = []
         for a, _, arg_mask in argcode[:k]:

@@ -25,8 +25,13 @@ the definitional lambda terms for the nine connectives; `vld` closes a
 world predicate into a sentence by quantifying over all worlds; and
 `axioms` builds the eight closed sentences (AV, PV1, PV2, OB1..OB5) that
 characterize exactly the interpretations arising from valid models.
-`beta_eta_normalize` works by evaluation (Berger & Schwichtenberg, 1991):
-a term evaluates to closures and is read back in normal form.
+`embed` and `vld` apply the definitions unreduced, which `henkin`
+evaluates as built, one definition per connective.
+`beta_eta_normalize` gives the normal form, for THF emission and
+printing.  It works by evaluation (Berger & Schwichtenberg, 1991): a
+term evaluates to closures and is read back in normal form, within
+MAX_NORMAL_NODES applications and lambdas, since Oa and Op use their
+argument twice.
 """
 
 from __future__ import annotations
@@ -199,27 +204,34 @@ def _eval(t: HolTerm, env: tuple) -> object:
             return (t, env) if kind is Abs else t
 
 
-def _quote(v: object, depth: int) -> HolTerm:
+def _quote(v: object, depth: int, budget: list[int]) -> HolTerm:
     """Read a value back into a term under `depth` binders (level L is
     Bound(depth - 1 - L)), eta-reducing every lambda it rebuilds: its body
-    is normal already, and an eta step there makes no beta redex."""
+    is normal already, and an eta step there makes no beta redex.  Each
+    application and lambda read back takes one from budget[0], and past
+    the last ValueError is raised; a leaf, which ends a path, takes none."""
     kind = type(v)
-    if kind is tuple:
-        abs_, env = v
-        body = _quote(_eval(abs_.body, (depth,) + env), depth + 1)
-        if (type(body) is App and type(body.arg) is Bound
-                and body.arg.index == 0 and not uses_bound(body.fn, 0)):
-            return shift(body.fn, -1)
-        return Abs(abs_.var_ty, body, abs_.hint)
+    if kind is not tuple and kind is not App:
+        return Bound(depth - 1 - v) if kind is int else v
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise ValueError("normal form too large: over "
+                         f"{MAX_NORMAL_NODES} applications and lambdas")
     if kind is App:
-        return App(_quote(v.fn, depth), _quote(v.arg, depth))
-    return Bound(depth - 1 - v) if kind is int else v
+        return App(_quote(v.fn, depth, budget), _quote(v.arg, depth, budget))
+    abs_, env = v
+    body = _quote(_eval(abs_.body, (depth,) + env), depth + 1, budget)
+    if (type(body) is App and type(body.arg) is Bound
+            and body.arg.index == 0 and not uses_bound(body.fn, 0)):
+        return shift(body.fn, -1)
+    return Abs(abs_.var_ty, body, abs_.hint)
 
 
 def beta_eta_normalize(t: HolTerm) -> HolTerm:
     """The beta-eta normal form (unique for well-typed terms), by
-    evaluation and read-back."""
-    return _quote(_eval(t, ()), 0)
+    evaluation and read-back.  Raises ValueError past MAX_NORMAL_NODES
+    applications and lambdas of normal form."""
+    return _quote(_eval(t, ()), 0, [MAX_NORMAL_NODES])
 
 
 def neg(s: HolTerm) -> HolTerm:
@@ -297,11 +309,22 @@ _DEFINITIONS = {Not: NOT_TAU, Or: OR_TAU, Box: BOX_TAU, BoxA: BOXA_TAU,
 
 
 # Bound on the formula nodes `embed` translates, a shared subformula
-# counted once per occurrence: the term does not share, so it and its
-# THF text grow with that count.  d nested `p <-> (...)` have
-# 11 * 2**d - 10 such nodes; `export.to_thf_problem` takes 0.06-0.08 s
-# at d = 10 (11,254 nodes) and 0.4-0.5 s at d = 12 on a 2-vCPU machine.
+# counted once per occurrence: the term does not share, so it grows with
+# that count.  d nested `p <-> (...)` have 11 * 2**d - 10 such nodes;
+# `export.to_thf_problem` takes 0.06-0.08 s at d = 10 (11,254 nodes) on
+# a 2-vCPU machine.  It does not bound the normal form, which the THF
+# text renders: Oa and Op use their argument twice, so each nested one
+# doubles it (see MAX_NORMAL_NODES).
 MAX_EMBED_NODES = 1 << 14
+
+# Bound on the applications and lambdas of a normal form that
+# `beta_eta_normalize` reads back (with the leaves, at most twice as
+# many nodes plus one).  Every connective but Oa and Op adds at most 7
+# per formula node ([a] and [p] the most), so any formula within
+# MAX_EMBED_NODES without them normalizes within it; 12 nested Oa take
+# 85,997 and 13 do not fit.  Reading back this many took 0.27 s on a
+# 2-vCPU machine.
+MAX_NORMAL_NODES = 1 << 17
 
 
 def embed(f: Formula) -> HolTerm:
@@ -335,12 +358,14 @@ VLD = Abs(TAU, forall(I, App(Bound(1), Bound(0)), "S"), "A")
 
 
 def vld(t: HolTerm) -> HolTerm:
-    """Close a world predicate into the sentence "true at every world"."""
+    """Close a world predicate into the sentence "true at every world":
+    the definition VLD applied to t, unreduced, as `embed` leaves its
+    connectives; `beta_eta_normalize` gives its normal form."""
     ty = type_of(t)
     if ty != TAU:
         raise HolTypeError(f"vld expects a term of type {type_str(TAU)}, "
                            f"got {type_str(ty)}")
-    return beta_eta_normalize(App(VLD, t))
+    return App(VLD, t)
 
 
 def _ob3_member_lambda(beta_index: int) -> HolTerm:

@@ -1192,7 +1192,8 @@ def oracle_thf_problem(f: Formula) -> ThfProblem:
         *_signature_entries(sorted(atoms(f))),
         *((name.lower(), "axiom", oracle_render(term))
           for name, term in hol.axioms()),
-        ("goal", "conjecture", oracle_render(hol.vld(hol.embed(f))))))
+        ("goal", "conjecture",
+         oracle_render(hol.beta_eta_normalize(hol.vld(hol.embed(f)))))))
 
 
 # ---------------------------------------------------------------------------

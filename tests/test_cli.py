@@ -339,6 +339,21 @@ def test_embed_past_the_node_bound_is_a_one_line_error():
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("thf", [["--thf", "-"], []], ids=["thf", "term"])
+def test_embed_past_the_normal_form_bound_is_a_one_line_error(thf):
+    # 21 formula nodes, but each nested Oa doubles the normal form:
+    # unbounded, 16 of them take 5.9 s and write 4.8 MB
+    start = time.perf_counter()
+    proc = _cli_process("embed", *thf, "--formula", "Oa " * 20 + "p",
+                        timeout=10)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == [
+        "error: normal form too large: over 131072 applications and "
+        "lambdas"]
+    assert elapsed < 1.0
+
+
 def test_main_reuses_one_parser(monkeypatch, capsys):
     runs = [["embed", "--formula", "O(p/q)"], ["embed"],
             ["embed", "--formula", "O(p/q)"]]

@@ -5,7 +5,8 @@ import pytest
 
 from ddlkit.export import (ExportError, ThfProblem, axioms_problem,
                            thf_type, to_thf_problem, to_thf_term)
-from ddlkit.hol import I, TAU, Arrow, Free, O, axioms, embed, vld
+from ddlkit.hol import (I, TAU, Arrow, Free, O, axioms, beta_eta_normalize,
+                        embed, vld)
 from ddlkit.syntax import MAX_NESTING, Atom, Or, parse, random_formula
 from helpers import check_thf_problem_text, oracle_thf_problem, thf_tokens
 
@@ -34,7 +35,8 @@ def test_atom_renders_bare():
 
 
 def test_vld_of_atom_eta_expands_quantifier():
-    assert to_thf_term(vld(embed(parse("p")))) == "![V0:$i]: (p @ V0)"
+    goal = beta_eta_normalize(vld(embed(parse("p"))))
+    assert to_thf_term(goal) == "![V0:$i]: (p @ V0)"
 
 
 def test_conjecture_for_excluded_middle():

@@ -12,9 +12,10 @@ from ddlkit.henkin import (FALSE, TRUE, AxiomCheckError, DomainBudgetError,
                            build_henkin, check_axioms, domain_size,
                            enumerate_domain, eval_term, extract_model)
 from ddlkit.hol import (AV, I, NOT, OB, OR, PV, TAU, Abs, App, Arrow, Bound,
-                        Free, O, atom_const, axioms, embed, eq_const, equals,
-                        exists, false_term, forall, land, liff, limp, lor,
-                        neg, pi_const, pretty_term, true_term, vld)
+                        Free, O, atom_const, axioms, beta_eta_normalize,
+                        embed, eq_const, equals, exists, false_term, forall,
+                        land, liff, limp, lor, neg, pi_const, pretty_term,
+                        true_term, vld)
 from ddlkit.model import (CJModel, _valid_ob_tables, full_mask, ideal_ob,
                           ideal_of, ideal_sets, ob_member, random_model,
                           validate)
@@ -893,9 +894,11 @@ def test_a_constant_outside_its_domain_reads_as_in_the_loop():
 @pytest.mark.parametrize("d", [4, 8, 12])
 def test_nested_world_loops_run_linearly(monkeypatch, d):
     # each [](Oa p | ...) loops over the worlds, as does vld's ∀S around
-    # them, since only predicate binders are lifted; `_cached` keeps the
-    # inner loops, which read no outer world, from rerunning per value of
-    # the outer ones
+    # them, since only predicate binders are lifted.  Every [] runs the
+    # one compiled body of BOX_TAU, whose ∀Y `_cached` keeps per value of
+    # the predicate it boxes; each of those holds at every world, so ∀Y
+    # loops once and ∀S once (Oa p fails at ob, before its ∃Y): 3 + 3
+    # runs at every d
     runs = [0]
     monkeypatch.setattr(
         henkin, "_all", lambda dom, body, full, run=henkin._all: run(
@@ -905,7 +908,89 @@ def test_nested_world_loops_run_linearly(monkeypatch, d):
                  val={"p": [0]})
     t = vld(embed(parse("[](Oa p | " * d + "(p | ~p)" + ")" * d)))
     assert eval_term(build_henkin(m), t) == TRUE
-    assert runs[0] == 3 * d + 3
+    assert runs[0] == 6
+
+
+def test_the_embedded_route_agrees_with_its_normal_forms():
+    # `embed` and `vld` leave their definitions unreduced, and the
+    # compiler applies each by pushing its argument's value; the normal
+    # forms, which the embedded route evaluated before, are the oracle
+    rng = random.Random(28)
+    atoms = ("p", "q", "r")
+    for n in (1, 2, 3):
+        for _ in range(60):
+            m = random_model(n, atoms, rng.getrandbits(63),
+                             rng.choice((0.0, 0.15, 0.3, 0.5)))
+            h, f = build_henkin(m), random_formula(rng, 6, atoms)
+            t = embed(f)
+            valid = vld(t)
+            assert eval_term(h, valid) == \
+                eval_term(h, beta_eta_normalize(valid)), pretty(f)
+            at_world = App(t, Free("S", I))
+            normal = beta_eta_normalize(at_world)
+            for s in range(n):
+                assert eval_term(h, at_world, {"S": s}) == \
+                    eval_term(h, normal, {"S": s}), (pretty(f), s)
+
+
+@pytest.mark.parametrize("op", ["Oa", "Op"])
+def test_compiles_grow_linearly_in_nested_oa_and_op(monkeypatch, op):
+    # Oa and Op use their argument twice, so each nested one doubles the
+    # normal form; the term as built applies one definition per level,
+    # and each definition's body compiles once per binder types
+    calls = [0]
+    monkeypatch.setattr(
+        henkin, "_compile", lambda *a, run=henkin._compile:
+        calls.__setitem__(0, calls[0] + 1) or run(*a))
+    h = build_henkin(random_model(3, ("p",), 28, 0.3))
+    counts = []
+    for k in range(1, 13):
+        t = embed(parse(f"{op} " * k + "p"))
+        calls[0] = 0
+        eval_term(h, vld(t))
+        eval_term(h, App(t, Free("S", I)), {"S": 0})
+        counts.append(calls[0])
+    assert len({b - a for a, b in zip(counts[1:], counts[2:])}) == 1, counts
+
+
+_SHARED_P, _SHARED_W = atom_const("p"), Free("w", I)
+# a definitional body that reads its argument and the binder just
+# outside the λ, one that reads a free variable, and one that reads the
+# predicate bound just outside it
+_SHARED_L = Abs(I, lor(App(App(AV, Bound(1)), Bound(0)),
+                       App(_SHARED_P, Bound(0))))
+_SHARED_F = Abs(I, land(App(App(PV, _SHARED_W), Bound(0)),
+                        neg(App(_SHARED_P, Bound(0)))))
+_SHARED_G = Abs(I, App(Bound(1), Bound(0)))
+
+
+@pytest.mark.parametrize("t, lift, shared", [
+    # one λ object applied under two binder depths, and twice at one
+    (forall(I, land(App(_SHARED_L, _SHARED_W), forall(I, lor(
+        App(_SHARED_L, Bound(0)), App(_SHARED_L, Bound(1)))))), True, True),
+    (lor(App(_SHARED_F, _SHARED_W), exists(I, App(_SHARED_F, Bound(0)))),
+     True, True),
+    # under a lifted block each occurrence compiles in its lanes
+    (forall(TAU, lor(App(_SHARED_G, _SHARED_W),
+                     neg(App(_SHARED_G, Free("v", I))))), True, False),
+    # shared before the lift fails at X = X, then compiled once more with
+    # none lifted
+    (land(exists(I, App(_SHARED_F, Bound(0))), forall(TAU, land(
+        App(_SHARED_G, _SHARED_W), equals(TAU, Bound(0), Bound(0))))),
+     False, True),
+], ids=["two-depths", "free", "lifted", "retry"])
+def test_shared_bodies_agree_with_the_oracle(t, lift, shared):
+    rng = random.Random(29)
+    for n in (1, 2, 3):
+        comp = henkin._compile_term(n, t)
+        assert (comp.lift, bool(comp.bodies)) == (lift, shared)
+        for _ in range(6):
+            h = build_henkin(random_model(n, ("p",), rng.getrandbits(63),
+                                          0.3))
+            for w in range(n):
+                free = {"w": w, "v": rng.randrange(n)}
+                assert eval_term(h, t, free) == \
+                    oracle_eval_term(h, t, free), (pretty_term(t), n, free)
 
 
 def test_only_the_outermost_predicate_binder_lifts(monkeypatch):

@@ -2,14 +2,16 @@ import random
 
 import pytest
 
+from ddlkit import hol
 from ddlkit.export import thf_type
 from ddlkit.hol import (AV, LOGICAL_NAMES, NOT, OB, PI_NAME, PV, TAU, Abs,
                         App, Arrow, BaseType, Bound, Const, Free,
-                        HolTypeError, I, O, MAX_EMBED_NODES, VLD, atom_const,
+                        HolTypeError, I, O, MAX_EMBED_NODES, MAX_NORMAL_NODES,
+                        VLD, atom_const,
                         axioms, beta_eta_normalize, embed, lor, neg,
                         pretty_term, type_of, type_str, vld)
-from ddlkit.syntax import (IDENT_RE, RESERVED_ATOMS, Atom, Formula, Not, Or,
-                           parse, random_formula)
+from ddlkit.syntax import (IDENT_RE, RESERVED_ATOMS, Atom, Formula, Not, ObA,
+                           ObP, Or, children, parse, random_formula)
 from helpers import (beta_eta_normalize_innermost, from_named, leibniz_eq,
                      nsubst, oracle_embed, oracle_normalize, random_term,
                      substitute, substitution_normalize, to_named)
@@ -191,11 +193,69 @@ def test_embed_bounds_the_unshared_node_count():
         embed(Not(Not(g)))
 
 
+def _term_nodes(t):
+    count, todo = 0, [t]
+    while todo:
+        u = todo.pop()
+        count += 1
+        if type(u) is App:
+            todo += (u.fn, u.arg)
+        elif type(u) is Abs:
+            todo.append(u.body)
+    return count
+
+
+def _formula_nodes(f):
+    """Nodes of f, a shared subformula counted once per occurrence, and
+    whether one of them is an Oa or an Op."""
+    kids = [_formula_nodes(c) for c in children(f)]
+    return (1 + sum(k for k, _ in kids),
+            isinstance(f, (ObA, ObP)) or any(dup for _, dup in kids))
+
+
+def test_normalizing_stops_at_the_node_bound():
+    # Oa and Op use their argument twice, so each nested one doubles the
+    # normal form, whatever bound `embed` keeps on the formula
+    assert MAX_NORMAL_NODES == 1 << 17
+    nf = beta_eta_normalize(vld(embed(parse("Oa " * 12 + "p"))))
+    assert _term_nodes(nf) == 165_852
+    for text in ("Oa " * 13 + "p", "Op " * 14 + "p"):
+        with pytest.raises(ValueError, match="normal form too large"):
+            beta_eta_normalize(vld(embed(parse(text))))
+
+
+def test_formulas_without_oa_or_op_normalize_within_the_node_bound(
+        monkeypatch):
+    # every other connective reads back at most 7 applications and
+    # lambdas per formula node, [a] and [p] the most, so every formula
+    # `embed` takes that has no Oa or Op normalizes within the bound
+    assert 7 * MAX_EMBED_NODES + 3 <= MAX_NORMAL_NODES
+    rng = random.Random(58)
+    formulas = [parse("[a]" * 90 + "p"), parse("[p]" * 90 + "~p")]
+    formulas += [random_formula(rng, 7) for _ in range(1500)]
+    checked = 0
+    for f in formulas:
+        nodes, doubles = _formula_nodes(f)
+        if doubles:
+            continue
+        monkeypatch.setattr(hol, "MAX_NORMAL_NODES", 7 * nodes + 3)
+        beta_eta_normalize(vld(embed(f)))
+        beta_eta_normalize(embed(f))
+        checked += 1
+    assert checked > 500
+    # 90 [a] around p read back 7 * 90 + 3
+    monkeypatch.setattr(hol, "MAX_NORMAL_NODES", 7 * 90 + 2)
+    with pytest.raises(ValueError, match="normal form too large"):
+        beta_eta_normalize(vld(embed(formulas[0])))
+
+
 def test_vld_of_truth_constant():
     q0 = atom_const("q0")
     expected = App(Const(PI_NAME, Arrow(TAU, O)),
                    Abs(I, lor(neg(App(q0, Bound(0))), App(q0, Bound(0))), "S"))
-    assert vld(embed(parse("T"))) == expected
+    t = embed(parse("T"))
+    assert vld(t) == App(VLD, t)
+    assert beta_eta_normalize(vld(t)) == expected
 
 
 def test_vld_requires_world_predicate():

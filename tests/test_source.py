@@ -151,6 +151,16 @@ def test_witnesses_are_searched_for_only_in_validate():
     assert found == ["model.py:validate"]
 
 
+def test_only_emission_and_the_axioms_normalize():
+    # the embedded evaluation route runs `vld(embed(f))` as built; the
+    # THF text, the printed term and the axioms are normal forms
+    found = [f"{path.name}:{where}" for path in sorted(SRC.rglob("*.py"))
+             for where in reads_naming(path.read_text(encoding="utf-8"),
+                                       "beta_eta_normalize")]
+    assert found == ["cli.py:_cmd_embed", "export.py:to_thf_problem",
+                     "hol.py:axioms"]
+
+
 def test_reads_naming_a_name_are_found():
     source = ("x = f(1)\n"
               "def g():\n"
