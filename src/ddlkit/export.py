@@ -11,8 +11,8 @@ Rendering conventions: application is `@`, fully parenthesized and left
 associative; binder variables are renamed V0, V1, ... by binder depth;
 the existential pattern (negated universal of a negation) and the
 conjunction pattern print as `?[...]` and `&`.  A quantifier constant
-applied to something that is not a syntactic lambda is eta-expanded on
-the fly so every quantifier prints in binder notation.
+applied to something that is not a syntactic lambda is eta-expanded
+(`hol.eta_expand`), so every quantifier prints in binder notation.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from . import hol
 from .hol import (EQ_NAME, NOT_NAME, OR_NAME, PI_NAME, Abs, App, Arrow,
                   BaseType, Bound, Const, Free, HolTerm, HolType, _applies,
-                  beta_eta_normalize, embed, vld)
+                  beta_eta_normalize, embed, eta_expand, vld)
 from .syntax import RESERVED_ATOMS, Formula, atoms
 
 
@@ -72,14 +72,11 @@ def _render(t: HolTerm, names: tuple[str, ...]) -> str:
                                 f"{_render(arg.arg.arg, names)})")
                 return "~" + _delimited(arg, names)
             if fn.name == PI_NAME:
+                if type(arg) is not Abs:
+                    arg = eta_expand(arg, fn.ty.arg)
                 name = f"V{len(names)}"
-                alpha = fn.ty.arg.arg
-                if type(arg) is Abs:
-                    return (f"![{name}:{thf_type(alpha)}]: "
-                            + _render(arg.body, names + (name,)))
-                # eta-expand so the quantifier still prints in binder form
-                return (f"![{name}:{thf_type(alpha)}]: "
-                        f"({_delimited(arg, names)} @ {name})")
+                return (f"![{name}:{thf_type(fn.ty.arg.arg)}]: "
+                        + _render(arg.body, names + (name,)))
         elif fn_kind is App and type(fn.fn) is Const:
             if fn.fn.name == OR_NAME:
                 return f"({_render(fn.arg, names)} | {_render(arg, names)})"

@@ -24,10 +24,11 @@ per values of the ones it reads, for one run.  The domain of each
 binder is fixed at compile time; one that is over the budget raises
 DomainBudgetError only if it runs.  A syntactic λ applied to arguments,
 as `embed` and `vld` apply each connective's definition, runs its body
-with the arguments' values pushed as its innermost binders.  Outside a
-lifted block (below) the body is compiled once per binder types, so
-every ∨ of a term runs one code with one set of caches: a cache is keyed
-by the values it reads, whichever occurrence fills it.
+with the arguments' values, each of its binder's type, pushed as its
+innermost binders.  The body compiles once per term, binder types and
+lifted block (below), so every ∨ of a term runs one code with one set
+of caches, keyed by the values they read.  Pi f is Pi (λx. f x), so
+every quantifier is a binder.
 
 Since an element of D(a>o) is the |D(a)|-bit mask of where it holds, a
 quantifier over a predicate V : β>o can run once for all values of V,
@@ -67,9 +68,10 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .hol import (EQ_NAME, I, LOGICAL_NAMES, NOT_NAME, OR, OR_NAME, PI_NAME,
-                  TAU, Abs, App, Arrow, Bound, Const, Free, HolTerm, HolType,
-                  O as O_TYPE, _applies, axioms, match_and, type_str)
+from .hol import (EQ_NAME, I, LOGICAL_NAMES, NOT, NOT_NAME, OR, OR_NAME,
+                  PI_NAME, TAU, Abs, App, Arrow, Bound, Const, Free, HolTerm,
+                  HolType, O as O_TYPE, _applies, axioms, eq_const,
+                  eta_expand, match_and, pi_const, type_str)
 from .model import (EMPTY_OB, CJModel, full_mask, ideal_ob, ideal_of,
                     validate)
 from .syntax import RESERVED_ATOMS
@@ -216,8 +218,8 @@ class _Compiled:
     node has one in `values`, and its name and type in `frees`.  `memos`
     are the tables of `_cached`, emptied at the start of each run.  So
     one compiled term serves every interpretation over its worlds, one
-    run at a time.  `bodies` maps the body of each applied λ, by its id
-    and binder types, to the code every application of it shares."""
+    run at a time.  `bodies` maps the body of each applied λ, by its id,
+    binder types and lifted block, to the code its applications share."""
 
     __slots__ = ("n", "lift", "consts", "tables", "frees", "values",
                  "memos", "bodies", "code")
@@ -304,7 +306,7 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
             comp.values.append(0)
             return _reader(comp.values, len(comp.values) - 1), t.ty, 0
         if t.name in LOGICAL_NAMES:
-            return _compile(comp, _eta_expand(t), binders, lane)
+            return _compile(comp, eta_expand(t, _logical(t)), binders, lane)
         slot = comp.consts.setdefault(t.name, len(comp.consts))
         return _reader(comp.tables, slot), t.ty, 0
     depth = len(binders)
@@ -323,7 +325,7 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
         if len(args) == _ARITY[head.name]:
             code, mask = _compile_logical(comp, t, head, args, binders, lane)
             return code, O_TYPE, mask
-        head = _eta_expand(head)
+        head = eta_expand(head, _logical(head))
         kind = Abs
     # a loop, not a comprehension: this runs for every application node,
     # and a comprehension is a call of its own before Python 3.12
@@ -337,21 +339,22 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
         inner = binders
         k = 0
         while isinstance(head, Abs) and k < len(args):
+            if argcode[k][1] != head.var_ty:
+                raise EvalError(
+                    f"cannot apply a λ over {type_str(head.var_ty)} to a "
+                    f"value of type {type_str(argcode[k][1])}")
             inner = (head.var_ty,) + inner
             head = head.body
             k += 1
-        if lane:
-            body, ty, mask = _compile(comp, head, inner, lane)
-        else:
-            # a definitional body, `OR_TAU`'s under each ∨, compiles once
-            # per binder types; the entry holds `head`, so that no other
-            # term can take its id
-            key = (id(head), inner)
-            shared = comp.bodies.get(key)
-            if shared is None:
-                shared = comp.bodies[key] = (
-                    head, *_compile(comp, head, inner, None))
-            _, body, ty, mask = shared
+        # a definitional body, `OR_TAU`'s under each ∨, compiles once per
+        # binder types and block; the entry holds `head` and `lane`, so
+        # that no other term or block can take their ids
+        key = (id(head), inner, id(lane))
+        shared = comp.bodies.get(key)
+        if shared is None:
+            shared = comp.bodies[key] = (
+                head, lane, *_compile(comp, head, inner, lane))
+        _, _, body, ty, mask = shared
         mask &= (1 << depth) - 1
         pushed = []
         for a, _, arg_mask in argcode[:k]:
@@ -695,20 +698,16 @@ def _cached(code: Code, mask: int, depth: int, memos: list[dict]) -> Code:
     return cached
 
 
-def _eta_expand(c: Const) -> HolTerm:
-    """A logical constant applied to fresh bound variables under
-    lambdas, so that the applied clauses below evaluate it."""
-    arg_types = []
-    ty = c.ty
-    while isinstance(ty, Arrow):
-        arg_types.append(ty.arg)
-        ty = ty.res
-    term: HolTerm = c
-    for k in range(len(arg_types)):
-        term = App(term, Bound(len(arg_types) - 1 - k))
-    for arg_ty in reversed(arg_types):
-        term = Abs(arg_ty, term)
-    return term
+def _logical(c: Const) -> HolType:
+    """The type of c, a logical constant, if it is o>o, o>o>o, (α>o)>o
+    or α>α>o as its name says; else EvalError: its eta-expansion loops."""
+    a = c.ty.arg if type(c.ty) is Arrow else None
+    if c != (pi_const(a.arg) if c.name == PI_NAME and type(a) is Arrow
+             else eq_const(a) if c.name == EQ_NAME
+             else NOT if c.name == NOT_NAME else OR):
+        raise EvalError(f"logical constant {c.name} cannot have type "
+                        f"{type_str(c.ty)}")
+    return c.ty
 
 
 def _full(lane: Lane, mask: int) -> int:
@@ -728,23 +727,21 @@ def _compile_logical(comp: _Compiled, t: HolTerm, head: Const,
                      lane: Lane) -> tuple[Code, int]:
     """Code and binder mask of `t`, the logical constant `head` applied
     to all its arguments `args`, whose types are checked against it.
+    Pi f is Pi (λx. f x) (`hol.eta_expand`), a binder (`_binder`).
     ¬, ∧, ∨ and → act on masks, over the lifted block's lanes if the
     node reads it and over one lane otherwise; an operand that does not
     read it is broadcast.  The second operand is skipped when the first
     fixes the result in every lane.  Equality, at any type, has no lane
     code."""
     if head.name == PI_NAME:
-        f = args[0]
-        if type(f) is Abs:
-            code, res, mask = _binder(comp, f.var_ty, f.body, binders, lane,
-                                      True)
-            _expect(head.ty, Arrow(f.var_ty, res))
-            return code, mask
-        a, ty, mask = _compile(comp, f, binders, lane)
-        _expect(head.ty, ty)
-        if lane and mask & lane[0]:
-            raise _Unlifted
-        return _is_full(a, (1 << domain_size(comp.n, ty.arg)) - 1), mask
+        ty, f = head.ty, args[0]
+        if type(f) is not Abs:  # Pi f is Pi (λx. f x)
+            f = eta_expand(f, _logical(head).arg)
+        code, res, mask = _binder(comp, f.var_ty, f.body, binders, lane, True)
+        _expect(ty, Arrow(f.var_ty, res))
+        if res is not O_TYPE or ty.res is not O_TYPE:
+            _logical(head)  # raises: ty is not (α>o)>o
+        return code, mask
     # a conjunction ¬(¬a ∨ ¬b) and an implication ¬a ∨ b are one clause
     # each, over operands compiled once
     if head.name == NOT_NAME:
@@ -776,10 +773,6 @@ def _compile_logical(comp: _Compiled, t: HolTerm, head: Const,
 
 
 # The clauses of the logical constants, over masks of `full`'s lanes.
-
-
-def _is_full(a: Code, full: int) -> Code:
-    return lambda env: int(a(env) == full)
 
 
 def _not(a: Code, full: int) -> Code:

@@ -27,6 +27,7 @@ world predicate into a sentence by quantifying over all worlds; and
 characterize exactly the interpretations arising from valid models.
 `embed` and `vld` apply the definitions unreduced, which `henkin`
 evaluates as built, one definition per connective.
+`eta_expand` reads Pi f as Pi (λx. f x), for `henkin` and `export`.
 `beta_eta_normalize` gives the normal form, for THF emission and
 printing.  It works by evaluation (Berger & Schwichtenberg, 1991): a
 term evaluates to closures and is read back in normal form, within
@@ -174,6 +175,14 @@ def shift(t: HolTerm, by: int, cutoff: int = 0) -> HolTerm:
     if isinstance(t, Abs):
         return Abs(t.var_ty, shift(t.body, by, cutoff + 1), t.hint)
     return t
+
+
+def eta_expand(t: HolTerm, ty: HolType) -> HolTerm:
+    """λx1 … λxk. t x1 … xk for t of type ty, one λ per argument of ty;
+    t is shifted past the new binders, so an open t keeps its variables."""
+    if not isinstance(ty, Arrow):
+        return t
+    return Abs(ty.arg, eta_expand(App(shift(t, 1), Bound(0)), ty.res))
 
 
 def uses_bound(t: HolTerm, index: int) -> bool:

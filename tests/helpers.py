@@ -47,7 +47,7 @@ from ddlkit.checker import truth_set
 from ddlkit.export import (ExportError, ThfProblem, _signature_entries,
                            thf_type)
 from ddlkit.henkin import (_ARITY, FALSE, TRUE, Code, EvalError, HenkinModel,
-                           _eta_expand, domain_size, enumerate_domain)
+                           domain_size, enumerate_domain)
 from ddlkit.model import (DENSITIES, CJModel, enumerate_models, full_mask,
                           ideal_ob, mask_of, random_model, subsets,
                           world_list)
@@ -844,6 +844,23 @@ def _oracle_compile(h: HenkinModel, t: HolTerm,
         ty = ty.res
         code = _oracle_digit(code, a, domain_size(h.n, ty))
     return code, ty
+
+
+def _eta_expand(c: Const) -> HolTerm:
+    """A logical constant applied to fresh bound variables under
+    lambdas, so that the applied clauses evaluate it: the oracle's own
+    eta-expansion, apart from `hol.eta_expand`, which the compiler uses."""
+    arg_types = []
+    ty = c.ty
+    while isinstance(ty, Arrow):
+        arg_types.append(ty.arg)
+        ty = ty.res
+    term: HolTerm = c
+    for k in range(len(arg_types)):
+        term = App(term, Bound(len(arg_types) - 1 - k))
+    for arg_ty in reversed(arg_types):
+        term = Abs(arg_ty, term)
+    return term
 
 
 def _oracle_digit(fn: Code, arg: Code, base: int) -> Code:

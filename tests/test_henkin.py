@@ -11,11 +11,11 @@ from ddlkit.henkin import (FALSE, TRUE, AxiomCheckError, DomainBudgetError,
                            EvalError, ExtractionError, HenkinModel,
                            build_henkin, check_axioms, domain_size,
                            enumerate_domain, eval_term, extract_model)
-from ddlkit.hol import (AV, I, NOT, OB, OR, PV, TAU, Abs, App, Arrow, Bound,
-                        Free, O, atom_const, axioms, beta_eta_normalize,
-                        embed, eq_const, equals, exists, false_term, forall,
-                        land, liff, limp, lor, neg, pi_const, pretty_term,
-                        true_term, vld)
+from ddlkit.hol import (AV, I, NOT, OB, OR, PI_NAME, PV, TAU, Abs, App, Arrow,
+                        Bound, Const, Free, O, atom_const, axioms,
+                        beta_eta_normalize, embed, eq_const, equals, exists,
+                        false_term, forall, land, liff, limp, lor, neg,
+                        pi_const, pretty_term, true_term, vld)
 from ddlkit.model import (CJModel, _valid_ob_tables, full_mask, ideal_ob,
                           ideal_of, ideal_sets, ob_member, random_model,
                           validate)
@@ -385,6 +385,12 @@ def test_quantifier_clauses_against_tables():
                          g) == int(all_true)
         assert eval_term(h, exists(I, App(pred, Bound(0))),
                          g) == int(some_true)
+        # Pi f is Pi (λx. f x), for a predicate f that is no λ
+        assert eval_term(h, App(pi_const(I), pred), g) == int(all_true)
+        free = {"w": rng.randrange(m.n)}
+        for t in (App(pi_const(I), atom_const("p")),
+                  App(pi_const(I), App(AV, Free("w", I)))):
+            assert eval_term(h, t, free) == oracle_eval_term(h, t, free)
 
 
 # --- the compiled evaluator against the earlier compiler ----------------
@@ -566,6 +572,13 @@ def test_domain_budget_error_is_raised_only_where_a_quantifier_runs(
         assert str(e.value) == (f"domain for type (i>o)>i>o has {16 ** 16} "
                                 f"elements, exceeding the budget of "
                                 f"{henkin.DOMAIN_BUDGET}")
+    if evaluate is eval_term:
+        # Pi f is Pi (λx. f x), a binder over f's domain like any other;
+        # the oracle compares f's table with a mask of 16**16 bits
+        alpha = Arrow(TAU, TAU)
+        f = App(eq_const(alpha), Abs(TAU, Abs(I, true_term())))
+        with pytest.raises(DomainBudgetError):
+            evaluate(h, App(pi_const(alpha), f))
     assert evaluate(h, lor(true_term(), big)) == TRUE
     assert evaluate(h, limp(false_term(), big)) == TRUE
     assert evaluate(h, land(false_term(), big)) == FALSE
@@ -582,27 +595,43 @@ def test_domain_budget_error_is_raised_only_where_a_quantifier_runs(
 
 def test_logical_heads_check_their_operand_types():
     # a mistyped operand of ¬, ∨ or Pi is refused when the term is
-    # compiled, as for any other constant, before any value is computed
+    # compiled, as for any other constant, before any value is computed;
+    # so is a mistyped argument of a syntactic λ, and a quantifier
+    # constant of a type other than (α>o)>o, applied or not
     h = build_henkin(mk_model(2, av=[[0], [1]], pv=[[0], [1]], ob=[],
                               val={"p": [0, 1]}))
-    p = atom_const("p")
+    p, q = atom_const("p"), atom_const("q")
+    applying = "cannot apply a value of type "
     for t, message in (
-            (App(NOT, p), "o>o to one of type i>o"),
-            (App(App(OR, p), p), "o>o>o to one of type i>o"),
-            (App(pi_const(I), AV), "(i>o)>o to one of type i>i>o"),
+            (App(NOT, p), applying + "o>o to one of type i>o"),
+            (App(App(OR, p), p), applying + "o>o>o to one of type i>o"),
+            (App(pi_const(I), AV), applying + "(i>o)>o to one of type i>i>o"),
             (App(pi_const(I), Abs(TAU, App(Bound(0), Bound(0)))),
-             "i>o to one of type i>o"),
+             applying + "i>o to one of type i>o"),
             # a lifted quantifier's body is typed like any other, and
             # so is each quantifier's head in a lifted block
             (App(pi_const(TAU), Abs(TAU, Bound(0))),
-             "((i>o)>o)>o to one of type (i>o)>i>o"),
+             applying + "((i>o)>o)>o to one of type (i>o)>i>o"),
             (forall(TAU, forall(TAU, Bound(0))),
-             "((i>o)>o)>o to one of type (i>o)>i>o"),
+             applying + "((i>o)>o)>o to one of type (i>o)>i>o"),
             (forall(TAU, App(pi_const(I), Abs(TAU, true_term()))),
-             "(i>o)>o to one of type (i>o)>o")):
+             applying + "(i>o)>o to one of type (i>o)>o"),
+            (App(Abs(I, Bound(0)), p),
+             "cannot apply a λ over i to a value of type i>o"),
+            (App(Abs(O, Bound(0)), q),
+             "cannot apply a λ over o to a value of type i>o"),
+            (App(Const(PI_NAME, Arrow(O, O)), true_term()),
+             "logical constant Pi cannot have type o>o"),
+            (App(Const(PI_NAME, Arrow(TAU, I)), Abs(I, true_term())),
+             "logical constant Pi cannot have type (i>o)>i"),
+            (App(Const(PI_NAME, Arrow(Arrow(I, TAU), O)), AV),
+             "logical constant Pi cannot have type (i>i>o)>o"),
+            (Const(PI_NAME, I), "logical constant Pi cannot have type i"),
+            (App(Const(PI_NAME, Arrow(TAU, Arrow(O, O))), p),
+             "logical constant Pi cannot have type (i>o)>o>o")):
         with pytest.raises(EvalError) as e:
             henkin._compile(henkin._Compiled(h.n, True), t, (), None)
-        assert str(e.value) == f"cannot apply a value of type {message}"
+        assert str(e.value) == message
 
 
 # --- lifted binders ------------------------------------------------------
@@ -731,10 +760,11 @@ def test_lifted_binders_match_the_earlier_compiler(monkeypatch):
                         (pretty_term(t), free, n)
                     terms += 1
     # both paths run (a term whose lift fails compiles again, looping):
-    # 136 of the 324 terms lift: of the 144 quantifiers over i>o and
-    # (i>o)>o, all but the 8 whose body reads V where no lane code
-    # exists.  Binders over worlds and λs always loop
-    assert terms == 324 and built["_lifted"] == 136
+    # 137 of the 324 terms lift: of the 144 quantifiers over i>o and
+    # (i>o)>o, all but the 7 whose body reads V where no lane code
+    # exists (Pi V has some, as Pi (λZ. V Z)).  Binders over worlds and
+    # λs always loop
+    assert terms == 324 and built["_lifted"] == 137
     assert built["_all"] and built["_tabulate"]
 
 
@@ -970,15 +1000,24 @@ _SHARED_G = Abs(I, App(Bound(1), Bound(0)))
         App(_SHARED_L, Bound(0)), App(_SHARED_L, Bound(1)))))), True, True),
     (lor(App(_SHARED_F, _SHARED_W), exists(I, App(_SHARED_F, Bound(0)))),
      True, True),
-    # under a lifted block each occurrence compiles in its lanes
+    # under a lifted block too, once per block
     (forall(TAU, lor(App(_SHARED_G, _SHARED_W),
-                     neg(App(_SHARED_G, Free("v", I))))), True, False),
+                     neg(App(_SHARED_G, Free("v", I))))), True, True),
+    # one λ object inside a lifted block and outside any block, at the
+    # same binder types, in both orders: each compiles its own body (=
+    # runs both operands, where a connective might skip the second)
+    (equals(O, exists(TAU, App(_SHARED_G, _SHARED_W)),
+            App(Abs(TAU, App(_SHARED_G, Free("v", I))), _SHARED_P)),
+     True, True),
+    (equals(O, App(Abs(TAU, App(_SHARED_G, Free("v", I))), _SHARED_P),
+            exists(TAU, App(_SHARED_G, _SHARED_W))), True, True),
     # shared before the lift fails at X = X, then compiled once more with
     # none lifted
     (land(exists(I, App(_SHARED_F, Bound(0))), forall(TAU, land(
         App(_SHARED_G, _SHARED_W), equals(TAU, Bound(0), Bound(0))))),
      False, True),
-], ids=["two-depths", "free", "lifted", "retry"])
+], ids=["two-depths", "free", "lifted", "block-first", "block-last",
+        "retry"])
 def test_shared_bodies_agree_with_the_oracle(t, lift, shared):
     rng = random.Random(29)
     for n in (1, 2, 3):
@@ -1019,8 +1058,8 @@ _W, _P = Free("w", I), atom_const("p")
 _L = Free("L", Arrow(TAU, Arrow(TAU, _TAU_O)))
 # reads of a lifted variable, and how often each term raises _Unlifted:
 # the first four have no lane code, a λ over a predicate is not lifted at
-# all, and the last five lift with no second compile, as the multiplexer
-# reads the variable, or a λW that reads it
+# all, and the last seven lift with no second compile, as the multiplexer
+# reads the variable, or a λW that reads it, or Pi f as Pi (λZ. f Z)
 _NO_LANE_CODE = {
     "F (X w)": (forall(TAU, App(Free("F", Arrow(O, O)),
                                 App(Bound(0), _W))), 1),
@@ -1033,6 +1072,9 @@ _NO_LANE_CODE = {
     "ob p X": (forall(TAU, App(App(OB, _P), Bound(0))), 0),
     "G X": (forall(TAU, App(Free("G", _TAU_O), Bound(0))), 0),
     "ob X X": (forall(TAU, App(App(OB, Bound(0)), Bound(0))), 0),
+    "forall X. Pi X": (forall(TAU, App(pi_const(I), Bound(0))), 0),
+    "forall X. Pi (ob X)": (forall(TAU, App(pi_const(TAU),
+                                            App(OB, Bound(0)))), 0),
     "B (lambda W. B (av W))": (forall(_TAU_O, App(Bound(0), Abs(
         I, App(Bound(1), App(AV, Bound(0)))))), 0),
     "forall X. forall Y. ob (lambda W. X W & p W) Y": (forall(TAU, forall(
@@ -1040,7 +1082,8 @@ _NO_LANE_CODE = {
                                      App(_P, Bound(0))))), Bound(0)))), 0),
 }
 _LANED = tuple(_NO_LANE_CODE[name][0] for name in (
-    "ob p X", "G X", "ob X X", "B (lambda W. B (av W))",
+    "ob p X", "G X", "ob X X", "forall X. Pi X", "forall X. Pi (ob X)",
+    "B (lambda W. B (av W))",
     "forall X. forall Y. ob (lambda W. X W & p W) Y"))
 
 
@@ -1284,7 +1327,7 @@ def test_lifted_blocks_match_the_earlier_compilers(monkeypatch):
                 pretty_term(t)
             masks += 1
         count += 1
-    assert count == 5 * 17 + 8 * 17 and masks > count // 2
+    assert count == 7 * 17 + 8 * 17 and masks > count // 2
     # f Xj read every variable of a block of four at n = 2, and both the
     # tables and the lane-valued functions ran through the multiplexer
     assert {henkin._projections(8, off, 2) for off in (0, 2, 4, 6)} <= \

@@ -308,7 +308,13 @@ def test_normalization_agrees_with_substitution_oracle():
     for k in range(600):
         binders = tuple(rng.choice((O, I, TAU)) for _ in range(k % 3))
         t = random_term(rng, None, 4, binders)
-        assert beta_eta_normalize(t) == substitution_normalize(t)
+        nf = beta_eta_normalize(t)
+        assert nf == substitution_normalize(t)
+        # and eta-expanding t, open or not, keeps its type and normal form
+        ty = type_of(t, binders)
+        expanded = hol.eta_expand(t, ty)
+        assert type_of(expanded, binders) == ty
+        assert beta_eta_normalize(expanded) == nf
 
 
 def test_binder_hints_survive_normalization():
