@@ -13,8 +13,9 @@ and a world predicate (type i>o) is the bitmask of the worlds where it
 holds.  Application reads one digit, and abstraction writes the digits
 of its body.
 
-A term is compiled for a world count into closures over a binder
-stack, one closure per node, and then run in any interpretation over
+A term is checked once, by `hol.type_of`, then compiled for a world
+count into closures over a binder stack, one closure per node, which
+take its types as given, and then run in any interpretation over
 those worlds: constants and free variables are read when it runs.
 `eval_term` compiles and runs a term once; `check_axioms` compiles the
 eight axioms once per world count and runs them per model.  Each
@@ -68,10 +69,10 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .hol import (EQ_NAME, I, LOGICAL_NAMES, NOT, NOT_NAME, OR, OR_NAME,
-                  PI_NAME, TAU, Abs, App, Arrow, Bound, Const, Free, HolTerm,
-                  HolType, O as O_TYPE, _applies, axioms, eq_const,
-                  eta_expand, match_and, pi_const, type_str)
+from .hol import (EQ_NAME, I, LOGICAL_NAMES, NOT_NAME, OR_NAME, PI_NAME,
+                  TAU, Abs, App, Arrow, Bound, Const, Free, HolTerm, HolType,
+                  HolTypeError, O as O_TYPE, _applies, axioms, eta_expand,
+                  match_and, type_of, type_str)
 from .model import (EMPTY_OB, CJModel, full_mask, ideal_ob, ideal_of,
                     validate)
 from .syntax import RESERVED_ATOMS
@@ -179,9 +180,11 @@ def eval_term(h: HenkinModel, t: HolTerm,
     via the assignment, application by reading a digit, abstraction by
     tabulating the body over the argument domain.
 
-    The term is compiled for h's world count (see `_compile_term`), so
-    types, radices and the domain of each quantifier and abstraction
-    are worked out per node rather than per step, and then run once.
+    The term is checked once by `hol.type_of`, an ill-typed one raising
+    EvalError with its message, and compiled for h's world count (see
+    `_compile_term`), so types, radices and the domain of each
+    quantifier and abstraction are worked out per node rather than per
+    step, and then run once.
     Quantifiers and the boolean connectives are applied without
     materializing their tables, with early exit; a conjunction and an
     implication ¬a ∨ b are one clause each.  A domain over the budget
@@ -262,7 +265,13 @@ def _compile_term(n: int, t: HolTerm) -> _Compiled:
     """`t` compiled for n worlds, lifting the outermost blocks of
     predicate quantifiers; if a part of a lifted body reads a block
     variable where no lane code exists (see `_lane_apply`), the whole
-    term is compiled once more with no binder lifted."""
+    term is compiled once more with no binder lifted.  The term is
+    checked first, by `hol.type_of`, and an ill-typed one raises
+    EvalError with its message: `_compile` takes its types as given."""
+    try:
+        type_of(t)
+    except HolTypeError as e:
+        raise EvalError(str(e)) from None
     comp = _Compiled(n, True)
     try:
         comp.code, _, _ = _compile(comp, t, (), None)
@@ -274,9 +283,10 @@ def _compile_term(n: int, t: HolTerm) -> _Compiled:
 
 def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
              lane: Lane) -> tuple[Code, HolType, int]:
-    """Code computing `t` under binders of the given types (innermost
-    first), the type of `t`, and the mask of the binder levels the code
-    reads (bit l stands for env[l], the l-th binder from the outside).
+    """Code computing `t`, a well-typed term (see `_compile_term`), under
+    binders of the given types (innermost first), the type of `t`, and
+    the mask of the binder levels the code reads (bit l stands for
+    env[l], the l-th binder from the outside).
 
     `lane` is the enclosing lifted block (see `Lane`), or None.  A node
     that reads the block computes its value for all values of the block
@@ -290,8 +300,6 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
     kind = type(t)
     if kind is Bound:
         level = len(binders) - 1 - t.index
-        if level < 0:
-            raise EvalError(f"dangling bound variable index {t.index}")
         ty = binders[t.index]
         if not lane or not lane[0] >> level & 1:
             return _read(level), ty, 1 << level
@@ -306,7 +314,7 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
             comp.values.append(0)
             return _reader(comp.values, len(comp.values) - 1), t.ty, 0
         if t.name in LOGICAL_NAMES:
-            return _compile(comp, eta_expand(t, _logical(t)), binders, lane)
+            return _compile(comp, eta_expand(t, t.ty), binders, lane)
         slot = comp.consts.setdefault(t.name, len(comp.consts))
         return _reader(comp.tables, slot), t.ty, 0
     depth = len(binders)
@@ -325,7 +333,7 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
         if len(args) == _ARITY[head.name]:
             code, mask = _compile_logical(comp, t, head, args, binders, lane)
             return code, O_TYPE, mask
-        head = eta_expand(head, _logical(head))
+        head = eta_expand(head, head.ty)
         kind = Abs
     # a loop, not a comprehension: this runs for every application node,
     # and a comprehension is a call of its own before Python 3.12
@@ -339,10 +347,6 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
         inner = binders
         k = 0
         while isinstance(head, Abs) and k < len(args):
-            if argcode[k][1] != head.var_ty:
-                raise EvalError(
-                    f"cannot apply a λ over {type_str(head.var_ty)} to a "
-                    f"value of type {type_str(argcode[k][1])}")
             inner = (head.var_ty,) + inner
             head = head.body
             k += 1
@@ -367,8 +371,7 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
     else:
         code, ty, mask = _compile(comp, head, binders, lane)
     for u, (a, arg_ty, arg_mask) in zip(args, argcode):
-        ty = ty.res if type(ty) is Arrow and ty.arg == arg_ty \
-            else _expect(ty, arg_ty)
+        ty = ty.res
         if lane and (mask | arg_mask) & lane[0]:
             level = depth - 1 - u.index if type(u) is Bound else None
             code = _lane_apply(comp.n, code, mask, (a, arg_ty, arg_mask),
@@ -405,15 +408,6 @@ def _push(args: list[Code], body: Code) -> Code:
         del env[-k:]
         return out
     return code
-
-
-def _expect(fn_ty: HolType, arg_ty: HolType) -> HolType:
-    """The type of a value of type `fn_ty` applied to one of `arg_ty`;
-    EvalError if it takes no such argument."""
-    if not isinstance(fn_ty, Arrow) or fn_ty.arg != arg_ty:
-        raise EvalError(f"cannot apply a value of type {type_str(fn_ty)} "
-                        f"to one of type {type_str(arg_ty)}")
-    return fn_ty.res
 
 
 # without this cache, compiling the 8 axioms at n = 3 and 4 took 24 ms, not 0.6
@@ -541,10 +535,8 @@ def _binder(comp: _Compiled, alpha: HolType, body_t: HolTerm,
     j has digits off_j .. off_j + |D(β_j)| - 1, so `Xj s` is the lanes
     where digit off_j + s is 1.  The block pushes a placeholder per
     variable and computes the mask of the values where its innermost
-    body holds in one go, then compares it with full; each inner
-    quantifier's head is type-checked as if it were compiled on its own.
-    A body that reads the block where no lane code exists (X = Y)
-    raises _Unlifted.  Any other binder loops over its domain, in the
+    body holds in one go, then compares it with full.  A body that reads
+    the block where no lane code exists (X = Y) raises _Unlifted.  Any other binder loops over its domain, in the
     lanes of the enclosing block if its body reads it: it ANDs its
     body's values for a quantifier (`_all`) and writes them as digits or
     lists them as masks for an abstraction.  A binder over a domain past
@@ -562,11 +554,10 @@ def _binder(comp: _Compiled, alpha: HolType, body_t: HolTerm,
     if forall and not lane and comp.lift and _lanes(comp.n, alpha):
         # the block: directly nested predicate quantifiers join while
         # the product of their value counts stays within LANE_CAP
-        types, pis, count = [alpha], [], len(dom)
+        types, count = [alpha], len(dom)
         while (_applies(body_t, PI_NAME) and type(body_t.arg) is Abs
                and (more := _lanes(comp.n, body_t.arg.var_ty))
                and count * more <= LANE_CAP):
-            pis.append(body_t.fn)
             types.append(body_t.arg.var_ty)
             body_t, count = body_t.arg.body, count * more
         total, off, spans = count.bit_length() - 1, 0, {}
@@ -577,11 +568,6 @@ def _binder(comp: _Compiled, alpha: HolType, body_t: HolTerm,
         full, block = (1 << count) - 1, (1 << len(types)) - 1 << depth
         inner = tuple(reversed(types)) + binders
         body, res, mask = _compile(comp, body_t, inner, (block, full, spans))
-        # the inner quantifiers' heads are typed as if each were compiled
-        # on its own, innermost first
-        for pi, ty in zip(reversed(pis), reversed(types)):
-            _expect(pi.ty, Arrow(ty, res))
-            res = O_TYPE
         code = _lifted(body if mask & block else _broadcast(body, full),
                        full, len(types))
     else:
@@ -698,18 +684,6 @@ def _cached(code: Code, mask: int, depth: int, memos: list[dict]) -> Code:
     return cached
 
 
-def _logical(c: Const) -> HolType:
-    """The type of c, a logical constant, if it is o>o, o>o>o, (α>o)>o
-    or α>α>o as its name says; else EvalError: its eta-expansion loops."""
-    a = c.ty.arg if type(c.ty) is Arrow else None
-    if c != (pi_const(a.arg) if c.name == PI_NAME and type(a) is Arrow
-             else eq_const(a) if c.name == EQ_NAME
-             else NOT if c.name == NOT_NAME else OR):
-        raise EvalError(f"logical constant {c.name} cannot have type "
-                        f"{type_str(c.ty)}")
-    return c.ty
-
-
 def _full(lane: Lane, mask: int) -> int:
     """The mask of every lane of a truth value that reads the levels in
     `mask`: the lifted block's if it reads that, else one lane."""
@@ -726,7 +700,7 @@ def _compile_logical(comp: _Compiled, t: HolTerm, head: Const,
                      args: list[HolTerm], binders: tuple[HolType, ...],
                      lane: Lane) -> tuple[Code, int]:
     """Code and binder mask of `t`, the logical constant `head` applied
-    to all its arguments `args`, whose types are checked against it.
+    to all its arguments `args`, typed by `hol.type_of` already.
     Pi f is Pi (λx. f x) (`hol.eta_expand`), a binder (`_binder`).
     ¬, ∧, ∨ and → act on masks, over the lifted block's lanes if the
     node reads it and over one lane otherwise; an operand that does not
@@ -734,32 +708,25 @@ def _compile_logical(comp: _Compiled, t: HolTerm, head: Const,
     fixes the result in every lane.  Equality, at any type, has no lane
     code."""
     if head.name == PI_NAME:
-        ty, f = head.ty, args[0]
+        f = args[0]
         if type(f) is not Abs:  # Pi f is Pi (λx. f x)
-            f = eta_expand(f, _logical(head).arg)
-        code, res, mask = _binder(comp, f.var_ty, f.body, binders, lane, True)
-        _expect(ty, Arrow(f.var_ty, res))
-        if res is not O_TYPE or ty.res is not O_TYPE:
-            _logical(head)  # raises: ty is not (α>o)>o
+            f = eta_expand(f, head.ty.arg)
+        code, _, mask = _binder(comp, f.var_ty, f.body, binders, lane, True)
         return code, mask
     # a conjunction ¬(¬a ∨ ¬b) and an implication ¬a ∨ b are one clause
     # each, over operands compiled once
     if head.name == NOT_NAME:
         conj = match_and(t)
         if conj is None:
-            a, ty, mask = _compile(comp, args[0], binders, lane)
-            if ty is not O_TYPE:
-                _expect(head.ty, ty)
+            a, _, mask = _compile(comp, args[0], binders, lane)
             return _not(a, _full(lane, mask)), mask
         clause, args = _and, conj
     elif head.name == OR_NAME and _applies(args[0], NOT_NAME):
         clause, args = _imp, [args[0].arg, args[1]]
     else:
         clause = _or if head.name == OR_NAME else _eq
-    a, a_ty, a_mask = _compile(comp, args[0], binders, lane)
-    b, b_ty, b_mask = _compile(comp, args[1], binders, lane)
-    if clause is _eq or a_ty is not O_TYPE or b_ty is not O_TYPE:
-        _expect(_expect(head.ty if clause is _eq else OR.ty, a_ty), b_ty)
+    a, _, a_mask = _compile(comp, args[0], binders, lane)
+    b, _, b_mask = _compile(comp, args[1], binders, lane)
     mask = a_mask | b_mask
     full = _full(lane, mask)
     if lane and mask & lane[0]:

@@ -15,7 +15,9 @@ The logical signature is fixed: negation, disjunction, a universal
 quantifier constant per type (binder notation forall X. s is sugar for
 Pi applied to a lambda), and primitive equality per type.  The deontic
 signature adds av, pv (type i>i>o) and ob (type (i>o)>(i>o)>o), plus one
-constant of type tau per formula atom.  Everything else (conjunction,
+constant of type tau per formula atom.  `type_of` is the one check that
+a term is well formed, the logical constants' types included; `henkin`
+runs it once on each term it compiles.  Everything else (conjunction,
 implication, equivalence, truth constants, existentials) is expanded
 into that core at construction time, so reduction and evaluation only
 ever deal with the five term formers and the primitive constants.
@@ -142,7 +144,10 @@ def atom_const(name: str) -> Const:
 
 
 def type_of(t: HolTerm, binders: tuple[HolType, ...] = ()) -> HolType:
-    """The unique simple type of a term, or HolTypeError."""
+    """The unique simple type of a term, or HolTypeError, also for a
+    logical constant at a type its name does not allow (`_signature`).
+    The nine closed definitions are typed once, at import, so typing
+    `vld(embed f)` walks only f's skeleton."""
     kind = type(t)  # one type test per node
     if kind is App:
         fn_ty = type_of(t.fn, binders)
@@ -156,14 +161,31 @@ def type_of(t: HolTerm, binders: tuple[HolType, ...] = ()) -> HolType:
                 f"{type_str(fn_ty.arg)}, got {type_str(arg_ty)}")
         return fn_ty.res
     if kind is Abs:
+        closed = _CLOSED_TYPES.get(id(t))
+        if closed is not None:
+            return closed
         return Arrow(t.var_ty, type_of(t.body, (t.var_ty,) + binders))
-    if kind is Const or kind is Free:
+    if kind is Const:
+        if t.name in LOGICAL_NAMES and t != _signature(t):
+            raise HolTypeError(f"logical constant {t.name} cannot have type "
+                               f"{type_str(t.ty)}")
+        return t.ty
+    if kind is Free:
         return t.ty
     if kind is Bound:
         if t.index >= len(binders):
             raise HolTypeError(f"dangling bound variable index {t.index}")
         return binders[t.index]
     raise TypeError(f"not a term: {t!r}")
+
+
+def _signature(c: Const) -> Const:
+    """The logical constant named as c at the type its name allows with
+    c's argument type: o>o, o>o>o, (α>o)>o or α>α>o."""
+    a = c.ty.arg if type(c.ty) is Arrow else None
+    return (NOT if c.name == NOT_NAME else OR if c.name == OR_NAME
+            else eq_const(a) if c.name == EQ_NAME
+            else pi_const(a.arg if type(a) is Arrow else None))
 
 
 def shift(t: HolTerm, by: int, cutoff: int = 0) -> HolTerm:
@@ -315,6 +337,13 @@ def _relative(rel: Const) -> tuple[HolTerm, HolTerm]:
 # embeddings in the order of `children`
 _DEFINITIONS = {Not: NOT_TAU, Or: OR_TAU, Box: BOX_TAU, BoxA: BOXA_TAU,
                 BoxP: BOXP_TAU, ObDyadic: OB_TAU, ObA: OBA_TAU, ObP: OBP_TAU}
+VLD = Abs(TAU, forall(I, App(Bound(1), Bound(0)), "S"), "A")
+
+# The types of the nine closed definitions by id, for `type_of`, each
+# checked here once; the terms live as long as the module, so keep ids.
+_CLOSED_TYPES: dict[int, HolType] = {}
+_CLOSED_TYPES.update({id(d): type_of(d)
+                      for d in (*_DEFINITIONS.values(), VLD)})
 
 
 # Bound on the formula nodes `embed` translates, a shared subformula
@@ -362,8 +391,6 @@ def _embed(f: Formula, budget: list[int]) -> HolTerm:
         term = App(term, _embed(c, budget))
     return term
 
-
-VLD = Abs(TAU, forall(I, App(Bound(1), Bound(0)), "S"), "A")
 
 
 def vld(t: HolTerm) -> HolTerm:

@@ -51,7 +51,7 @@ from .checker import truth_set
 from .model import (CJModel, frame_choices, full_mask, ideal_ob, ideal_sets,
                     mask_of, validate, world_list)
 from .syntax import (Atom, Box, BoxA, BoxP, Formula, Not, ObA, ObDyadic, ObP,
-                     Or, atoms, children, postorder)
+                     Or, children, postorder)
 
 # Bound on n_max times the number of atoms: a model on n worlds has
 # 2**(n*k) valuations, one bit each.  The theorem ([p]x -> [a]x) | Op x,
@@ -124,13 +124,12 @@ def find_countermodel(f: Formula, n_max: int = 3, samples: int = 1000,
         raise ValueError("samples must be nonnegative")
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be at most {MAX_SAMPLES:,}")
-    names = sorted(atoms(f))
+    ops, uses, names = _compile(f)
     k = len(names)
     if n_max * k > MAX_LANE_BITS:
         raise ValueError(
             f"{k} atoms on up to {n_max} worlds: the search takes "
             f"at most {MAX_LANE_BITS // n_max} atoms at this world bound")
-    ops, uses = _compile(f, names)
     for n in range(1, n_max + 1):
         if n <= EXHAUSTIVE_WORLDS:
             size = _chunk_size(n, k, len(_representatives(n, *uses)))
@@ -177,16 +176,19 @@ _CODES = {Not: _NOT, Or: _OR, Box: _BOX, BoxA: _BOXA, BoxP: _BOXP,
           ObDyadic: _OB, ObA: _OBA, ObP: _OBP}
 
 
-def _compile(f: Formula, names: list[str]):
+def _compile(f: Formula):
     """Post-order operations (code, x, y), one per distinct subformula
-    (`postorder`), and which of av, pv and ob the formula mentions.
+    (`postorder`), which of av, pv and ob the formula mentions, and its
+    atom names, sorted, from one walk of f.
 
     x and y index earlier operations (x is the context of O(y/x)); an
-    atom's x is its index in `names`.
+    atom's x is its index in the names.
     """
     index: dict[int, int] = {}
     ops: list[tuple[int, int, int]] = []
-    for g in postorder(f):
+    order = postorder(f)
+    names = sorted({g.name for g in order if isinstance(g, Atom)})
+    for g in order:
         if isinstance(g, Atom):
             op = (_ATOM, names.index(g.name), 0)
         else:
@@ -197,7 +199,7 @@ def _compile(f: Formula, names: list[str]):
     codes = {code for code, _, _ in ops}
     uses = (bool(codes & {_BOXA, _OBA}), bool(codes & {_BOXP, _OBP}),
             bool(codes & {_OB, _OBA, _OBP}))
-    return ops, uses
+    return ops, uses, names
 
 
 def _chunk_size(n: int, k: int, count: int) -> int:

@@ -1,7 +1,7 @@
 import pytest
 
 from ddlkit import faithful
-from ddlkit.checker import eval_formula, valid_in_model
+from ddlkit.henkin import TRUE, eval_term
 from ddlkit.cli import main
 from ddlkit.faithful import Mismatch, check_faithfulness
 from ddlkit.model import load_model
@@ -20,16 +20,16 @@ def test_check_faithfulness_clean_and_deterministic():
 
 
 @pytest.fixture
-def negated_direct_route(monkeypatch):
-    # the direct route answers wrongly, at every world and model-wide
-    monkeypatch.setattr(faithful, "eval_formula",
-                        lambda m, s, f: not eval_formula(m, s, f))
-    monkeypatch.setattr(faithful, "valid_in_model",
-                        lambda m, f: not valid_in_model(m, f))
+def negated_route(monkeypatch):
+    # the embedded route answers wrongly, at every world and model-wide
+    # (the direct route reads both answers off one truth set, so no
+    # wrong set could be wrong on both)
+    monkeypatch.setattr(faithful, "eval_term",
+                        lambda h, t, free=None: TRUE - eval_term(h, t, free))
 
 
 def test_check_faithfulness_reports_both_kinds_of_mismatch(
-        negated_direct_route):
+        negated_route):
     rep = check_faithfulness(n_max=2, samples=5, seed=0)
     assert not rep.ok
     assert [mm.kind for mm in rep.mismatches] == ["world", "validity"] * 5
@@ -38,7 +38,7 @@ def test_check_faithfulness_reports_both_kinds_of_mismatch(
     assert lines[-1] == "FAIL samples=5 mismatches=10"
 
 
-def test_faithfulness_command_fails_on_a_mismatch(negated_direct_route,
+def test_faithfulness_command_fails_on_a_mismatch(negated_route,
                                                    capsys):
     assert main(["faithfulness", "--samples", "5"]) == 2
     lines = capsys.readouterr().out.splitlines()
@@ -61,7 +61,7 @@ def test_mismatch_line_format():
         "world=all") == 1
 
 
-def test_every_mismatch_line_replays_its_sample(negated_direct_route):
+def test_every_mismatch_line_replays_its_sample(negated_route):
     # a reported line alone gives back the sampled model, world and
     # formula: the model JSON has no spaces, so the formula is the rest
     rep = check_faithfulness(n_max=3, samples=20, seed=5)

@@ -11,11 +11,12 @@ from ddlkit.henkin import (FALSE, TRUE, AxiomCheckError, DomainBudgetError,
                            EvalError, ExtractionError, HenkinModel,
                            build_henkin, check_axioms, domain_size,
                            enumerate_domain, eval_term, extract_model)
-from ddlkit.hol import (AV, I, NOT, OB, OR, PI_NAME, PV, TAU, Abs, App, Arrow,
-                        Bound, Const, Free, O, atom_const, axioms,
-                        beta_eta_normalize, embed, eq_const, equals, exists,
-                        false_term, forall, land, liff, limp, lor, neg,
-                        pi_const, pretty_term, true_term, vld)
+from ddlkit.hol import (AV, EQ_NAME, I, NOT, NOT_NAME, OB, OR, OR_NAME,
+                        PI_NAME, PV, TAU, Abs, App, Arrow, Bound, Const, Free,
+                        O, atom_const, axioms, beta_eta_normalize, embed,
+                        eq_const, equals, exists, false_term, forall, land,
+                        liff, limp, lor, neg, pi_const, pretty_term,
+                        true_term, vld)
 from ddlkit.model import (CJModel, _valid_ob_tables, full_mask, ideal_ob,
                           ideal_of, ideal_sets, ob_member, random_model,
                           validate)
@@ -593,33 +594,32 @@ def test_domain_budget_error_is_raised_only_where_a_quantifier_runs(
     assert evaluate(h_q, forall(I, lor(App(q, Bound(0)), big))) == TRUE
 
 
-def test_logical_heads_check_their_operand_types():
-    # a mistyped operand of ¬, ∨ or Pi is refused when the term is
-    # compiled, as for any other constant, before any value is computed;
-    # so is a mistyped argument of a syntactic λ, and a quantifier
-    # constant of a type other than (α>o)>o, applied or not
+def test_logical_heads_check_their_operand_types(monkeypatch):
+    # a mistyped operand of ¬, ∨ or Pi is refused by `hol.type_of` before
+    # the term is compiled, as for any other constant, so before any value
+    # is computed; so is a mistyped argument of a syntactic λ, and a
+    # logical constant of a type other than its name allows, applied or
+    # not, at the root or inside a lifted block
+    monkeypatch.setattr(henkin, "_compile", lambda *a: pytest.fail(
+        "an ill-typed term was compiled"))
     h = build_henkin(mk_model(2, av=[[0], [1]], pv=[[0], [1]], ob=[],
                               val={"p": [0, 1]}))
-    p, q = atom_const("p"), atom_const("q")
-    applying = "cannot apply a value of type "
+    p, q, x = atom_const("p"), atom_const("q"), Free("x", I)
+    expected = "ill-typed application: expected argument of type "
     for t, message in (
-            (App(NOT, p), applying + "o>o to one of type i>o"),
-            (App(App(OR, p), p), applying + "o>o>o to one of type i>o"),
-            (App(pi_const(I), AV), applying + "(i>o)>o to one of type i>i>o"),
+            (App(NOT, p), expected + "o, got i>o"),
+            (App(App(OR, p), p), expected + "o, got i>o"),
+            (App(pi_const(I), AV), expected + "i>o, got i>i>o"),
             (App(pi_const(I), Abs(TAU, App(Bound(0), Bound(0)))),
-             applying + "i>o to one of type i>o"),
-            # a lifted quantifier's body is typed like any other, and
-            # so is each quantifier's head in a lifted block
+             expected + "i, got i>o"),
             (App(pi_const(TAU), Abs(TAU, Bound(0))),
-             applying + "((i>o)>o)>o to one of type (i>o)>i>o"),
+             expected + "(i>o)>o, got (i>o)>i>o"),
             (forall(TAU, forall(TAU, Bound(0))),
-             applying + "((i>o)>o)>o to one of type (i>o)>i>o"),
+             expected + "(i>o)>o, got (i>o)>i>o"),
             (forall(TAU, App(pi_const(I), Abs(TAU, true_term()))),
-             applying + "(i>o)>o to one of type (i>o)>o"),
-            (App(Abs(I, Bound(0)), p),
-             "cannot apply a λ over i to a value of type i>o"),
-            (App(Abs(O, Bound(0)), q),
-             "cannot apply a λ over o to a value of type i>o"),
+             expected + "i>o, got (i>o)>o"),
+            (App(Abs(I, Bound(0)), p), expected + "i, got i>o"),
+            (App(Abs(O, Bound(0)), q), expected + "o, got i>o"),
             (App(Const(PI_NAME, Arrow(O, O)), true_term()),
              "logical constant Pi cannot have type o>o"),
             (App(Const(PI_NAME, Arrow(TAU, I)), Abs(I, true_term())),
@@ -628,10 +628,26 @@ def test_logical_heads_check_their_operand_types():
              "logical constant Pi cannot have type (i>i>o)>o"),
             (Const(PI_NAME, I), "logical constant Pi cannot have type i"),
             (App(Const(PI_NAME, Arrow(TAU, Arrow(O, O))), p),
-             "logical constant Pi cannot have type (i>o)>o>o")):
+             "logical constant Pi cannot have type (i>o)>o>o"),
+            # applied ¬, ∨ and = with a result other than o, and an inner
+            # quantifier of a lifted block with one
+            (App(Const(NOT_NAME, Arrow(O, I)), true_term()),
+             "logical constant not cannot have type o>i"),
+            (App(App(Const(OR_NAME, Arrow(O, Arrow(O, I))), true_term()),
+                 true_term()),
+             "logical constant or cannot have type o>o>i"),
+            (App(App(Const(EQ_NAME, Arrow(I, Arrow(I, I))), x), x),
+             "logical constant eq cannot have type i>i>i"),
+            (forall(TAU, App(Const(PI_NAME, Arrow(Arrow(TAU, O), I)),
+                             Abs(TAU, App(App(OB, Bound(1)), Bound(0))))),
+             "logical constant Pi cannot have type ((i>o)>o)>i"),
+            (Bound(0), "dangling bound variable index 0")):
         with pytest.raises(EvalError) as e:
-            henkin._compile(henkin._Compiled(h.n, True), t, (), None)
-        assert str(e.value) == message
+            eval_term(h, t, {"x": 0})
+        assert str(e.value) == message, pretty_term(t)
+    # a value that is no term is refused before it is walked further
+    with pytest.raises(TypeError, match="not a term: 'x'"):
+        eval_term(h, "x")
 
 
 # --- lifted binders ------------------------------------------------------

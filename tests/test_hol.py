@@ -75,6 +75,60 @@ def test_type_of_errors():
         type_of(Bound(0))
 
 
+_TAU_O = Arrow(TAU, O)
+
+
+@pytest.mark.parametrize("name, right, wrong", [
+    ("not", [Arrow(O, O)],
+     [O, Arrow(O, I), Arrow(I, O), Arrow(O, Arrow(O, O))]),
+    ("or", [Arrow(O, Arrow(O, O))],
+     [Arrow(O, O), Arrow(O, Arrow(O, I)), Arrow(I, Arrow(I, O))]),
+    ("Pi", [Arrow(TAU, O), Arrow(_TAU_O, O), Arrow(Arrow(O, O), O)],
+     [I, Arrow(O, O), Arrow(TAU, I), Arrow(_TAU_O, I),
+      Arrow(Arrow(I, TAU), O), Arrow(TAU, Arrow(O, O))]),
+    ("eq", [Arrow(I, Arrow(I, O)), Arrow(TAU, Arrow(TAU, O)),
+            Arrow(O, Arrow(O, O))],
+     [O, Arrow(I, O), Arrow(I, Arrow(I, I)), Arrow(I, Arrow(O, O)),
+      Arrow(I, Arrow(I, Arrow(I, O)))]),
+])
+def test_type_of_checks_the_logical_signature(name, right, wrong):
+    # a logical constant has the type its name allows: o>o, o>o>o,
+    # (α>o)>o or α>α>o; a free variable of that name is a variable
+    assert name in LOGICAL_NAMES
+    for ty in right:
+        assert type_of(Const(name, ty)) == ty
+    for ty in wrong:
+        with pytest.raises(HolTypeError) as e:
+            type_of(Const(name, ty))
+        assert str(e.value) == \
+            f"logical constant {name} cannot have type {type_str(ty)}"
+        # refused also as a head, applied, and under a binder
+        with pytest.raises(HolTypeError):
+            type_of(Abs(I, App(Const(name, ty), Free("x", O))))
+        assert type_of(Free(name, ty)) == ty
+
+
+def test_type_of_reads_the_closed_definitions_off_a_table(monkeypatch):
+    # the nine closed definitions of `embed` and `vld` are typed once, at
+    # import; a copy, another object, is walked and has the same type
+    t = vld(embed(parse("~O(p/q)")))
+    calls = [0]
+    monkeypatch.setattr(hol, "type_of", lambda *a, run=hol.type_of:
+                        calls.__setitem__(0, calls[0] + 1) or run(*a))
+    # vld, ~ and O(/) applied to atoms: one call per node of the skeleton
+    assert hol.type_of(t) == O
+    assert calls == [9]
+    definitions = (*hol._DEFINITIONS.values(), VLD)
+    assert sorted(hol._CLOSED_TYPES) == sorted(map(id, definitions))
+    assert len(hol._CLOSED_TYPES) == 9
+    for d in definitions:
+        copy = hol.shift(d, 0)
+        assert copy is not d and id(copy) not in hol._CLOSED_TYPES
+        assert hol._CLOSED_TYPES[id(d)] == type_of(d) == type_of(copy)
+    assert type_of(VLD) == Arrow(TAU, O)
+    assert type_of(hol.OR_TAU) == Arrow(TAU, Arrow(TAU, TAU))
+
+
 def test_substitute_variable():
     q = Const("q", O)
     assert substitute(Bound(0), q) == q

@@ -109,10 +109,13 @@ def test_verdict_with_no_samples_claims_only_the_exhaustive_bound():
 
 
 def test_search_rejects_too_many_atoms_before_building_lanes(monkeypatch):
-    def no_compile(*args):
-        raise AssertionError("compiled past the lane bound")
+    # the atoms are counted by `_compile`'s walk; no frame, table or lane
+    # is built past the bound
+    def no_lanes(*args):
+        raise AssertionError("built lanes past the lane bound")
 
-    monkeypatch.setattr(search, "_compile", no_compile)
+    for name in ("_representatives", "_chunk_size", "_sweep"):
+        monkeypatch.setattr(search, name, no_lanes)
     seven = parse("a|b|c|d|e|g|h")
     with pytest.raises(ValueError, match="at most 6 atoms"):
         find_countermodel(seven, n_max=3)
@@ -159,8 +162,8 @@ def _assert_lane_agrees(names, missed, m, f):
 
 
 def _assert_lanes_agree_up_to_two_worlds(f):
-    names = sorted(atoms(f))
-    ops, _ = search._compile(f, names)
+    ops, _, names = search._compile(f)
+    assert names == sorted(atoms(f))
     for n in (1, 2):
         swept = {}
         for m in enumerate_models(n, names):
@@ -184,7 +187,7 @@ def test_lanes_match_truth_set_on_shared_subformulas():
     x = parse("Oa p | [p]q")
     for f in (Or(x, x), ObDyadic(x, x), ObDyadic(Not(x), Or(x, Not(x))),
               parse("p <-> (q <-> O(p/q))"), parse("<a>p -> <p>(q <-> p)")):
-        ops, _ = search._compile(f, sorted(atoms(f)))
+        ops, _, _ = search._compile(f)
         assert len(ops) == len(postorder(f))
         _assert_lanes_agree_up_to_two_worlds(f)
 
@@ -193,10 +196,10 @@ def test_lanes_match_truth_set_on_random_models_at_three_and_four_worlds():
     rng = random.Random(62)
     for _ in range(1200):
         f = random_formula(rng, 4)
-        names = sorted(atoms(f))
+        ops, _, names = search._compile(f)
+        assert names == sorted(atoms(f))
         m = random_model(rng.choice((3, 4)), names, rng.getrandbits(63),
                          rng.choice(DENSITIES))
-        ops, _ = search._compile(f, names)
         _assert_lane_agrees(names, _missed(ops, names, m), m, f)
 
 
@@ -367,9 +370,8 @@ def test_chunked_sweep_matches_the_sweep_oracle():
         formulas.append(random_formula(rng, 4, pool))
     covered = set()
     for f in formulas:
-        names = sorted(atoms(f))
+        ops, uses, names = search._compile(f)
         k = len(names)
-        ops, uses = search._compile(f, names)
         for n in (1, 2, 3):
             pairs = search._representatives(n, *uses)
             expected = _oracle_misses(ops, k, n, pairs)
@@ -395,8 +397,7 @@ def test_a_short_last_chunk_misses_no_lane_past_its_pairs():
     # pv, where these valid formulas fail; those lanes must stay clear
     for text in ("<a>p | <a>~p", "<p>p | <p>~p"):
         f = parse(text)
-        names = sorted(atoms(f))
-        ops, uses = search._compile(f, names)
+        ops, uses, names = search._compile(f)
         for n in (2, 3):
             count = len(search._representatives(n, *uses))
             sizes = [s for s in (2, 3, 4, 8, 32) if s < count and count % s]
@@ -414,8 +415,7 @@ def test_chunks_of_one_pair_match_the_sweep_oracle():
     for text in (f"([p]{x} -> [a]{x}) | Op {x}", f"Oa {x} -> Op {x}",
                  f"O(a/b) & <>(c & d & e & g) -> O(a/b) & Oa {x}"):
         f = parse(text)
-        names = sorted(atoms(f))
-        ops, uses = search._compile(f, names)
+        ops, uses, names = search._compile(f)
         pairs = search._representatives(3, *uses)[:6]
         size = search._chunk_size(3, len(names), len(pairs))
         assert size == 1
@@ -430,8 +430,7 @@ def test_four_world_draws_match_the_sweep_oracle():
     formulas = [parse(text) for text in ["Oa p -> Op p", *NEEDS_FOUR[1:]]]
     formulas += [random_formula(rng, 4, ("p", "q")) for _ in range(6)]
     for f in formulas:
-        names = sorted(atoms(f))
-        ops, uses = search._compile(f, names)
+        ops, uses, names = search._compile(f)
         for seed in range(3):
             draws = list(_sampled(4, *uses, 200, seed))
             expected = _oracle_misses(ops, len(names), 4, draws)

@@ -161,6 +161,18 @@ def test_only_emission_and_the_axioms_normalize():
                      "hol.py:axioms"]
 
 
+def test_terms_are_type_checked_only_in_compile_term():
+    # `hol.type_of` is the one well-formedness check of a term: henkin
+    # runs it once per compile and turns its error into an EvalError, and
+    # `_compile` takes the types as given
+    henkin = (SRC / "henkin.py").read_text(encoding="utf-8")
+    assert reads_naming(henkin, "type_of") == ["_compile_term"]
+    found = [f"{path.name}:{where}" for path in sorted(SRC.rglob("*.py"))
+             for where in except_clauses_naming(
+                 path.read_text(encoding="utf-8"), "HolTypeError")]
+    assert found == ["henkin.py:_compile_term"]
+
+
 def test_reads_naming_a_name_are_found():
     source = ("x = f(1)\n"
               "def g():\n"
