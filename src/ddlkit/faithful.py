@@ -16,7 +16,7 @@ from .model import DENSITIES, CJModel, full_mask, model_json, random_model
 from .syntax import Formula, pretty, random_formula
 
 # Bound on the triples `check_faithfulness` draws.  At the bound it took
-# 2.9-3.1 s and 18 MB (peak RSS of the CLI process) with --max-worlds 4
+# 1.7-2.2 s and 18 MB (peak RSS of the CLI process) with --max-worlds 4
 # on a 2-vCPU machine; memory does not grow with the count.
 MAX_SAMPLES = 10_000
 

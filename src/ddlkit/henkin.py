@@ -26,10 +26,16 @@ binder is fixed at compile time; one that is over the budget raises
 DomainBudgetError only if it runs.  A syntactic λ applied to arguments,
 as `embed` and `vld` apply each connective's definition, runs its body
 with the arguments' values, each of its binder's type, pushed as its
-innermost binders.  The body compiles once per term, binder types and
-lifted block (below), so every ∨ of a term runs one code with one set
-of caches, keyed by the values they read.  Pi f is Pi (λx. f x), so
-every quantifier is a binder.
+innermost binders.  The body of one of the nine closed definitions
+applied outside any binder, as in every term `embed` and `vld` build,
+compiles once per world count and lift flag (below) into a unit that
+all terms share; a run fills only the unit's constant slots that its
+definitions read and empties the unit's caches, and runs and compiles
+hold one lock.  Any other applied λ, a term's own or a definition under
+a binder, compiles once per term, binder types and lifted block.  So
+every ∨ of a term runs one code with one set of caches, keyed by the
+values they read.  Pi f is Pi (λx. f x), so every quantifier is a
+binder.
 
 Since an element of D(a>o) is the |D(a)|-bit mask of where it holds, a
 quantifier over a predicate V : β>o can run once for all values of V,
@@ -69,10 +75,10 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .hol import (EQ_NAME, I, LOGICAL_NAMES, NOT_NAME, OR_NAME, PI_NAME,
-                  TAU, Abs, App, Arrow, Bound, Const, Free, HolTerm, HolType,
-                  HolTypeError, O as O_TYPE, _applies, axioms, eta_expand,
-                  match_and, type_of, type_str)
+from .hol import (_CLOSED_TYPES, EQ_NAME, I, LOGICAL_NAMES, NOT_NAME,
+                  OR_NAME, PI_NAME, TAU, Abs, App, Arrow, Bound, Const, Free,
+                  HolTerm, HolType, HolTypeError, O as O_TYPE, _applies,
+                  axioms, eta_expand, match_and, type_of, type_str)
 from .model import (EMPTY_OB, CJModel, full_mask, ideal_ob, ideal_of,
                     validate)
 from .syntax import RESERVED_ATOMS
@@ -184,7 +190,11 @@ def eval_term(h: HenkinModel, t: HolTerm,
     EvalError with its message, and compiled for h's world count (see
     `_compile_term`), so types, radices and the domain of each
     quantifier and abstraction are worked out per node rather than per
-    step, and then run once.
+    step, and then run once.  The bodies of the nine closed definitions
+    that it applies outside any binder are compiled once per world count
+    and shared with every other term (see `_Compiled`); any other
+    applied λ compiles with the term.  The compile and the run hold one
+    lock, so any thread may call this.
     Quantifiers and the boolean connectives are applied without
     materializing their tables, with early exit; a conjunction and an
     implication ¬a ∨ b are one clause each.  A domain over the budget
@@ -202,7 +212,8 @@ def eval_term(h: HenkinModel, t: HolTerm,
     OB3 at n = 4, where ∀B lifts alone and ∀X loops in its lanes,
     ∃Z. B Z is computed once, not once per X.
     """
-    return _compile_term(h.n, t).run(h.interp, free or {})
+    with _LOCK:
+        return _compile_term(h.n, t).run(h.interp, free or {})
 
 
 class _Unlifted(Exception):
@@ -222,10 +233,22 @@ class _Compiled:
     are the tables of `_cached`, emptied at the start of each run.  So
     one compiled term serves every interpretation over its worlds, one
     run at a time.  `bodies` maps the body of each applied λ, by its id,
-    binder types and lifted block, to the code its applications share."""
+    binder types and lifted block, to the code its applications share,
+    with the slots of the constants it reads.
+
+    The nine closed definitions of `hol`, applied outside any binder as
+    `embed` and `vld` apply them, are compiled not into the term but
+    into `unit`, the _Compiled of the world count and lift flag that
+    `_unit` shares among all terms, and `linked` maps the constants
+    their bodies read to the unit's slots.  A run fills those slots
+    only, so a term whose definitions read no av runs without one, and
+    empties the unit's memos.  Every other applied λ, a term's own or a
+    definition under a binder, compiles once per term.  `eval_term`
+    holds `_LOCK` while it compiles and runs a term, as `check_axioms`
+    does for the axioms, so any thread may call either."""
 
     __slots__ = ("n", "lift", "consts", "tables", "frees", "values",
-                 "memos", "bodies", "code")
+                 "memos", "bodies", "code", "unit", "linked")
 
     def __init__(self, n: int, lift: bool) -> None:
         self.n, self.lift = n, lift
@@ -235,18 +258,28 @@ class _Compiled:
         self.values: list[int] = []
         self.memos: list[dict] = []
         self.bodies: dict[tuple, tuple] = {}
+        self.unit: _Compiled | None = None
+        self.linked: dict[str, int] = {}
 
     def run(self, interp: Mapping[str, int], free: Mapping[str, int]
             ) -> int:
         """The term's value with the constants' tables in `interp` and
         the free variables' values in `free`.  A missing constant, then
         a missing free variable or a free value outside its type's
-        domain, raises EvalError before any code runs."""
+        domain, raises EvalError before any code runs.  A term linked
+        to a unit runs under `_LOCK`, as `eval_term` runs it."""
         try:
             self.tables[:] = map(interp.__getitem__, self.consts)
         except KeyError:
             name = next(name for name in self.consts if name not in interp)
             raise EvalError(f"constant {name} has no interpretation") from None
+        unit = self.unit
+        if unit:
+            tables = unit.tables
+            for name, slot in self.linked.items():
+                tables[slot] = interp[name]
+            for memo in unit.memos:
+                memo.clear()
         values = self.values
         for k, (name, ty) in enumerate(self.frees):
             if name not in free:
@@ -259,6 +292,18 @@ class _Compiled:
         for memo in self.memos:
             memo.clear()
         return self.code([])
+
+
+# The unit of each (world count, lift flag), filled as terms link to it:
+# at most one body per definition and argument count, 19, and 17 from
+# `vld(embed f)` and `embed f` at a world.  A term keeps its unit, so an
+# evicted one only stops being shared.
+_unit = functools.lru_cache(maxsize=16)(_Compiled)
+
+# Held by `eval_term` and `check_axioms` while they compile and run: a
+# compile adds to a unit, and a run fills in the state of its unit or
+# of a compiled axiom.
+_LOCK = threading.Lock()
 
 
 def _compile_term(n: int, t: HolTerm) -> _Compiled:
@@ -344,21 +389,34 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
         # apply syntactic lambdas by extending the environment rather
         # than building their tables; arguments are evaluated in the
         # current environment first, to plain values
-        inner = binders
+        inner, defn = binders, head
         k = 0
         while isinstance(head, Abs) and k < len(args):
             inner = (head.var_ty,) + inner
             head = head.body
             k += 1
-        # a definitional body, `OR_TAU`'s under each ∨, compiles once per
-        # binder types and block; the entry holds `head` and `lane`, so
-        # that no other term or block can take their ids
-        key = (id(head), inner, id(lane))
-        shared = comp.bodies.get(key)
+        # a body compiles once per binder types and block, `OR_TAU`'s
+        # under each ∨; the entry holds `head` and `lane`, so that no
+        # other term or block can take their ids.  One of the nine closed
+        # definitions applied outside any binder has the types of its own
+        # λs and no block: it compiles into the unit, for every term
+        if binders or id(defn) not in _CLOSED_TYPES:
+            owner, key = comp, (id(head), inner, id(lane))
+        else:
+            owner = comp.unit = _unit(comp.n, comp.lift)
+            key = id(head)
+        shared = owner.bodies.get(key)
         if shared is None:
-            shared = comp.bodies[key] = (
-                head, lane, *_compile(comp, head, inner, lane))
-        _, _, body, ty, mask = shared
+            shared = owner.bodies[key] = (
+                head, lane, *_compile(owner, head, inner, lane),
+                {name: owner.consts[name] for name in _constants(head, {})})
+            owner.tables += [0] * (len(owner.consts) - len(owner.tables))
+        _, _, body, ty, mask, reads = shared
+        if owner is not comp:
+            # the term checks the names in `consts`, in compile order
+            for name, slot in reads.items():
+                comp.linked[name] = slot
+                comp.consts.setdefault(name, len(comp.consts))
         mask &= (1 << depth) - 1
         pushed = []
         for a, _, arg_mask in argcode[:k]:
@@ -381,6 +439,26 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
                           else domain_size(comp.n, ty))
         mask |= arg_mask
     return code, ty, mask
+
+
+def _constants(t: HolTerm, names: dict[str, None]) -> dict[str, None]:
+    """`names` with those of the constants in `t` that an interpretation
+    gives added in the order `_compile` meets them: a spine's arguments,
+    left to right, before its head."""
+    kind = type(t)
+    if kind is App:
+        args = []
+        while kind is App:
+            args.append(t.arg)
+            t = t.fn
+            kind = type(t)
+        for a in reversed(args):
+            _constants(a, names)
+    if kind is Abs:
+        _constants(t.body, names)
+    elif kind is Const and t.name not in LOGICAL_NAMES:
+        names[t.name] = None
+    return names
 
 
 # Closures are built by helpers, so that `_compile`, which runs for
@@ -801,9 +879,8 @@ def build_henkin(m: CJModel) -> HenkinModel:
 
 # The eight axioms compiled per world count, filled on first use; the
 # guard in check_axioms keeps it to n = 0..4.  A compiled term keeps its
-# constants' values and memos while it runs, so runs hold the lock.
+# constants' values and memos while it runs, so checks hold `_LOCK`.
 _AXIOMS: dict[int, list[tuple[str, _Compiled]]] = {}
-_AXIOMS_LOCK = threading.Lock()
 
 
 def check_axioms(h: HenkinModel) -> str | None:
@@ -817,7 +894,7 @@ def check_axioms(h: HenkinModel) -> str | None:
     one lock lets one check run them at a time: any thread may call
     this."""
     enumerate_domain(h.n, Arrow(TAU, O_TYPE))
-    with _AXIOMS_LOCK:
+    with _LOCK:
         compiled = _AXIOMS.get(h.n)
         if compiled is None:
             compiled = _AXIOMS[h.n] = [(name, _compile_term(h.n, term))

@@ -16,11 +16,12 @@ quantifier constant per type (binder notation forall X. s is sugar for
 Pi applied to a lambda), and primitive equality per type.  The deontic
 signature adds av, pv (type i>i>o) and ob (type (i>o)>(i>o)>o), plus one
 constant of type tau per formula atom.  `type_of` is the one check that
-a term is well formed, the logical constants' types included; `henkin`
-runs it once on each term it compiles.  Everything else (conjunction,
-implication, equivalence, truth constants, existentials) is expanded
-into that core at construction time, so reduction and evaluation only
-ever deal with the five term formers and the primitive constants.
+a term is well formed, the logical constants' types and every type
+field included; `henkin` runs it once on each term it compiles.
+Everything else (conjunction, implication, equivalence, truth
+constants, existentials) is expanded into that core at construction
+time, so reduction and evaluation only ever deal with the five term
+formers and the primitive constants.
 
 `embed` maps a formula to a world predicate of type tau by substituting
 the definitional lambda terms for the nine connectives; `vld` closes a
@@ -145,7 +146,8 @@ def atom_const(name: str) -> Const:
 
 def type_of(t: HolTerm, binders: tuple[HolType, ...] = ()) -> HolType:
     """The unique simple type of a term, or HolTypeError, also for a
-    logical constant at a type its name does not allow (`_signature`).
+    logical constant at a type its name does not allow (`_signature`)
+    and for a type field that is no type (`_checked`).
     The nine closed definitions are typed once, at import, so typing
     `vld(embed f)` walks only f's skeleton."""
     kind = type(t)  # one type test per node
@@ -164,19 +166,32 @@ def type_of(t: HolTerm, binders: tuple[HolType, ...] = ()) -> HolType:
         closed = _CLOSED_TYPES.get(id(t))
         if closed is not None:
             return closed
-        return Arrow(t.var_ty, type_of(t.body, (t.var_ty,) + binders))
+        return Arrow(_checked(t.var_ty),
+                     type_of(t.body, (t.var_ty,) + binders))
     if kind is Const:
+        ty = _checked(t.ty)
         if t.name in LOGICAL_NAMES and t != _signature(t):
             raise HolTypeError(f"logical constant {t.name} cannot have type "
-                               f"{type_str(t.ty)}")
-        return t.ty
+                               f"{type_str(ty)}")
+        return ty
     if kind is Free:
-        return t.ty
+        return _checked(t.ty)
     if kind is Bound:
         if t.index >= len(binders):
             raise HolTypeError(f"dangling bound variable index {t.index}")
         return binders[t.index]
     raise TypeError(f"not a term: {t!r}")
+
+
+def _checked(ty: HolType) -> HolType:
+    """ty, if it is a type: a base type or an arrow between types."""
+    kind = type(ty)
+    if kind is Arrow:
+        _checked(ty.arg)
+        _checked(ty.res)
+    elif kind is not BaseType:
+        raise HolTypeError(f"not a type: {ty!r}")
+    return ty
 
 
 def _signature(c: Const) -> Const:

@@ -119,9 +119,10 @@ def subsets(mask: int) -> Iterator[int]:
     return iter(sorted(subs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CJModel:
-    """Immutable finite model; `ob` maps context masks to trace sets."""
+    """Immutable finite model; `ob` maps context masks to trace sets.
+    Slotted, as the formula constructors are: no __dict__ per model."""
 
     n: int
     av: tuple[int, ...]

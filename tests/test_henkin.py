@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from ddlkit import henkin
-from ddlkit.checker import eval_formula, valid_in_model
+from ddlkit.checker import eval_formula, truth_set, valid_in_model
 from ddlkit.henkin import (FALSE, TRUE, AxiomCheckError, DomainBudgetError,
                            EvalError, ExtractionError, HenkinModel,
                            build_henkin, check_axioms, domain_size,
@@ -25,6 +25,17 @@ from helpers import (all_candidate_ob_tables, interpreted_frame_failures,
                      leibniz_eq, mk_model, oracle_eval_term, random_term)
 
 MINIMAL = mk_model(1, av=[[0]], pv=[[0]], ob=[], val={"p": [0]})
+
+
+@pytest.fixture(autouse=True)
+def fresh_units():
+    """Empty the units of compiled definitions before and after each
+    test: a test that patches a compile helper then compiles the
+    definitions it runs with the patch, and no later test runs code
+    built with it."""
+    henkin._unit.cache_clear()
+    yield
+    henkin._unit.cache_clear()
 
 
 def random_models(count, n_max=3, seed=21, atoms=("p", "q")):
@@ -648,6 +659,21 @@ def test_logical_heads_check_their_operand_types(monkeypatch):
     # a value that is no term is refused before it is walked further
     with pytest.raises(TypeError, match="not a term: 'x'"):
         eval_term(h, "x")
+
+
+def test_a_type_field_that_is_no_type_is_an_eval_error():
+    # `hol.type_of` refuses it, so it is an EvalError and no traceback
+    h = HenkinModel(2, {"c": 1, "d": 0})
+    for t, message in (
+            (App(Const("c", "foo"), Const("d", O)), "not a type: 'foo'"),
+            (App(Const("c", Arrow(I, "o")), Free("w", I)),
+             "not a type: 'o'"),
+            (forall(I, App(Free("f", Arrow(I, None)), Bound(0))),
+             "not a type: None"),
+            (Abs("i", Bound(0)), "not a type: 'i'")):
+        with pytest.raises(EvalError) as e:
+            eval_term(h, t, {"w": 0})
+        assert str(e.value) == message
 
 
 # --- lifted binders ------------------------------------------------------
@@ -1619,6 +1645,109 @@ def test_check_axioms_from_several_threads_matches_sequential_answers(
         start.wait()
         answers[k] = [check_axioms(images[i]) for i in orders[k]]
     threads = [threading.Thread(target=check, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert answers == [[expected[i] for i in order] for order in orders]
+
+
+# --- definitions compiled once per world count -------------------------
+
+
+def test_each_run_of_the_shared_definitions_reads_its_own_model(
+        monkeypatch):
+    # the definitions' bodies are compiled once per world count and
+    # shared by every term; each run fills the constant slots that its
+    # definitions read and empties their memos, so runs interleaved over
+    # models, world counts and formulas, in any order, match the oracles
+    loops = dict.fromkeys(_LOOPS, 0)
+    runs = _count_runs(monkeypatch, loops)
+    rng = random.Random(106)
+    atoms = ("p", "q")
+    formulas = [parse(text) for text in (
+        "~p", "p | q", "[]p", "[a]p", "[p]q", "O(p/q)", "Oa p", "Op q",
+        "[](Oa p | [a]q)", "O([p]q / ~p) | Op []p", "[]p | []q")]
+    formulas += [random_formula(rng, 5, atoms) for _ in range(12)]
+    images = {n: [] for n in (1, 2, 3)}
+    for n in images:
+        for density in (0.0, 0.15, 0.3, 0.5):
+            m = random_model(n, atoms, rng.getrandbits(63), density)
+            images[n].append((m, build_henkin(m)))
+    # a run loops afresh: its memos start empty, so repeated runs of a
+    # term on the same models loop as often as the first
+    boxes = vld(embed(parse("[]p | []q")))
+    counts = []
+    for _, h in images[3] * 2:
+        runs[0] = 0
+        assert eval_term(h, boxes) == oracle_eval_term(h, boxes)
+        counts.append(runs[0])
+    assert counts[:4] == counts[4:] and min(counts) > 0, counts
+    cases = [(m, h, f) for group in images.values() for m, h in group
+             for f in formulas]
+    rng.shuffle(cases)
+    for m, h, f in cases:
+        t, ts = embed(f), truth_set(m, f)
+        valid = vld(t)
+        assert eval_term(h, valid) == oracle_eval_term(h, valid) \
+            == (ts == full_mask(m.n)), (pretty(f), m)
+        s = rng.randrange(m.n)
+        at_world = App(t, Free("S", I))
+        assert eval_term(h, at_world, {"S": s}) == \
+            oracle_eval_term(h, at_world, {"S": s}) == ts >> s & 1, \
+            (pretty(f), m, s)
+    # a term whose definitions read no constant runs without av, pv and
+    # ob, after a term that reads them has filled the unit
+    h = build_henkin(mk_model(2, av=[[0], [1]], pv=[[0, 1]] * 2, ob=[],
+                              val={"p": [0]}))
+    assert eval_term(h, vld(embed(parse("Oa p")))) == FALSE
+    bare = HenkinModel(2, {"p": 1})
+    assert eval_term(bare, vld(embed(parse("~p | p")))) == TRUE
+    assert eval_term(bare, App(embed(parse("[]p | ~p")), Free("S", I)),
+                     {"S": 1}) == TRUE
+    with pytest.raises(EvalError) as e:
+        eval_term(bare, vld(embed(parse("~p | Oa p"))))
+    assert str(e.value) == "constant av has no interpretation"
+
+
+def test_eval_term_from_several_threads_matches_sequential_answers():
+    # every term of the embedded route runs the shared definitions, whose
+    # slots and memos each run fills in; a switch interval of 1 us makes
+    # the threads interleave inside compiles and runs, where any
+    # unguarded state would mix models
+    rng = random.Random(107)
+    atoms = ("p", "q")
+    # each formula reads av, pv or ob, in models of one world count
+    formulas = [parse(text) for text in (
+        "[a]p", "[p]q", "Oa p", "Op q", "O(p/q)", "[a](p | Op q)",
+        "[](Oa p | [p]q)", "[]([a]~p | Oa [p]q | O([a]p / Op q))")]
+    cases = []
+    for k in range(40):
+        n = 2 + k % 2
+        m = random_model(n, atoms, rng.getrandbits(63),
+                         rng.choice((0.0, 0.15, 0.3, 0.5)))
+        h, t = build_henkin(m), embed(formulas[k % len(formulas)])
+        cases.append((h, vld(t), {}))
+        cases.append((h, App(t, Free("S", I)), {"S": rng.randrange(n)}))
+    expected = [eval_term(*case) for case in cases]
+    assert set(expected) == {FALSE, TRUE}
+    # each thread evaluates every case four times, in an order of its own
+    orders = [rng.sample(range(len(cases)), len(cases)) * 4
+              for _ in range(4)]
+    answers = [None] * 4
+    start = threading.Barrier(4, timeout=60)
+
+    def evaluate(k):
+        start.wait()
+        answers[k] = [eval_term(*cases[i]) for i in orders[k]]
+    threads = [threading.Thread(target=evaluate, args=(k,))
+               for k in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

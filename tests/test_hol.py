@@ -75,6 +75,30 @@ def test_type_of_errors():
         type_of(Bound(0))
 
 
+# a type field that is no type, at the top or inside an arrow, of a
+# constant, a free variable or a λ's variable, applied or alone
+_NO_TYPES = [
+    (App(Const("c", "foo"), Const("d", O)), "'foo'"),
+    (Const("c", Arrow(I, "foo")), "'foo'"),
+    (App(Const("c", Arrow(Arrow(I, None), O)), Free("x", TAU)), "None"),
+    (Free("x", "o"), "'o'"),
+    (Abs(3, Bound(0)), "3"),
+    (Abs(I, App(Free("f", Arrow(I, ("i", "o"))), Bound(0))), "('i', 'o')"),
+    (Const("not", "o>o"), "'o>o'"),
+    (App(App(Const("or", Arrow(O, Arrow(O, "o"))), Const("a", O)),
+         Const("b", O)), "'o'"),
+]
+
+
+@pytest.mark.parametrize("t, shown", _NO_TYPES)
+def test_type_of_refuses_a_type_field_that_is_no_type(t, shown):
+    # a base type or an arrow between types, or HolTypeError naming it,
+    # never an AttributeError from a message that prints it
+    with pytest.raises(HolTypeError) as e:
+        type_of(t)
+    assert str(e.value) == f"not a type: {shown}"
+
+
 _TAU_O = Arrow(TAU, O)
 
 

@@ -1,9 +1,11 @@
 import ast
+import random
 from pathlib import Path
 
 import pytest
 
 import ddlkit
+from ddlkit import henkin, hol, model, syntax
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ddlkit"
@@ -266,6 +268,65 @@ def test_every_cache_of_the_evaluator_is_bounded():
     # computed values with no bound grows with every model run
     assert unbounded_caches((SRC / "henkin.py").read_text(
         encoding="utf-8")) == []
+
+
+def unit_heads() -> dict[int, tuple[str, int]]:
+    """Each body a unit of compiled definitions may hold, by its id: a
+    closed definition of `hol`, named, with k of its λs applied."""
+    heads = {}
+    for name, term in [(kind.__name__, term) for kind, term
+                       in hol._DEFINITIONS.items()] + [("VLD", hol.VLD)]:
+        k = 0
+        while type(term) is hol.Abs:
+            term, k = term.body, k + 1
+            heads[id(term)] = name, k
+    return heads
+
+
+def _abstract(t, name):
+    """t, an embedded formula, with the atom `name` read as Bound(0):
+    the skeleton outside the definitions has no binders of its own."""
+    if type(t) is hol.App:
+        return hol.App(_abstract(t.fn, name), _abstract(t.arg, name))
+    return hol.Bound(0) if t == hol.atom_const(name) else t
+
+
+def test_the_unit_of_compiled_definitions_stays_bounded():
+    # the unit is a dict, which `unbounded_caches` does not see: it holds
+    # one body per definition and argument count, 19 per world count and
+    # lift flag, and 17 from embedded terms, whatever the formulas' depth
+    heads = unit_heads()
+    assert len(heads) == 19
+    henkin._unit.cache_clear()
+    rng = random.Random(32)
+    shallow = ["~p", "p | q", "[]p", "[a]p", "[p]p", "O(p/q)", "Oa p",
+               "Op p"]
+    deep = [op * 40 + "p" for op in ("[]", "[a]", "Oa ")]
+    deep.append("O(" * 40 + "p" + " / q)" * 40)
+    seen = {}
+    for n in (1, 2, 3):
+        h = henkin.build_henkin(model.random_model(n, ("p", "q"),
+                                                   rng.getrandbits(63), 0.3))
+        unit = henkin._unit(n, True)
+        for texts in (shallow, deep):
+            for text in texts:
+                t = hol.embed(syntax.parse(text))
+                henkin.eval_term(h, hol.vld(t))
+                henkin.eval_term(h, hol.App(t, hol.Free("S", hol.I)),
+                                 {"S": n - 1})
+            held = sorted(heads[key] for key in unit.bodies)
+            assert len(held) == len(set(held)) == 17, held
+            seen[n, texts is deep] = (held, len(unit.memos), unit.consts)
+        assert seen[n, True] == seen[n, False]
+        assert unit.consts.keys() == {"av", "pv", "ob"}
+        # a definition applied under a binder compiles with its term
+        before = [(dict(u.bodies), list(u.memos), dict(u.consts))
+                  for u in (unit, henkin._unit(n, False))]
+        t = hol.embed(syntax.parse("[](Oa p | [a]q) | O(p / ~p)"))
+        henkin.eval_term(h, hol.forall(
+            hol.TAU, hol.App(hol.VLD, _abstract(t, "p"))))
+        assert [(dict(u.bodies), list(u.memos), dict(u.consts))
+                for u in (unit, henkin._unit(n, False))] == before
 
 
 def cache_owner(source: str, line: int) -> str:
