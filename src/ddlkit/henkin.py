@@ -28,14 +28,13 @@ as `embed` and `vld` apply each connective's definition, runs its body
 with the arguments' values, each of its binder's type, pushed as its
 innermost binders.  The body of one of the nine closed definitions
 applied outside any binder, as in every term `embed` and `vld` build,
-compiles once per world count and lift flag (below) into a unit that
-all terms share; a run fills only the unit's constant slots that its
-definitions read and empties the unit's caches, and runs and compiles
-hold one lock.  Any other applied λ, a term's own or a definition under
-a binder, compiles once per term, binder types and lifted block.  So
-every ∨ of a term runs one code with one set of caches, keyed by the
-values they read.  Pi f is Pi (λx. f x), so every quantifier is a
-binder.
+compiles once per world count into a unit that all terms share, so
+every ∨ of such a term runs one code with one set of caches, keyed by
+the values they read; a run fills only the unit's constant slots that
+its definitions read and empties the unit's caches, and runs and
+compiles hold one lock.  Any other applied λ, a term's own or a
+definition under a binder, compiles where it is applied.  Pi f is
+Pi (λx. f x), so every quantifier is a binder.
 
 Since an element of D(a>o) is the |D(a)|-bit mask of where it holds, a
 quantifier over a predicate V : β>o can run once for all values of V,
@@ -168,10 +167,11 @@ class HenkinModel:
 
 # A compiled term: reads the binder stack (innermost binder last).
 Code = Callable[[list], int]
-# The enclosing lifted block, or None: the mask of its binder levels,
-# the full mask of its lanes, and per level the block's digit count and
-# that variable's first digit and digit count (see `_binder`).
-Lane = tuple[int, int, dict[int, tuple[int, int, int]]] | None
+# The enclosing lifted block: the mask of its binder levels, the full
+# mask of its lanes, and per level the block's digit count and that
+# variable's first digit and digit count (see `_binder`); outside any
+# block, None if a predicate quantifier may lift there, else False.
+Lane = tuple[int, int, dict[int, tuple[int, int, int]]] | None | bool
 
 _ARITY = {NOT_NAME: 1, OR_NAME: 2, EQ_NAME: 2, PI_NAME: 1}
 
@@ -193,8 +193,8 @@ def eval_term(h: HenkinModel, t: HolTerm,
     step, and then run once.  The bodies of the nine closed definitions
     that it applies outside any binder are compiled once per world count
     and shared with every other term (see `_Compiled`); any other
-    applied λ compiles with the term.  The compile and the run hold one
-    lock, so any thread may call this.
+    applied λ compiles where it is applied.  The compile and the run
+    hold one lock, so any thread may call this.
     Quantifiers and the boolean connectives are applied without
     materializing their tables, with early exit; a conjunction and an
     implication ¬a ∨ b are one clause each.  A domain over the budget
@@ -223,8 +223,7 @@ class _Unlifted(Exception):
 
 
 class _Compiled:
-    """A term compiled for a world count: its code, whether predicate
-    binders are lifted, and the state each run fills in first.
+    """A term compiled for a world count, with the state each run fills.
 
     Constants and free variables are read when the term runs, not when
     it compiles.  Each constant name has a slot in `tables`, in the
@@ -232,32 +231,31 @@ class _Compiled:
     node has one in `values`, and its name and type in `frees`.  `memos`
     are the tables of `_cached`, emptied at the start of each run.  So
     one compiled term serves every interpretation over its worlds, one
-    run at a time.  `bodies` maps the body of each applied λ, by its id,
-    binder types and lifted block, to the code its applications share,
-    with the slots of the constants it reads.
+    run at a time.
 
     The nine closed definitions of `hol`, applied outside any binder as
-    `embed` and `vld` apply them, are compiled not into the term but
-    into `unit`, the _Compiled of the world count and lift flag that
-    `_unit` shares among all terms, and `linked` maps the constants
-    their bodies read to the unit's slots.  A run fills those slots
+    `embed` and `vld` apply them, compile not into the term but into
+    `unit`, the _Compiled of the world count that `_unit` shares among
+    all terms: its `bodies` map the id of each definition's body to its
+    code and the slots of the constants it reads, and the term's
+    `linked` maps those constants to those slots.  A run fills them
     only, so a term whose definitions read no av runs without one, and
-    empties the unit's memos.  Every other applied λ, a term's own or a
-    definition under a binder, compiles once per term.  `eval_term`
-    holds `_LOCK` while it compiles and runs a term, as `check_axioms`
-    does for the axioms, so any thread may call either."""
+    empties the unit's memos.  Any other applied λ compiles into the
+    term where it is applied, so a term's own `bodies` stay empty.
+    `eval_term` holds `_LOCK` while it compiles and runs a term, as
+    `check_axioms` does for the axioms, so any thread may call either."""
 
-    __slots__ = ("n", "lift", "consts", "tables", "frees", "values",
-                 "memos", "bodies", "code", "unit", "linked")
+    __slots__ = ("n", "consts", "tables", "frees", "values", "memos",
+                 "bodies", "code", "unit", "linked")
 
-    def __init__(self, n: int, lift: bool) -> None:
-        self.n, self.lift = n, lift
+    def __init__(self, n: int) -> None:
+        self.n = n
         self.consts: dict[str, int] = {}
         self.tables: list[int] = []
         self.frees: list[tuple[str, HolType]] = []
         self.values: list[int] = []
         self.memos: list[dict] = []
-        self.bodies: dict[tuple, tuple] = {}
+        self.bodies: dict[int, tuple] = {}
         self.unit: _Compiled | None = None
         self.linked: dict[str, int] = {}
 
@@ -266,8 +264,8 @@ class _Compiled:
         """The term's value with the constants' tables in `interp` and
         the free variables' values in `free`.  A missing constant, then
         a missing free variable or a free value outside its type's
-        domain, raises EvalError before any code runs.  A term linked
-        to a unit runs under `_LOCK`, as `eval_term` runs it."""
+        domain (any non-int), raises EvalError before any code runs.  A
+        term linked to a unit runs under `_LOCK`, as `eval_term` runs it."""
         try:
             self.tables[:] = map(interp.__getitem__, self.consts)
         except KeyError:
@@ -286,19 +284,19 @@ class _Compiled:
                 raise EvalError(f"unassigned free variable {name}:"
                                 f"{type_str(ty)}")
             v = values[k] = free[name]
-            if not 0 <= v < domain_size(self.n, ty):
-                raise EvalError(f"value {v} of {name} is outside the "
+            if not (isinstance(v, int) and 0 <= v < domain_size(self.n, ty)):
+                raise EvalError(f"value {v!r} of {name} is outside the "
                                 f"domain of type {type_str(ty)}")
         for memo in self.memos:
             memo.clear()
         return self.code([])
 
 
-# The unit of each (world count, lift flag), filled as terms link to it:
-# at most one body per definition and argument count, 19, and 17 from
-# `vld(embed f)` and `embed f` at a world.  A term keeps its unit, so an
-# evicted one only stops being shared.
-_unit = functools.lru_cache(maxsize=16)(_Compiled)
+# The unit of each world count, filled as terms link to it: at most one
+# body per definition and argument count, 19, and 17 from `vld(embed f)`
+# and `embed f` at a world.  8 covers n = 0..7, past the 4 the axioms
+# reach; a term keeps its unit, so an evicted one only stops sharing.
+_unit = functools.lru_cache(maxsize=8)(_Compiled)
 
 # Held by `eval_term` and `check_axioms` while they compile and run: a
 # compile adds to a unit, and a run fills in the state of its unit or
@@ -310,19 +308,21 @@ def _compile_term(n: int, t: HolTerm) -> _Compiled:
     """`t` compiled for n worlds, lifting the outermost blocks of
     predicate quantifiers; if a part of a lifted body reads a block
     variable where no lane code exists (see `_lane_apply`), the whole
-    term is compiled once more with no binder lifted.  The term is
-    checked first, by `hol.type_of`, and an ill-typed one raises
-    EvalError with its message: `_compile` takes its types as given."""
+    term is compiled once more with lane False, lifting none.  Either
+    compile links the definitions to the unit of n (see `_Compiled`).
+    The term is checked first, by `hol.type_of`, and an ill-typed one
+    raises EvalError with its message: `_compile` takes its types as
+    given."""
     try:
         type_of(t)
     except HolTypeError as e:
         raise EvalError(str(e)) from None
-    comp = _Compiled(n, True)
+    comp = _Compiled(n)
     try:
         comp.code, _, _ = _compile(comp, t, (), None)
     except _Unlifted:
-        comp = _Compiled(n, False)
-        comp.code, _, _ = _compile(comp, t, (), None)
+        comp = _Compiled(n)
+        comp.code, _, _ = _compile(comp, t, (), False)
     return comp
 
 
@@ -333,11 +333,11 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
     the mask of the binder levels the code reads (bit l stands for
     env[l], the l-th binder from the outside).
 
-    `lane` is the enclosing lifted block (see `Lane`), or None.  A node
-    that reads the block computes its value for all values of the block
-    at once, one bit (lane) per value: an o-typed node the mask of the
-    values where it holds, a β>o-typed one the tuple of those masks per
-    digit of β.  Every other node computes its plain value, a truth
+    `lane` is the enclosing lifted block, or None or False (see `Lane`).
+    A node that reads the block computes its value for all values of the
+    block at once, one bit (lane) per value: an o-typed node the mask of
+    the values where it holds, a β>o-typed one the tuple of those masks
+    per digit of β.  Every other node computes its plain value, a truth
     value being a mask over one lane.  A node that reads the block and
     has no lane code (see `_lane_apply`) raises _Unlifted.  A constant
     or free variable reads its slot of `comp.tables` or `comp.values`."""
@@ -395,24 +395,21 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
             inner = (head.var_ty,) + inner
             head = head.body
             k += 1
-        # a body compiles once per binder types and block, `OR_TAU`'s
-        # under each ∨; the entry holds `head` and `lane`, so that no
-        # other term or block can take their ids.  One of the nine closed
-        # definitions applied outside any binder has the types of its own
-        # λs and no block: it compiles into the unit, for every term
+        # one of the nine closed definitions applied outside any binder
+        # has the types of its own λs and no block: its body compiles
+        # once into the unit, for every term.  Any other body compiles
+        # here, where it is applied
         if binders or id(defn) not in _CLOSED_TYPES:
-            owner, key = comp, (id(head), inner, id(lane))
+            body, ty, mask = _compile(comp, head, inner, lane)
         else:
-            owner = comp.unit = _unit(comp.n, comp.lift)
-            key = id(head)
-        shared = owner.bodies.get(key)
-        if shared is None:
-            shared = owner.bodies[key] = (
-                head, lane, *_compile(owner, head, inner, lane),
-                {name: owner.consts[name] for name in _constants(head, {})})
-            owner.tables += [0] * (len(owner.consts) - len(owner.tables))
-        _, _, body, ty, mask, reads = shared
-        if owner is not comp:
+            unit = comp.unit = _unit(comp.n)
+            shared = unit.bodies.get(id(head))
+            if shared is None:
+                shared = unit.bodies[id(head)] = (
+                    *_compile(unit, head, inner, lane),
+                    {name: unit.consts[name] for name in _constants(head, {})})
+                unit.tables += [0] * (len(unit.consts) - len(unit.tables))
+            body, ty, mask, reads = shared
             # the term checks the names in `consts`, in compile order
             for name, slot in reads.items():
                 comp.linked[name] = slot
@@ -605,21 +602,23 @@ def _binder(comp: _Compiled, alpha: HolType, body_t: HolTerm,
     around `body_t`, the type of the body and the binder's mask.
 
     A quantifier over a predicate V : β>o with at most LANE_CAP values,
-    which no lifted block encloses, is lifted as a block with the
-    predicate quantifiers directly nested in it, each the whole body of
-    the one before, while the product of their value counts stays within
-    LANE_CAP (∀X ∀Y ∀Z : i>o, 2**(3n) lanes).  A lane is one value of the
-    whole block, read as a predicate of Σ|D(β_j)| digits: block variable
-    j has digits off_j .. off_j + |D(β_j)| - 1, so `Xj s` is the lanes
-    where digit off_j + s is 1.  The block pushes a placeholder per
-    variable and computes the mask of the values where its innermost
-    body holds in one go, then compares it with full.  A body that reads
-    the block where no lane code exists (X = Y) raises _Unlifted.  Any other binder loops over its domain, in the
-    lanes of the enclosing block if its body reads it: it ANDs its
-    body's values for a quantifier (`_all`) and writes them as digits or
-    lists them as masks for an abstraction.  A binder over a domain past
-    the budget under a lifted block raises _Unlifted too: lanes evaluate
-    every operand once, where the loop might skip the one that raises."""
+    which no lifted block encloses (`lane` None, not False), is lifted
+    as a block with the predicate quantifiers directly nested in it,
+    each the whole body of the one before, while the product of their
+    value counts stays within LANE_CAP (∀X ∀Y ∀Z : i>o, 2**(3n) lanes).
+    A lane is one value of the whole block, read as a predicate of
+    Σ|D(β_j)| digits: block variable j has digits
+    off_j .. off_j + |D(β_j)| - 1, so `Xj s` is the lanes where digit
+    off_j + s is 1.  The block pushes a placeholder per variable and
+    computes the mask of the values where its innermost body holds in
+    one go, then compares it with full.  A body that reads the block
+    where no lane code exists (X = Y) raises _Unlifted.  Any other
+    binder loops over its domain, in the lanes of the enclosing block if
+    its body reads it: it ANDs its body's values for a quantifier
+    (`_all`) and writes them as digits or lists them as masks for an
+    abstraction.  A binder over a domain past the budget under a lifted
+    block raises _Unlifted too: lanes evaluate every operand once, where
+    the loop might skip the one that raises."""
     depth = len(binders)
     inner = (alpha,) + binders
     try:
@@ -627,9 +626,9 @@ def _binder(comp: _Compiled, alpha: HolType, body_t: HolTerm,
     except DomainBudgetError:
         if lane:
             raise _Unlifted
-        _, res, _ = _compile(comp, body_t, inner, None)
+        _, res, _ = _compile(comp, body_t, inner, lane)
         return _over_budget(comp.n, alpha), res, (1 << depth) - 1
-    if forall and not lane and comp.lift and _lanes(comp.n, alpha):
+    if forall and lane is None and _lanes(comp.n, alpha):
         # the block: directly nested predicate quantifiers join while
         # the product of their value counts stays within LANE_CAP
         types, count = [alpha], len(dom)

@@ -1009,7 +1009,7 @@ def test_the_embedded_route_agrees_with_its_normal_forms():
 def test_compiles_grow_linearly_in_nested_oa_and_op(monkeypatch, op):
     # Oa and Op use their argument twice, so each nested one doubles the
     # normal form; the term as built applies one definition per level,
-    # and each definition's body compiles once per binder types
+    # and each definition's body compiles once per world count
     calls = [0]
     monkeypatch.setattr(
         henkin, "_compile", lambda *a, run=henkin._compile:
@@ -1036,35 +1036,41 @@ _SHARED_F = Abs(I, land(App(App(PV, _SHARED_W), Bound(0)),
 _SHARED_G = Abs(I, App(Bound(1), Bound(0)))
 
 
-@pytest.mark.parametrize("t, lift, shared", [
+@pytest.mark.parametrize("t, compiles", [
     # one λ object applied under two binder depths, and twice at one
     (forall(I, land(App(_SHARED_L, _SHARED_W), forall(I, lor(
-        App(_SHARED_L, Bound(0)), App(_SHARED_L, Bound(1)))))), True, True),
+        App(_SHARED_L, Bound(0)), App(_SHARED_L, Bound(1)))))), 1),
     (lor(App(_SHARED_F, _SHARED_W), exists(I, App(_SHARED_F, Bound(0)))),
-     True, True),
-    # under a lifted block too, once per block
+     1),
+    # under a lifted block too
     (forall(TAU, lor(App(_SHARED_G, _SHARED_W),
-                     neg(App(_SHARED_G, Free("v", I))))), True, True),
+                     neg(App(_SHARED_G, Free("v", I))))), 1),
     # one λ object inside a lifted block and outside any block, at the
-    # same binder types, in both orders: each compiles its own body (=
-    # runs both operands, where a connective might skip the second)
+    # same binder types, in both orders (= runs both operands, where a
+    # connective might skip the second)
     (equals(O, exists(TAU, App(_SHARED_G, _SHARED_W)),
-            App(Abs(TAU, App(_SHARED_G, Free("v", I))), _SHARED_P)),
-     True, True),
+            App(Abs(TAU, App(_SHARED_G, Free("v", I))), _SHARED_P)), 1),
     (equals(O, App(Abs(TAU, App(_SHARED_G, Free("v", I))), _SHARED_P),
-            exists(TAU, App(_SHARED_G, _SHARED_W))), True, True),
-    # shared before the lift fails at X = X, then compiled once more with
-    # none lifted
+            exists(TAU, App(_SHARED_G, _SHARED_W))), 1),
+    # the lift fails at X = X, and the term compiles once more with none
+    # lifted
     (land(exists(I, App(_SHARED_F, Bound(0))), forall(TAU, land(
-        App(_SHARED_G, _SHARED_W), equals(TAU, Bound(0), Bound(0))))),
-     False, True),
+        App(_SHARED_G, _SHARED_W), equals(TAU, Bound(0), Bound(0))))), 2),
 ], ids=["two-depths", "free", "lifted", "block-first", "block-last",
         "retry"])
-def test_shared_bodies_agree_with_the_oracle(t, lift, shared):
+def test_shared_bodies_agree_with_the_oracle(monkeypatch, t, compiles):
+    # each application compiles its λ's body where it is applied, into
+    # the term's code: the term's own `bodies` stay empty
+    roots = [0]
+    monkeypatch.setattr(
+        henkin, "_compile", lambda call, term, binders, lane,
+        run=henkin._compile: roots.__setitem__(0, roots[0] + (term is t))
+        or run(call, term, binders, lane))
     rng = random.Random(29)
     for n in (1, 2, 3):
+        roots[0] = 0
         comp = henkin._compile_term(n, t)
-        assert (comp.lift, bool(comp.bodies)) == (lift, shared)
+        assert (roots[0], comp.bodies) == (compiles, {})
         for _ in range(6):
             h = build_henkin(random_model(n, ("p",), rng.getrandbits(63),
                                           0.3))
@@ -1297,8 +1303,8 @@ def _unprefixed(t):
 
 def _unlifted_run(h, t, free):
     """`t` compiled with no binder lifted, then run."""
-    comp = henkin._Compiled(h.n, False)
-    comp.code, _, _ = henkin._compile(comp, t, (), None)
+    comp = henkin._Compiled(h.n)
+    comp.code, _, _ = henkin._compile(comp, t, (), False)
     return comp.run(h.interp, free)
 
 
@@ -1606,13 +1612,27 @@ def test_a_run_refuses_what_its_interpretation_or_assignment_lacks(
             (h.interp, {"w": 0, "X": 4},
              "value 4 of X is outside the domain of type i>o"),
             (h.interp, {"w": -1, "X": 1},
-             "value -1 of w is outside the domain of type i")):
+             "value -1 of w is outside the domain of type i"),
+            # a value that is not an int is outside every domain
+            (h.interp, {"w": 0.5, "X": 1},
+             "value 0.5 of w is outside the domain of type i"),
+            (h.interp, {"w": "0", "X": 1},
+             "value '0' of w is outside the domain of type i"),
+            (h.interp, {"w": 0, "X": None},
+             "value None of X is outside the domain of type i>o")):
         for run in (lambda: compiled.run(interp, free),
                     lambda: eval_term(HenkinModel(2, interp), t, free)):
             with pytest.raises(EvalError) as e:
                 run()
             assert str(e.value) == message
     assert compiled.run(h.interp, {"w": 1, "X": 2}) == FALSE
+    # a bool is an int
+    assert compiled.run(h.interp, {"w": False, "X": True}) == TRUE
+    at_world = App(embed(parse("p")), Free("S", I))
+    assert eval_term(h, at_world, {"S": True}) == FALSE
+    with pytest.raises(EvalError) as e:
+        eval_term(h, at_world, {"S": 0.5})
+    assert str(e.value) == "value 0.5 of S is outside the domain of type i"
     # AV, PV1 and PV2 hold without ob, so OB1's run finds it missing,
     # after the compiled axioms have run on a full interpretation
     assert check_axioms(h) is None

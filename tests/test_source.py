@@ -293,8 +293,8 @@ def _abstract(t, name):
 
 def test_the_unit_of_compiled_definitions_stays_bounded():
     # the unit is a dict, which `unbounded_caches` does not see: it holds
-    # one body per definition and argument count, 19 per world count and
-    # lift flag, and 17 from embedded terms, whatever the formulas' depth
+    # one body per definition and argument count, 19 per world count, and
+    # 17 from embedded terms, whatever the formulas' depth
     heads = unit_heads()
     assert len(heads) == 19
     henkin._unit.cache_clear()
@@ -307,7 +307,7 @@ def test_the_unit_of_compiled_definitions_stays_bounded():
     for n in (1, 2, 3):
         h = henkin.build_henkin(model.random_model(n, ("p", "q"),
                                                    rng.getrandbits(63), 0.3))
-        unit = henkin._unit(n, True)
+        unit = henkin._unit(n)
         for texts in (shallow, deep):
             for text in texts:
                 t = hol.embed(syntax.parse(text))
@@ -320,13 +320,13 @@ def test_the_unit_of_compiled_definitions_stays_bounded():
         assert seen[n, True] == seen[n, False]
         assert unit.consts.keys() == {"av", "pv", "ob"}
         # a definition applied under a binder compiles with its term
-        before = [(dict(u.bodies), list(u.memos), dict(u.consts))
-                  for u in (unit, henkin._unit(n, False))]
+        before = dict(unit.bodies), list(unit.memos), dict(unit.consts)
         t = hol.embed(syntax.parse("[](Oa p | [a]q) | O(p / ~p)"))
         henkin.eval_term(h, hol.forall(
             hol.TAU, hol.App(hol.VLD, _abstract(t, "p"))))
-        assert [(dict(u.bodies), list(u.memos), dict(u.consts))
-                for u in (unit, henkin._unit(n, False))] == before
+        assert henkin._unit(n) is unit
+        assert (dict(unit.bodies), list(unit.memos),
+                dict(unit.consts)) == before
 
 
 def cache_owner(source: str, line: int) -> str:
