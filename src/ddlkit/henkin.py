@@ -13,28 +13,32 @@ and a world predicate (type i>o) is the bitmask of the worlds where it
 holds.  Application reads one digit, and abstraction writes the digits
 of its body.
 
-A term is checked once, by `hol.type_of`, then compiled for a world
-count into closures over a binder stack, one closure per node, which
-take its types as given, and then run in any interpretation over
-those worlds: constants and free variables are read when it runs.
-`eval_term` compiles and runs a term once; `check_axioms` compiles the
-eight axioms once per world count and runs them per model.  Each
-compiled node carries the mask of the binder levels it reads, so a
-quantifier or abstraction that ignores some enclosing binders is cached
-per values of the ones it reads, for one run.  The domain of each
-binder is fixed at compile time; one that is over the budget raises
-DomainBudgetError only if it runs.  A syntactic λ applied to arguments,
-as `embed` and `vld` apply each connective's definition, runs its body
-with the arguments' values, each of its binder's type, pushed as its
-innermost binders.  The body of one of the nine closed definitions
-applied outside any binder, as in every term `embed` and `vld` build,
-compiles once per world count into a unit that all terms share, so
-every ∨ of such a term runs one code with one set of caches, keyed by
-the values they read; a run fills only the unit's constant slots that
-its definitions read and empties the unit's caches, and runs and
-compiles hold one lock.  Any other applied λ, a term's own or a
-definition under a binder, compiles where it is applied.  Pi f is
-Pi (λx. f x), so every quantifier is a binder.
+A term is checked once, by `hol.type_of`.  Code under binders is
+compiled for a world count into closures over a binder stack, one
+closure per node, which take its types as given, and then run in any
+interpretation over those worlds: constants and free variables are read
+when it runs.  `check_axioms` compiles the eight axioms once per world
+count and runs them per model.  Each compiled node carries the mask of
+the binder levels it reads, so a quantifier or abstraction that ignores
+some enclosing binders is cached per values of the ones it reads, for
+one run.  The domain of each binder is fixed at compile time; one that
+is over the budget raises DomainBudgetError only if it runs.  A
+syntactic λ applied to arguments runs its body with the arguments'
+values, each of its binder's type, pushed as its innermost binders.
+Pi f is Pi (λx. f x), so every quantifier is a binder.
+
+The terms `embed` and `vld` build are a tree of the nine closed
+definitions applied to each other, to atoms and to a world, with no
+binder outside the definitions.  `eval_term` walks that tree and does
+not compile it: a constant or free variable is read, and a definition
+applied to k arguments runs its body, compiled once per world count
+into a unit all terms share, with the arguments' values as its binder
+stack.  So every ∨ of every term runs one code with one set of caches,
+keyed by the values they read.  A walk fills only the unit's constant
+slots that the bodies it runs read and empties the unit's caches, and
+walks and runs hold one lock.  Any other part of a term, a logical
+constant or binder outside the definitions or a term's own λ, compiles
+where the walk meets it, as one term.
 
 Since an element of D(a>o) is the |D(a)|-bit mask of where it holds, a
 quantifier over a predicate V : β>o can run once for all values of V,
@@ -120,8 +124,9 @@ class ExtractionError(EvalError):
 def domain_size(n: int, ty: HolType) -> int:
     """|D(ty)| at n worlds.  A size past DOMAIN_BUDGET bits, a power
     tower like (((i>o)>o)>o)>o at n = 3, raises DomainBudgetError: when
-    run for a binder over it, at compile time for a digit base.  A
-    negative n raises EvalError."""
+    run for a binder over it, at compile time for a digit base or a
+    constant, and when a free variable's value or a walked constant's
+    table is checked.  A negative n raises EvalError."""
     if n < 0:
         raise EvalError(f"a model has 0 or more worlds, not {n}")
     if ty is O_TYPE:
@@ -187,14 +192,27 @@ def eval_term(h: HenkinModel, t: HolTerm,
     tabulating the body over the argument domain.
 
     The term is checked once by `hol.type_of`, an ill-typed one raising
-    EvalError with its message, and compiled for h's world count (see
-    `_compile_term`), so types, radices and the domain of each
-    quantifier and abstraction are worked out per node rather than per
-    step, and then run once.  The bodies of the nine closed definitions
-    that it applies outside any binder are compiled once per world count
-    and shared with every other term (see `_Compiled`); any other
-    applied λ compiles where it is applied.  The compile and the run
-    hold one lock, so any thread may call this.
+    EvalError with its message.  Then the part of it that no binder
+    encloses is walked (`_walk`): a constant's table is read from h's
+    interpretation and a free variable's value from `free`, and one of
+    the nine closed definitions of `hol` applied to arguments runs its
+    body, compiled once per world count and shared with every other term
+    (see `_unit`), with the arguments' values as its binders.  Any other
+    node, a logical constant or a λ of the term's own, is compiled for
+    h's world count as one term (see `_compile_term`), so types, radices
+    and the domain of each quantifier and abstraction are worked out per
+    node rather than per step, and run once.  The walk holds one lock,
+    so any thread may call this.
+
+    A missing constant, a table outside its type's domain (any
+    non-int), a missing free variable or a free value outside its
+    type's domain raises EvalError; a constant or free variable of a
+    type past the budget, DomainBudgetError.  The first fault in the
+    walk's order is reported: a spine's arguments left to right, then
+    its head, so in `p S` an unassigned S before a missing p.  A node
+    that compiles checks all its constants, in the same order, before
+    its free variables, before it runs.
+
     Quantifiers and the boolean connectives are applied without
     materializing their tables, with early exit; a conjunction and an
     implication ¬a ∨ b are one clause each.  A domain over the budget
@@ -213,7 +231,109 @@ def eval_term(h: HenkinModel, t: HolTerm,
     ∃Z. B Z is computed once, not once per X.
     """
     with _LOCK:
-        return _compile_term(h.n, t).run(h.interp, free or {})
+        _well_typed(t)
+        unit = _unit(h.n)
+        for memo in unit.memos:
+            memo.clear()
+        return _walk(t, h.n, h.interp, free or {}, unit)
+
+
+def _well_typed(t: HolTerm) -> HolTerm:
+    """`t`, once `hol.type_of` has accepted it; an ill-typed term raises
+    EvalError with its message.  The walk and the compiler take its
+    types as given."""
+    try:
+        type_of(t)
+    except HolTypeError as e:
+        raise EvalError(str(e)) from None
+    return t
+
+
+def _walk(t: HolTerm, n: int, interp: Mapping[str, int],
+          free: Mapping[str, int], unit: _Compiled) -> int:
+    """The value of `t`, a well-typed term or a part of one that no
+    binder encloses, at n worlds, with `unit` the unit of n (see
+    `eval_term`).  A spine headed by a constant, a free variable or a
+    closed definition evaluates its arguments, left to right, then its
+    head; a definition applied to k of them runs its body in the unit
+    with their values as its binder stack, once the unit's constant
+    slots it reads are filled.  An argument left over is read as a
+    digit.  Any other term compiles and runs as one (`_compile_term`)."""
+    head, args = t, []
+    while type(head) is App:
+        args.append(head.arg)
+        head = head.fn
+    kind = type(head)
+    if not (kind is Free or kind is Const and head.name not in LOGICAL_NAMES
+            or kind is Abs and args and id(head) in _CLOSED_TYPES):
+        return _compile_term(n, t).run(interp, free)
+    # a loop, not a comprehension, as in `_compile`
+    values = []
+    for a in reversed(args):
+        values.append(_walk(a, n, interp, free, unit))
+    if kind is Free:
+        ty = head.ty
+        v = _assigned(n, free, head.name, ty)
+    elif kind is Const:
+        ty = head.ty
+        v = _interpreted(interp, head.name, ty, domain_size(n, ty))
+    else:
+        body, k = head, 0
+        while type(body) is Abs and k < len(values):
+            body, k = body.body, k + 1
+        shared = unit.bodies.get(id(body))
+        if shared is None:
+            shared = unit.bodies[id(body)] = _definition(unit, head, k)
+        code, ty, reads = shared
+        for name, slot in reads.items():
+            unit.tables[slot] = _interpreted(interp, name,
+                                             *unit.domains[slot])
+        v, values = code(values[:k]), values[k:]
+    for a in values:
+        ty = ty.res
+        base = 2 if ty is O_TYPE else domain_size(n, ty)
+        v = v // base ** a % base
+    return v
+
+
+def _definition(unit: _Compiled, defn: Abs, k: int
+                ) -> tuple[Code, HolType, dict[str, int]]:
+    """The body of `defn`, one of the nine closed definitions, under k
+    of its λs, compiled into `unit`: its code, its type, and the unit's
+    slots of the constants it reads, in the order `_compile` meets them."""
+    inner = ()
+    for _ in range(k):
+        inner = (defn.var_ty,) + inner
+        defn = defn.body
+    code, ty, _ = _compile(unit, defn, inner, None)
+    return code, ty, {name: unit.consts[name]
+                      for name in _constants(defn, {})}
+
+
+def _interpreted(interp: Mapping[str, int], name: str, ty: HolType,
+                 size: int) -> int:
+    """The table of the constant `name` : ty in `interp`, where D(ty)
+    has `size` elements; EvalError if it has none or one outside D(ty)."""
+    if name not in interp:
+        raise EvalError(f"constant {name} has no interpretation")
+    v = interp[name]
+    if not (isinstance(v, int) and 0 <= v < size):
+        raise EvalError(f"table {v!r} of {name} is outside the domain of "
+                        f"type {type_str(ty)}")
+    return v
+
+
+def _assigned(n: int, free: Mapping[str, int], name: str, ty: HolType
+              ) -> int:
+    """The value of the free variable `name` : ty in `free`, at n
+    worlds; EvalError if it has none or one outside D(ty)."""
+    if name not in free:
+        raise EvalError(f"unassigned free variable {name}:{type_str(ty)}")
+    v = free[name]
+    if not (isinstance(v, int) and 0 <= v < domain_size(n, ty)):
+        raise EvalError(f"value {v!r} of {name} is outside the domain of "
+                        f"type {type_str(ty)}")
+    return v
 
 
 class _Unlifted(Exception):
@@ -227,96 +347,79 @@ class _Compiled:
 
     Constants and free variables are read when the term runs, not when
     it compiles.  Each constant name has a slot in `tables`, in the
-    order of `consts`, its map from names to slots; each free variable
-    node has one in `values`, and its name and type in `frees`.  `memos`
-    are the tables of `_cached`, emptied at the start of each run.  So
-    one compiled term serves every interpretation over its worlds, one
-    run at a time.
+    order of `consts`, its map from names to slots, and in `domains` the
+    type it is read at and that type's domain size, the smallest if it
+    is read at several; each free variable node has one in `values`, and
+    its name and type in `frees`.  `memos` are the tables of `_cached`,
+    emptied at the start of each run.  So one compiled term serves every
+    interpretation over its worlds, one run at a time.
 
-    The nine closed definitions of `hol`, applied outside any binder as
-    `embed` and `vld` apply them, compile not into the term but into
-    `unit`, the _Compiled of the world count that `_unit` shares among
-    all terms: its `bodies` map the id of each definition's body to its
-    code and the slots of the constants it reads, and the term's
-    `linked` maps those constants to those slots.  A run fills them
-    only, so a term whose definitions read no av runs without one, and
-    empties the unit's memos.  Any other applied λ compiles into the
-    term where it is applied, so a term's own `bodies` stay empty.
-    `eval_term` holds `_LOCK` while it compiles and runs a term, as
-    `check_axioms` does for the axioms, so any thread may call either."""
+    The unit of a world count (`_unit`) is a _Compiled that is never run
+    as a term: its `bodies` map the id of each closed definition's body
+    under k λs to its code, its type and the slots of the constants it
+    reads, which `_walk` fills before it runs the code.  A term's own
+    `bodies` stay empty: every λ it applies compiles where it is
+    applied.  `eval_term` holds `_LOCK` while it walks a term, and
+    `check_axioms` while it runs the axioms, so any thread may call
+    either."""
 
-    __slots__ = ("n", "consts", "tables", "frees", "values", "memos",
-                 "bodies", "code", "unit", "linked")
+    __slots__ = ("n", "consts", "domains", "tables", "frees", "values",
+                 "memos", "bodies", "code")
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.consts: dict[str, int] = {}
+        self.domains: list[tuple[HolType, int]] = []
         self.tables: list[int] = []
         self.frees: list[tuple[str, HolType]] = []
         self.values: list[int] = []
         self.memos: list[dict] = []
         self.bodies: dict[int, tuple] = {}
-        self.unit: _Compiled | None = None
-        self.linked: dict[str, int] = {}
 
     def run(self, interp: Mapping[str, int], free: Mapping[str, int]
             ) -> int:
         """The term's value with the constants' tables in `interp` and
-        the free variables' values in `free`.  A missing constant, then
-        a missing free variable or a free value outside its type's
-        domain (any non-int), raises EvalError before any code runs.  A
-        term linked to a unit runs under `_LOCK`, as `eval_term` runs it."""
-        try:
-            self.tables[:] = map(interp.__getitem__, self.consts)
-        except KeyError:
-            name = next(name for name in self.consts if name not in interp)
-            raise EvalError(f"constant {name} has no interpretation") from None
-        unit = self.unit
-        if unit:
-            tables = unit.tables
-            for name, slot in self.linked.items():
-                tables[slot] = interp[name]
-            for memo in unit.memos:
-                memo.clear()
+        the free variables' values in `free`.  A missing constant or a
+        table outside its type's domain (any non-int), in the order of
+        `consts`, then a missing free variable or a free value outside
+        its type's domain, raises EvalError before any code runs."""
+        # `_interpreted`'s check, inline: with a call per constant, the
+        # roundtrip benchmark, whose axioms read one to three each, ran
+        # about 3 % slower
+        tables, domains = self.tables, self.domains
+        for slot, name in enumerate(self.consts):
+            v = interp.get(name)
+            ty, size = domains[slot]
+            if not (isinstance(v, int) and 0 <= v < size):
+                _interpreted(interp, name, ty, size)  # names the fault
+            tables[slot] = v
         values = self.values
         for k, (name, ty) in enumerate(self.frees):
-            if name not in free:
-                raise EvalError(f"unassigned free variable {name}:"
-                                f"{type_str(ty)}")
-            v = values[k] = free[name]
-            if not (isinstance(v, int) and 0 <= v < domain_size(self.n, ty)):
-                raise EvalError(f"value {v!r} of {name} is outside the "
-                                f"domain of type {type_str(ty)}")
+            values[k] = _assigned(self.n, free, name, ty)
         for memo in self.memos:
             memo.clear()
         return self.code([])
 
 
-# The unit of each world count, filled as terms link to it: at most one
-# body per definition and argument count, 19, and 17 from `vld(embed f)`
-# and `embed f` at a world.  8 covers n = 0..7, past the 4 the axioms
-# reach; a term keeps its unit, so an evicted one only stops sharing.
+# The unit of each world count, filled as `_walk` first runs each body:
+# at most one body per definition and argument count, 19, and 17 from
+# `vld(embed f)` and `embed f` at a world.  8 covers n = 0..7, past the 4
+# the axioms reach; an evicted unit is compiled again when next walked.
 _unit = functools.lru_cache(maxsize=8)(_Compiled)
 
-# Held by `eval_term` and `check_axioms` while they compile and run: a
-# compile adds to a unit, and a run fills in the state of its unit or
-# of a compiled axiom.
+# Held by `eval_term` and `check_axioms` while they walk, compile and
+# run: a walk fills in the state of its unit and adds to it, and a run
+# fills in the state of a compiled axiom.
 _LOCK = threading.Lock()
 
 
 def _compile_term(n: int, t: HolTerm) -> _Compiled:
-    """`t` compiled for n worlds, lifting the outermost blocks of
-    predicate quantifiers; if a part of a lifted body reads a block
-    variable where no lane code exists (see `_lane_apply`), the whole
-    term is compiled once more with lane False, lifting none.  Either
-    compile links the definitions to the unit of n (see `_Compiled`).
-    The term is checked first, by `hol.type_of`, and an ill-typed one
-    raises EvalError with its message: `_compile` takes its types as
-    given."""
-    try:
-        type_of(t)
-    except HolTypeError as e:
-        raise EvalError(str(e)) from None
+    """`t`, a well-typed term (see `_well_typed`), compiled for n worlds,
+    lifting the outermost blocks of predicate quantifiers; if a part of a
+    lifted body reads a block variable where no lane code exists (see
+    `_lane_apply`), the whole term is compiled once more with lane
+    False, lifting none.  Every λ it applies compiles into it where it is
+    applied: `_compile` takes its types as given."""
     comp = _Compiled(n)
     try:
         comp.code, _, _ = _compile(comp, t, (), None)
@@ -352,15 +455,23 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
         # lanes where Xj's digit s is 1
         return _lane_variable(_projections(*lane[2][level])), ty, 1 << level
     if kind is Const or kind is Free:
-        # read when the term runs, from a slot that `_Compiled.run`
-        # fills: one per free variable node, one per constant name
+        # read when the term runs, from a slot that `_Compiled.run`, or
+        # `_walk` in a unit, fills: one per free variable node, one per
+        # constant name, checked against the smallest domain it is read at
         if kind is Free:
             comp.frees.append((t.name, t.ty))
             comp.values.append(0)
             return _reader(comp.values, len(comp.values) - 1), t.ty, 0
         if t.name in LOGICAL_NAMES:
             return _compile(comp, eta_expand(t, t.ty), binders, lane)
-        slot = comp.consts.setdefault(t.name, len(comp.consts))
+        slot, size = comp.consts.get(t.name), domain_size(comp.n, t.ty)
+        if slot is None:
+            slot = comp.consts[t.name] = len(comp.tables)
+            comp.tables.append(0)
+            comp.domains.append((t.ty, size))
+        elif size < comp.domains[slot][1]:
+            # a name read at two types: its table must fit both
+            comp.domains[slot] = t.ty, size
         return _reader(comp.tables, slot), t.ty, 0
     depth = len(binders)
     if kind is Abs:
@@ -389,31 +500,13 @@ def _compile(comp: _Compiled, t: HolTerm, binders: tuple[HolType, ...],
         # apply syntactic lambdas by extending the environment rather
         # than building their tables; arguments are evaluated in the
         # current environment first, to plain values
-        inner, defn = binders, head
+        inner = binders
         k = 0
         while isinstance(head, Abs) and k < len(args):
             inner = (head.var_ty,) + inner
             head = head.body
             k += 1
-        # one of the nine closed definitions applied outside any binder
-        # has the types of its own λs and no block: its body compiles
-        # once into the unit, for every term.  Any other body compiles
-        # here, where it is applied
-        if binders or id(defn) not in _CLOSED_TYPES:
-            body, ty, mask = _compile(comp, head, inner, lane)
-        else:
-            unit = comp.unit = _unit(comp.n)
-            shared = unit.bodies.get(id(head))
-            if shared is None:
-                shared = unit.bodies[id(head)] = (
-                    *_compile(unit, head, inner, lane),
-                    {name: unit.consts[name] for name in _constants(head, {})})
-                unit.tables += [0] * (len(unit.consts) - len(unit.tables))
-            body, ty, mask, reads = shared
-            # the term checks the names in `consts`, in compile order
-            for name, slot in reads.items():
-                comp.linked[name] = slot
-                comp.consts.setdefault(name, len(comp.consts))
+        body, ty, mask = _compile(comp, head, inner, lane)
         mask &= (1 << depth) - 1
         pushed = []
         for a, _, arg_mask in argcode[:k]:
@@ -896,8 +989,9 @@ def check_axioms(h: HenkinModel) -> str | None:
     with _LOCK:
         compiled = _AXIOMS.get(h.n)
         if compiled is None:
-            compiled = _AXIOMS[h.n] = [(name, _compile_term(h.n, term))
-                                       for name, term in axioms()]
+            compiled = _AXIOMS[h.n] = [
+                (name, _compile_term(h.n, _well_typed(term)))
+                for name, term in axioms()]
         for name, term in compiled:
             if term.run(h.interp, {}) != TRUE:
                 return name

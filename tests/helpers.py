@@ -252,6 +252,14 @@ def substitute(t: HolTerm, replacement: HolTerm) -> HolTerm:
     return _subst(t, 0, replacement)
 
 
+def abstract_atom(t: HolTerm, name: str) -> HolTerm:
+    """t, an embedded formula, with the atom `name` read as Bound(0):
+    the skeleton outside the definitions has no binders of its own."""
+    if type(t) is App:
+        return App(abstract_atom(t.fn, name), abstract_atom(t.arg, name))
+    return Bound(0) if t == atom_const(name) else t
+
+
 def leibniz_eq(a: HolTerm, b: HolTerm) -> HolTerm:
     """Indiscernibility form of equality: every predicate carries a to b."""
     ty_a, ty_b = type_of(a), type_of(b)

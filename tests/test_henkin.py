@@ -11,18 +11,19 @@ from ddlkit.henkin import (FALSE, TRUE, AxiomCheckError, DomainBudgetError,
                            EvalError, ExtractionError, HenkinModel,
                            build_henkin, check_axioms, domain_size,
                            enumerate_domain, eval_term, extract_model)
-from ddlkit.hol import (AV, EQ_NAME, I, NOT, NOT_NAME, OB, OR, OR_NAME,
-                        PI_NAME, PV, TAU, Abs, App, Arrow, Bound, Const, Free,
-                        O, atom_const, axioms, beta_eta_normalize, embed,
-                        eq_const, equals, exists, false_term, forall, land,
-                        liff, limp, lor, neg, pi_const, pretty_term,
-                        true_term, vld)
+from ddlkit.hol import (AV, EQ_NAME, I, NOT, NOT_NAME, NOT_TAU, OB, OB_TAU, OR,
+                        OR_NAME, OR_TAU, PI_NAME, PV, TAU, VLD, Abs, App,
+                        Arrow, Bound, Const, Free, O, atom_const, axioms,
+                        beta_eta_normalize, embed, eq_const, equals, exists,
+                        false_term, forall, land, liff, limp, lor, neg,
+                        pi_const, pretty_term, true_term, vld)
 from ddlkit.model import (CJModel, _valid_ob_tables, full_mask, ideal_ob,
                           ideal_of, ideal_sets, ob_member, random_model,
                           validate)
 from ddlkit.syntax import parse, pretty, random_formula
-from helpers import (all_candidate_ob_tables, interpreted_frame_failures,
-                     leibniz_eq, mk_model, oracle_eval_term, random_term)
+from helpers import (abstract_atom, all_candidate_ob_tables,
+                     interpreted_frame_failures, leibniz_eq, mk_model,
+                     oracle_eval_term, random_term)
 
 MINIMAL = mk_model(1, av=[[0]], pv=[[0]], ob=[], val={"p": [0]})
 
@@ -952,15 +953,23 @@ def test_binders_past_the_lane_cap_loop(monkeypatch):
     assert loops["_all"] and loops["_tabulate"] and runs[0]
 
 
-def test_a_constant_outside_its_domain_reads_as_in_the_loop():
+def test_a_constant_outside_its_domain_is_refused():
     # at n = 2 a world predicate has 2 digits; 0b111 has a third, which
-    # the loop never reads
+    # a loop would never read and a lane might.  No code reads such a
+    # table: looped or lifted, the term refuses it before it runs, and
+    # with the table cut to its domain both agree with the oracle
     p = atom_const("p")
-    for h in (HenkinModel(2, {"p": 0b111}), HenkinModel(1, {"p": 5})):
+    for n, table in ((2, 0b111), (1, 5)):
         for t in (forall(I, App(p, Bound(0))), Abs(I, App(p, Bound(0))),
                   forall(_TAU_O, App(Bound(0), p)),
-                  exists(_TAU_O, App(Bound(0), p))):
-            assert eval_term(h, t) == oracle_eval_term(h, t), pretty_term(t)
+                  exists(_TAU_O, App(Bound(0), p)), App(p, Free("w", I))):
+            with pytest.raises(EvalError) as e:
+                eval_term(HenkinModel(n, {"p": table}), t, {"w": 0})
+            assert str(e.value) == (f"table {table} of p is outside the "
+                                    f"domain of type i>o"), pretty_term(t)
+            h = HenkinModel(n, {"p": table & full_mask(n)})
+            assert eval_term(h, t, {"w": 0}) == \
+                oracle_eval_term(h, t, {"w": 0}), pretty_term(t)
 
 
 @pytest.mark.parametrize("d", [4, 8, 12])
@@ -1596,6 +1605,10 @@ def test_valid_models_at_one_world_count_fit_the_multiplexer_cache():
         assert henkin._block_mux.cache_info().misses == misses, n
 
 
+# tables no world predicate has: no int, below 0, and past its digits
+_BAD_TABLES = (0.5, "1", None, -1, 1 << 40)
+
+
 def test_a_run_refuses_what_its_interpretation_or_assignment_lacks(
         monkeypatch):
     monkeypatch.setattr(henkin, "_AXIOMS", {})
@@ -1619,7 +1632,11 @@ def test_a_run_refuses_what_its_interpretation_or_assignment_lacks(
             (h.interp, {"w": "0", "X": 1},
              "value '0' of w is outside the domain of type i"),
             (h.interp, {"w": 0, "X": None},
-             "value None of X is outside the domain of type i>o")):
+             "value None of X is outside the domain of type i>o"),
+            # so is a table, and one past its type's digits
+            *(({**h.interp, "p": table}, {"w": 0, "X": 1},
+               f"table {table!r} of p is outside the domain of type i>o")
+              for table in _BAD_TABLES)):
         for run in (lambda: compiled.run(interp, free),
                     lambda: eval_term(HenkinModel(2, interp), t, free)):
             with pytest.raises(EvalError) as e:
@@ -1633,6 +1650,15 @@ def test_a_run_refuses_what_its_interpretation_or_assignment_lacks(
     with pytest.raises(EvalError) as e:
         eval_term(h, at_world, {"S": 0.5})
     assert str(e.value) == "value 0.5 of S is outside the domain of type i"
+    # the walk of an embedded term checks each table it reads, and each
+    # one that a definition's body reads
+    for table in _BAD_TABLES:
+        for bad in ({"p": table}, {"p": 1, "av": table}):
+            with pytest.raises(EvalError) as e:
+                eval_term(HenkinModel(2, bad), vld(embed(parse("p | Oa p"))))
+            name, ty = ("p", "i>o") if "av" not in bad else ("av", "i>i>o")
+            assert str(e.value) == (f"table {table!r} of {name} is outside "
+                                    f"the domain of type {ty}")
     # AV, PV1 and PV2 hold without ob, so OB1's run finds it missing,
     # after the compiled axioms have run on a full interpretation
     assert check_axioms(h) is None
@@ -1641,6 +1667,88 @@ def test_a_run_refuses_what_its_interpretation_or_assignment_lacks(
                                      if k != "ob"}))
     assert str(e.value) == "constant ob has no interpretation"
 
+
+
+def test_the_walk_reports_the_first_fault_it_meets():
+    # a spine's arguments left to right, then its head; a term that
+    # compiles checks all its constants, then its free variables
+    p, q, s = atom_const("p"), atom_const("q"), Free("S", I)
+    bare = HenkinModel(2, {})
+    mixed = vld(embed(parse("Oa q | p")))
+    for h, t, free, message in (
+            (bare, App(p, s), {}, "unassigned free variable S:i"),
+            (bare, App(p, s), {"S": 0}, "constant p has no interpretation"),
+            (HenkinModel(2, {"p": 4}), App(p, s), {"S": 2},
+             "value 2 of S is outside the domain of type i"),
+            (HenkinModel(2, {"p": 4}), App(p, s), {"S": 1},
+             "table 4 of p is outside the domain of type i>o"),
+            # q, the argument of Oa, before av, which Oa's body reads,
+            # and both before p, the second argument of the ∨
+            (bare, mixed, {}, "constant q has no interpretation"),
+            (HenkinModel(2, {"q": 1}), mixed, {},
+             "constant av has no interpretation"),
+            (HenkinModel(2, {"q": 1, "av": 16}), mixed, {},
+             "table 16 of av is outside the domain of type i>i>o"),
+            (HenkinModel(2, {"q": 1, "av": 9}), mixed, {},
+             "constant ob has no interpretation"),
+            (HenkinModel(2, {"q": 1, "av": 9, "ob": 0}), mixed, {},
+             "constant p has no interpretation"),
+            (bare, land(App(p, s), App(q, s)), {},
+             "constant p has no interpretation"),
+            (HenkinModel(2, {"p": 1}), land(App(p, s), App(q, s)), {},
+             "constant q has no interpretation"),
+            (HenkinModel(2, {"p": 1, "q": 2}), land(App(p, s), App(q, s)),
+             {}, "unassigned free variable S:i"),
+            # a λ of the term's own compiles where the walk meets it
+            (bare, App(VLD, Abs(I, App(p, s))), {},
+             "constant p has no interpretation"),
+            # a name read at two types has a table in both domains
+            (HenkinModel(2, {"c": 2}), App(Const("c", Arrow(O, TAU)),
+                                           Const("c", O)), {},
+             "table 2 of c is outside the domain of type o"),
+            (HenkinModel(2, {"c": 2}), land(App(Const("c", TAU), s),
+                                            Const("c", O)), {"S": 1},
+             "table 2 of c is outside the domain of type o")):
+        with pytest.raises(EvalError) as e:
+            eval_term(h, t, free)
+        assert str(e.value) == message, (pretty_term(t), h.interp, free)
+
+
+def test_the_walk_agrees_with_the_compiled_term_and_the_oracle():
+    # the walk runs the shared definitions' bodies on the values of their
+    # arguments; compiling the whole term (`_compile_term`) and the
+    # oracle evaluate it as one.  Terms the walk runs alone: vld t, t at
+    # each world, t itself (its n-bit table) and definitions applied to
+    # fewer arguments than they have λs; terms that it compiles, whole
+    # or in part: ¬vld t, vld t ∨ vld u, ∀p. VLD t[p], VLD (λW. t W)
+    rng = random.Random(34)
+    atoms = ("p", "q", "r")
+    s = Free("S", I)
+    seen = {}
+    for k in range(504):
+        n = 1 + k % 3
+        m = random_model(n, atoms, rng.getrandbits(63),
+                         rng.choice((0.0, 0.15, 0.3, 0.5)))
+        h = build_henkin(m)
+        t, u = (embed(random_formula(rng, 4, atoms)) for _ in range(2))
+        cases = [(vld(t), {}), (t, {}), (App(OR_TAU, t), {}),
+                 (App(OB_TAU, u), {}), (App(App(OB_TAU, u), t), {}),
+                 (NOT_TAU, {}), (neg(vld(t)), {}), (lor(vld(t), vld(u)), {}),
+                 (App(VLD, Abs(I, App(t, Bound(0)))), {})]
+        cases += [(App(t, s), {"S": w}) for w in range(n)]
+        if k % 4 == 0:
+            cases.append((forall(TAU, App(VLD, abstract_atom(t, "p"))), {}))
+        for i, (term, free) in enumerate(cases):
+            walked = eval_term(h, term, free)
+            assert walked == henkin._compile_term(n, term).run(
+                h.interp, free) == oracle_eval_term(h, term, free), \
+                (pretty_term(term), free, m)
+            seen.setdefault(min(i, 9), set()).add(walked)
+        assert eval_term(h, App(t, s), {"S": k % n}) == \
+            eval_term(h, t) >> k % n & 1
+    # every kind of term takes more than one value
+    assert sorted(seen) == list(range(10))
+    assert all(len(values) > 1 for values in seen.values()), seen
 
 def test_check_axioms_from_several_threads_matches_sequential_answers(
         monkeypatch):
@@ -1684,7 +1792,7 @@ def test_check_axioms_from_several_threads_matches_sequential_answers(
 def test_each_run_of_the_shared_definitions_reads_its_own_model(
         monkeypatch):
     # the definitions' bodies are compiled once per world count and
-    # shared by every term; each run fills the constant slots that its
+    # shared by every term; each walk fills the constant slots that its
     # definitions read and empties their memos, so runs interleaved over
     # models, world counts and formulas, in any order, match the oracles
     loops = dict.fromkeys(_LOOPS, 0)
@@ -1738,9 +1846,9 @@ def test_each_run_of_the_shared_definitions_reads_its_own_model(
 
 def test_eval_term_from_several_threads_matches_sequential_answers():
     # every term of the embedded route runs the shared definitions, whose
-    # slots and memos each run fills in; a switch interval of 1 us makes
-    # the threads interleave inside compiles and runs, where any
-    # unguarded state would mix models
+    # slots and memos each walk fills in; a switch interval of 1 us makes
+    # the threads interleave inside walks and the definitions' compiles,
+    # where any unguarded state would mix models
     rng = random.Random(107)
     atoms = ("p", "q")
     # each formula reads av, pv or ob, in models of one world count

@@ -6,6 +6,7 @@ import pytest
 
 import ddlkit
 from ddlkit import henkin, hol, model, syntax
+from helpers import abstract_atom
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ddlkit"
@@ -163,16 +164,40 @@ def test_only_emission_and_the_axioms_normalize():
                      "hol.py:axioms"]
 
 
-def test_terms_are_type_checked_only_in_compile_term():
+def test_each_term_is_type_checked_once(monkeypatch):
     # `hol.type_of` is the one well-formedness check of a term: henkin
-    # runs it once per compile and turns its error into an EvalError, and
-    # `_compile` takes the types as given
-    henkin = (SRC / "henkin.py").read_text(encoding="utf-8")
-    assert reads_naming(henkin, "type_of") == ["_compile_term"]
+    # runs it once per `eval_term` call and per compiled axiom, in one
+    # function that turns its error into an EvalError, and the walk and
+    # `_compile` take the types as given
+    source = (SRC / "henkin.py").read_text(encoding="utf-8")
+    assert reads_naming(source, "type_of") == ["_well_typed"]
     found = [f"{path.name}:{where}" for path in sorted(SRC.rglob("*.py"))
              for where in except_clauses_naming(
                  path.read_text(encoding="utf-8"), "HolTypeError")]
-    assert found == ["henkin.py:_compile_term"]
+    assert found == ["henkin.py:_well_typed"]
+    checked = []
+    monkeypatch.setattr(henkin, "type_of", lambda t, *binders,
+                        run=henkin.type_of: checked.append(t)
+                        or run(t, *binders))
+    monkeypatch.setattr(henkin, "_AXIOMS", {})
+    h = henkin.build_henkin(model.random_model(2, ("p",), 34, 0.3))
+    t = hol.embed(syntax.parse("O(p / ~p) | [a]p"))
+    # a walked term, one that compiles, and one that walks and compiles
+    terms = [hol.vld(t), hol.neg(hol.vld(t)),
+             hol.App(hol.VLD, hol.Abs(hol.I, hol.App(t, hol.Bound(0))))]
+    for term in terms:
+        henkin.eval_term(h, term)
+    assert henkin.check_axioms(h) is None
+    assert henkin.check_axioms(h) is None
+    assert checked == terms + [term for _, term in hol.axioms()]
+
+
+def test_the_unit_is_read_in_one_function():
+    # `eval_term` hands the unit of its world count to the walk, the one
+    # route to the compiled definitions: `_compile` compiles every λ
+    # where it is applied
+    source = (SRC / "henkin.py").read_text(encoding="utf-8")
+    assert reads_naming(source, "_unit") == ["eval_term"]
 
 
 def test_reads_naming_a_name_are_found():
@@ -283,14 +308,6 @@ def unit_heads() -> dict[int, tuple[str, int]]:
     return heads
 
 
-def _abstract(t, name):
-    """t, an embedded formula, with the atom `name` read as Bound(0):
-    the skeleton outside the definitions has no binders of its own."""
-    if type(t) is hol.App:
-        return hol.App(_abstract(t.fn, name), _abstract(t.arg, name))
-    return hol.Bound(0) if t == hol.atom_const(name) else t
-
-
 def test_the_unit_of_compiled_definitions_stays_bounded():
     # the unit is a dict, which `unbounded_caches` does not see: it holds
     # one body per definition and argument count, 19 per world count, and
@@ -323,7 +340,7 @@ def test_the_unit_of_compiled_definitions_stays_bounded():
         before = dict(unit.bodies), list(unit.memos), dict(unit.consts)
         t = hol.embed(syntax.parse("[](Oa p | [a]q) | O(p / ~p)"))
         henkin.eval_term(h, hol.forall(
-            hol.TAU, hol.App(hol.VLD, _abstract(t, "p"))))
+            hol.TAU, hol.App(hol.VLD, abstract_atom(t, "p"))))
         assert henkin._unit(n) is unit
         assert (dict(unit.bodies), list(unit.memos),
                 dict(unit.consts)) == before
